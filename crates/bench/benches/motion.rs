@@ -1,8 +1,8 @@
-//! Host micro-benchmark of the motion (prediction) step: the seed's
-//! array-of-structs `MotionModel::apply` loop vs. the SoA
-//! [`mcl_core::kernel::motion_predict`] kernel on 1 and 8 workers, plus the
-//! `motion_dispatch` spawn-vs-pool group comparing the persistent worker pool
-//! against the scoped-spawn reference on identical chunk geometry.
+//! Host micro-benchmark of the motion (prediction) step: the SoA
+//! [`mcl_core::kernel::motion_predict`] kernel on 1 and 8 workers, the three
+//! kernel backends on one full-population call, plus the `motion_dispatch`
+//! spawn-vs-pool group comparing the persistent worker pool against the
+//! scoped-spawn reference on identical chunk geometry.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcl_core::kernel;
@@ -18,22 +18,6 @@ fn particles(n: usize) -> Vec<Particle<f32>> {
 fn bench_motion(c: &mut Criterion) {
     let model = MotionModel::new([0.1, 0.1, 0.1]);
     let delta = MotionDelta::new(0.1, 0.02, 0.05);
-    let mut group = c.benchmark_group("motion_step");
-    group.sample_size(20);
-    for &n in &[64usize, 1024, 4096, 16_384] {
-        let aos = particles(n);
-        group.bench_with_input(BenchmarkId::from_parameter(n), &aos, |b, aos| {
-            b.iter_batched(
-                || aos.clone(),
-                |mut batch| {
-                    model.apply(&mut batch, &delta, 7, 3, 0);
-                    batch
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
-    }
-    group.finish();
 
     let mut kernel_group = c.benchmark_group("motion_kernel");
     kernel_group.sample_size(20);
@@ -61,10 +45,10 @@ fn bench_motion(c: &mut Criterion) {
     }
     kernel_group.finish();
 
-    // Scalar vs lane-batched kernel backend on one full-population invocation:
-    // the motion kernel is RNG/trigonometry-bound, so the lanes group mostly
-    // documents that the backend does not regress (the big lanes win lives in
-    // the observation bench).
+    // The three kernel backends on one full-population invocation. Scalar
+    // and lanes run the per-particle body one lane at a time; avx2 runs the
+    // Box–Muller pairs, the yaw sin_cos, the composition and the wrap 8 wide
+    // and should show the win.
     let mut backend_group = c.benchmark_group("motion_backend");
     backend_group.sample_size(30);
     {
@@ -90,9 +74,6 @@ fn bench_motion(c: &mut Criterion) {
                 criterion::BatchSize::LargeInput,
             )
         });
-        // The avx2 entry documents the delegation (motion_predict_avx2 runs
-        // the lanes body — the kernel is RNG/trig-bound): the archived table
-        // should show parity, not a win.
         backend_group.bench_with_input(BenchmarkId::new("avx2", n), &soa, |b, soa| {
             b.iter_batched(
                 || soa.clone(),

@@ -245,7 +245,15 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
 
     /// Accumulates an odometry increment (body frame). Cheap; call at odometry
     /// rate.
+    ///
+    /// An increment with a NaN or infinite component is discarded: it is not
+    /// accumulated and not counted in [`FilterCounters::predictions`].
+    /// Accumulating it would poison the pending motion, and through the next
+    /// motion step every particle, for the rest of the flight.
     pub fn predict(&mut self, delta: MotionDelta) {
+        if !delta.is_finite() {
+            return;
+        }
         self.pending = self.pending.accumulate(&delta);
         self.counters.predictions += 1;
     }
@@ -908,6 +916,40 @@ mod tests {
         assert_eq!(counters.updates_applied, 1);
         assert_eq!(counters.updates_skipped, 2);
         assert_eq!(counters.predictions, 2);
+    }
+
+    #[test]
+    fn non_finite_odometry_is_discarded_and_the_filter_keeps_publishing() {
+        let map = arena();
+        let mut mcl = MonteCarloLocalization::<f32, _>::new(config(128), edt(&map)).unwrap();
+        mcl.initialize_uniform(&map, 1).unwrap();
+        let rig = rig();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let truth = Pose2::new(1.0, 1.0, 0.3);
+        for bad in [
+            MotionDelta::new(f32::NAN, 0.0, 0.0),
+            MotionDelta::new(0.0, f32::INFINITY, 0.0),
+            MotionDelta::new(0.0, 0.0, f32::NEG_INFINITY),
+        ] {
+            mcl.predict(bad);
+            assert_eq!(mcl.pending_motion(), MotionDelta::default());
+        }
+        assert_eq!(mcl.counters().predictions, 0);
+        for step in 0..4 {
+            mcl.predict(MotionDelta::new(0.06, 0.0, 0.01));
+            mcl.predict(MotionDelta::new(f32::NAN, f32::NAN, f32::NAN));
+            mcl.predict(MotionDelta::new(0.06, 0.0, 0.01));
+            let beams = rig.observe(&map, &truth, f64::from(step) / 15.0, &mut rng);
+            let outcome = mcl.update(&beams).unwrap();
+            let estimate = outcome.estimate().expect("0.12 m opens the gate");
+            assert!(estimate.pose.x.is_finite(), "step {step}");
+            assert!(estimate.pose.y.is_finite(), "step {step}");
+            assert!(estimate.pose.theta.is_finite(), "step {step}");
+        }
+        assert_eq!(mcl.counters().predictions, 8);
+        let particles = mcl.particles().current();
+        assert!(particles.x().iter().all(|v| v.is_finite()));
+        assert!(particles.theta().iter().all(|v| v.is_finite()));
     }
 
     #[test]

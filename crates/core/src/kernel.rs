@@ -53,14 +53,22 @@
 //!
 //! For the intrinsic bodies the contract additionally pins the instruction
 //! selection: only single-rounding IEEE 754 ops (`vaddps`, `vsubps`,
-//! `vmulps`, `vdivps`, `vminps`, exact converts/gathers) are permitted, and
+//! `vmulps`, `vdivps`, `vsqrtps`, `vminps`, compare-and-blend, exact
+//! converts/gathers and integer ops on the float bits) are permitted, and
 //! **FMA is never used** — a fused multiply-add rounds once where the scalar
 //! body rounds twice, which would silently break bit-identity even though the
 //! host advertises the `fma` feature. Masked lanes (out-of-bounds lookups,
-//! loop tails) replay the scalar select order. Ops with
-//! implementation-ambiguous tie-breaking in scalar Rust (`f32::max` weight
-//! clamps, `exp`, `sin_cos`, the branching angular difference) stay scalar
-//! per lane inside the AVX2 kernels.
+//! loop tails) replay the scalar select order.
+//!
+//! The per-particle transcendentals — the motion step's Box–Muller `ln` and
+//! `sin_cos`, the yaw `sin_cos` of the motion, observation and pose kernels,
+//! and the reweighting `exp` — are the owned [`mcl_num::math`] functions, not
+//! libm: fixed coefficient sets and Horner orders that `crate::simd` replays
+//! 8 lanes wide with the same bits. The angle wraps use the exact `%`-free
+//! fast path of [`normalize_angle`]. What stays scalar per lane inside the
+//! AVX2 kernels is only what has no equivalent vector op with the same edge
+//! semantics: the `f32::max` weight clamps and the branching angular
+//! difference.
 //!
 //! All of this is pinned by `tests/kernel_backend_equivalence.rs` across tail
 //! lengths, cluster layouts and warm-pool reruns; the `MCL_KERNEL_BACKEND`
@@ -74,6 +82,7 @@ use crate::observation::{AnchorRangeModel, BeamEndPointModel};
 use crate::parallel::ClusterLayout;
 use crate::particle::{Particle, ParticleBuffer, ParticleSlice, ParticleSliceMut};
 use mcl_gridmap::{DistanceField, Pose2};
+use mcl_num::math::{exp, sin_cos};
 use mcl_num::{angular_difference, normalize_angle, Scalar};
 use mcl_sensor::{BeamBatch, ObservationBatch};
 use serde::{Deserialize, Serialize};
@@ -241,11 +250,11 @@ pub fn motion_predict<S: Scalar>(
 
 /// Lane-batched prediction kernel: samples the chunk in [`LANES`]-wide groups
 /// (per-group component gathers and scatters over the SoA arrays) with a
-/// scalar-reference tail. The per-particle math — three Gaussian draws from
-/// the `(seed, update, global index)` stream plus the pose composition — is
-/// RNG/trigonometry-bound and runs scalar per lane, so this kernel is
-/// bandwidth-shaped rather than arithmetic-vectorized; it exists so the
-/// backend selection is uniform across all four steps. Bit-identical to
+/// scalar-reference tail. The per-particle body — four uniforms from the
+/// `(seed, update, global index)` stream, two Box–Muller pairs and the pose
+/// composition — runs through [`MotionModel::sample`] per lane, so this
+/// kernel is bandwidth-shaped rather than arithmetic-vectorized; the
+/// arithmetic runs 8 wide in [`motion_predict_avx2`]. Bit-identical to
 /// [`motion_predict`].
 pub fn motion_predict_lanes<S: Scalar>(
     mut particles: ParticleSliceMut<'_, S>,
@@ -285,21 +294,49 @@ pub fn motion_predict_lanes<S: Scalar>(
     }
 }
 
-/// The [`KernelBackend::Avx2`] prediction kernel. The per-particle body —
-/// three counter-based Gaussian draws plus the trigonometric pose composition
-/// — is RNG/`sin_cos`-bound with no wide arithmetic to issue, so there is no
-/// explicit-SIMD body to win anything with: this delegates to the
-/// lane-batched kernel (whose group scatter is already the memory-optimal
-/// shape), keeping the backend selection uniform across all four steps.
-/// Bit-identical to [`motion_predict`] on every host.
+/// The [`KernelBackend::Avx2`] prediction kernel. Per [`LANES`]-wide group
+/// the eight SplitMix64 streams draw their four uniforms in 4×u64 registers
+/// (`crate::simd::counter_uniforms`), then both Box–Muller pairs, the noise,
+/// the yaw `sin_cos`, the pose composition and the angle wrap run as 8-wide
+/// register ops (`crate::simd::motion_group`, the lane replay of
+/// [`MotionModel::move_pose`]), with the same scalar-reference tail as the
+/// lane kernel. Falls back to [`motion_predict_lanes`] without AVX2 and on
+/// non-x86 builds. Bit-identical to [`motion_predict`] in every case.
 pub fn motion_predict_avx2<S: Scalar>(
-    particles: ParticleSliceMut<'_, S>,
+    mut particles: ParticleSliceMut<'_, S>,
     model: &MotionModel,
     delta: &MotionDelta,
     seed: u64,
     update_index: u64,
     first_index: u64,
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::available() {
+        let n = particles.len();
+        let mut i = 0usize;
+        while i + LANES <= n {
+            let uniforms =
+                crate::simd::counter_uniforms(seed, update_index, first_index + i as u64);
+            let mut x: [f32; LANES] = core::array::from_fn(|l| particles.x[i + l].to_f32());
+            let mut y: [f32; LANES] = core::array::from_fn(|l| particles.y[i + l].to_f32());
+            let mut theta: [f32; LANES] = core::array::from_fn(|l| particles.theta[i + l].to_f32());
+            crate::simd::motion_group(model, delta, &uniforms, &mut x, &mut y, &mut theta);
+            for l in 0..LANES {
+                particles.x[i + l] = S::from_f32(x[l]);
+                particles.y[i + l] = S::from_f32(y[l]);
+                particles.theta[i + l] = S::from_f32(theta[l]);
+            }
+            i += LANES;
+        }
+        for j in i..n {
+            let p = particles.get(j);
+            particles.set(
+                j,
+                model.sample(&p, delta, seed, update_index, first_index + j as u64),
+            );
+        }
+        return;
+    }
     motion_predict_lanes(particles, model, delta, seed, update_index, first_index)
 }
 
@@ -624,7 +661,8 @@ fn debug_assert_reweight_contract(log_likelihoods: &[f32], max_log: f32) {
 
 /// Correction kernel, part 2: multiplies each weight by its likelihood,
 /// rescaled by the set-wide maximum log-likelihood so a sharp observation model
-/// cannot underflow `f32`.
+/// cannot underflow `f32`. The exponential is the owned
+/// [`mcl_num::math::exp`].
 ///
 /// `max_log` must dominate the chunk (debug-asserted; the filter passes the
 /// set-wide maximum, which does by construction) and must not be NaN or +∞.
@@ -649,14 +687,14 @@ pub fn reweight<S: Scalar>(weights: &mut [S], log_likelihoods: &[f32], max_log: 
         return;
     }
     for (w, &log_lik) in weights.iter_mut().zip(log_likelihoods.iter()) {
-        let scaled = (log_lik - max_log).exp();
+        let scaled = exp(log_lik - max_log);
         *w = S::from_f32(w.to_f32() * scaled);
     }
 }
 
 /// Lane-batched correction kernel, part 2: [`LANES`]-wide groups of the
-/// rescale-and-store body (the subtraction, the multiply and the storage
-/// rounding vectorize; the `exp` stays a scalar call per lane) with a
+/// rescale-and-store body (the subtraction, the owned `exp`, the multiply and
+/// the storage rounding run as straight-line array passes) with a
 /// scalar-reference tail. Bit-identical to [`reweight`], including the
 /// collapsed-observation zeroing.
 ///
@@ -679,7 +717,7 @@ pub fn reweight_lanes<S: Scalar>(weights: &mut [S], log_likelihoods: &[f32], max
     for (wg, lg) in (&mut weight_groups).zip(&mut log_groups) {
         let mut scaled = [0.0f32; LANES];
         for l in 0..LANES {
-            scaled[l] = (lg[l] - max_log).exp();
+            scaled[l] = exp(lg[l] - max_log);
         }
         for l in 0..LANES {
             wg[l] = S::from_f32(wg[l].to_f32() * scaled[l]);
@@ -690,18 +728,17 @@ pub fn reweight_lanes<S: Scalar>(weights: &mut [S], log_likelihoods: &[f32], max
         .iter_mut()
         .zip(log_groups.remainder().iter())
     {
-        let scaled = (log_lik - max_log).exp();
+        let scaled = exp(log_lik - max_log);
         *w = S::from_f32(w.to_f32() * scaled);
     }
 }
 
 /// Explicit-SIMD correction kernel, part 2: the [`KernelBackend::Avx2`] body
-/// computes each group's exponent inputs `log_lik − max_log` with one 8-wide
-/// register subtraction; the `exp` and the generic weight store stay scalar
-/// per lane (the transcendental is a libm call — vectorizing it would change
-/// the roundings). Falls back to [`reweight_lanes`] without AVX2 and on
-/// non-x86 builds. Bit-identical to [`reweight`], including the
-/// collapsed-observation zeroing.
+/// computes each group's likelihood factors `exp(log_lik − max_log)` as one
+/// 8-wide subtraction plus the lane replay of [`mcl_num::math::exp`]; the
+/// generic weight multiply-and-store stays per lane. Falls back to
+/// [`reweight_lanes`] without AVX2 and on non-x86 builds. Bit-identical to
+/// [`reweight`], including the collapsed-observation zeroing.
 ///
 /// # Panics
 ///
@@ -723,10 +760,10 @@ pub fn reweight_avx2<S: Scalar>(weights: &mut [S], log_likelihoods: &[f32], max_
         let mut log_groups = log_likelihoods.chunks_exact(LANES);
         for (wg, lg) in (&mut weight_groups).zip(&mut log_groups) {
             let lg: &[f32; LANES] = lg.try_into().expect("group is exactly LANES entries");
-            let mut inputs = [0.0f32; LANES];
-            crate::simd::exp_inputs(lg, max_log, &mut inputs);
+            let mut scaled = [0.0f32; LANES];
+            crate::simd::exp_shifted(lg, max_log, &mut scaled);
             for l in 0..LANES {
-                wg[l] = S::from_f32(wg[l].to_f32() * inputs[l].exp());
+                wg[l] = S::from_f32(wg[l].to_f32() * scaled[l]);
             }
         }
         for (w, &log_lik) in weight_groups
@@ -734,7 +771,7 @@ pub fn reweight_avx2<S: Scalar>(weights: &mut [S], log_likelihoods: &[f32], max_
             .iter_mut()
             .zip(log_groups.remainder().iter())
         {
-            let scaled = (log_lik - max_log).exp();
+            let scaled = exp(log_lik - max_log);
             *w = S::from_f32(w.to_f32() * scaled);
         }
         return;
@@ -909,23 +946,23 @@ impl PosePartials {
         self.sum_cos += cos_t;
     }
 
-    /// Accumulates one particle chunk.
+    /// Accumulates one particle chunk. The heading vector comes from the
+    /// owned [`mcl_num::math::sin_cos`].
     pub fn accumulate<S: Scalar>(particles: ParticleSlice<'_, S>) -> Self {
         let mut p = PosePartials::default();
         for i in 0..particles.len() {
             let w = f64::from(particles.weight[i].to_f32().max(0.0));
             let x = f64::from(particles.x[i].to_f32());
             let y = f64::from(particles.y[i].to_f32());
-            let theta = particles.theta[i].to_f32();
-            let (sin_t, cos_t) = (f64::from(theta.sin()), f64::from(theta.cos()));
-            p.push(w, x, y, sin_t, cos_t);
+            let (sin_t, cos_t) = sin_cos(particles.theta[i].to_f32());
+            p.push(w, x, y, f64::from(sin_t), f64::from(cos_t));
         }
         p
     }
 
     /// Lane-batched accumulation: widens and clamps one [`LANES`]-wide group
-    /// of components in vectorizable array passes (the heading trigonometry
-    /// stays scalar per lane), then folds the group through the shared
+    /// of components in vectorizable array passes (the owned heading
+    /// `sin_cos` runs per lane), then folds the group through the shared
     /// per-particle push **in particle order** — the f64 accumulator
     /// chains associate exactly as in the scalar loop, so the partials are
     /// bit-identical to [`PosePartials::accumulate`].
@@ -945,34 +982,40 @@ impl PosePartials {
             let mut sin_t = [0.0f64; LANES];
             let mut cos_t = [0.0f64; LANES];
             for l in 0..LANES {
-                let theta = particles.theta[i + l].to_f32();
-                sin_t[l] = f64::from(theta.sin());
-                cos_t[l] = f64::from(theta.cos());
+                let (s, c) = sin_cos(particles.theta[i + l].to_f32());
+                sin_t[l] = f64::from(s);
+                cos_t[l] = f64::from(c);
             }
             for l in 0..LANES {
                 p.push(w[l], x[l], y[l], sin_t[l], cos_t[l]);
             }
             i += LANES;
         }
-        for j in i..n {
-            let w = f64::from(particles.weight[j].to_f32().max(0.0));
-            let x = f64::from(particles.x[j].to_f32());
-            let y = f64::from(particles.y[j].to_f32());
-            let theta = particles.theta[j].to_f32();
-            p.push(w, x, y, f64::from(theta.sin()), f64::from(theta.cos()));
-        }
+        p.accumulate_tail(particles, i);
         p
     }
 
-    /// Explicit-SIMD accumulation for [`KernelBackend::Avx2`]: the exact
-    /// f32 → f64 widening of each group's positions runs as `vcvtps2pd`
-    /// register ops (`crate::simd::widen`); the weight clamp (`f32::max`
-    /// has implementation-defined `-0.0`/NaN tie-breaking that `vmaxps` need
-    /// not share) and the heading trigonometry stay scalar per lane, and the
-    /// fold goes through the shared per-particle push **in particle order**.
-    /// Falls back to [`PosePartials::accumulate_lanes`] without AVX2 and on
-    /// non-x86 builds; bit-identical to [`PosePartials::accumulate`] in every
-    /// case.
+    /// The scalar-reference tail shared by the lane-batched bodies:
+    /// accumulates particles `start..` one at a time.
+    fn accumulate_tail<S: Scalar>(&mut self, particles: ParticleSlice<'_, S>, start: usize) {
+        for j in start..particles.len() {
+            let w = f64::from(particles.weight[j].to_f32().max(0.0));
+            let x = f64::from(particles.x[j].to_f32());
+            let y = f64::from(particles.y[j].to_f32());
+            let (sin_t, cos_t) = sin_cos(particles.theta[j].to_f32());
+            self.push(w, x, y, f64::from(sin_t), f64::from(cos_t));
+        }
+    }
+
+    /// Explicit-SIMD accumulation for [`KernelBackend::Avx2`]: the heading
+    /// `sin_cos` runs 8 wide (`crate::simd::sin_cos_lanes`) and the exact
+    /// f32 → f64 widening of each group's positions and heading vector runs
+    /// as `vcvtps2pd` register ops (`crate::simd::widen`); the weight clamp
+    /// (`f32::max` has implementation-defined `-0.0`/NaN tie-breaking that
+    /// `vmaxps` need not share) stays scalar per lane, and the fold goes
+    /// through the shared per-particle push **in particle order**. Falls
+    /// back to [`PosePartials::accumulate_lanes`] without AVX2 and on non-x86
+    /// builds; bit-identical to [`PosePartials::accumulate`] in every case.
     pub fn accumulate_avx2<S: Scalar>(particles: ParticleSlice<'_, S>) -> Self {
         #[cfg(target_arch = "x86_64")]
         if crate::simd::available() {
@@ -994,25 +1037,18 @@ impl PosePartials {
                 let mut y = [0.0f64; LANES];
                 crate::simd::widen(&xf, &mut x);
                 crate::simd::widen(&yf, &mut y);
+                let theta: [f32; LANES] = core::array::from_fn(|l| particles.theta[i + l].to_f32());
+                let (sin_f, cos_f) = crate::simd::sin_cos_lanes(&theta);
                 let mut sin_t = [0.0f64; LANES];
                 let mut cos_t = [0.0f64; LANES];
-                for l in 0..LANES {
-                    let theta = particles.theta[i + l].to_f32();
-                    sin_t[l] = f64::from(theta.sin());
-                    cos_t[l] = f64::from(theta.cos());
-                }
+                crate::simd::widen(&sin_f, &mut sin_t);
+                crate::simd::widen(&cos_f, &mut cos_t);
                 for l in 0..LANES {
                     p.push(w[l], x[l], y[l], sin_t[l], cos_t[l]);
                 }
                 i += LANES;
             }
-            for j in i..n {
-                let w = f64::from(particles.weight[j].to_f32().max(0.0));
-                let x = f64::from(particles.x[j].to_f32());
-                let y = f64::from(particles.y[j].to_f32());
-                let theta = particles.theta[j].to_f32();
-                p.push(w, x, y, f64::from(theta.sin()), f64::from(theta.cos()));
-            }
+            p.accumulate_tail(particles, i);
             return p;
         }
         Self::accumulate_lanes(particles)

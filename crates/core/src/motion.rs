@@ -8,9 +8,10 @@
 //! standard deviations `σ_odom = (σ_x, σ_y, σ_θ)`.
 
 use crate::particle::Particle;
-use crate::rng::CounterRng;
+use crate::rng::{box_muller, CounterRng};
 use mcl_gridmap::Pose2;
-use mcl_num::Scalar;
+use mcl_num::math::sin_cos;
+use mcl_num::{normalize_angle, Scalar};
 use serde::{Deserialize, Serialize};
 
 /// A body-frame odometry increment `u_t`: how far the drone moved and rotated
@@ -56,16 +57,22 @@ impl MotionDelta {
     ///
     /// Used by the asynchronous update gating: odometry arrives faster than the
     /// observation gate opens, so increments are composed until they are applied.
+    ///
+    /// The composition uses the owned [`sin_cos`], so the accumulated
+    /// increment is the same bits on every host.
     pub fn accumulate(&self, next: &MotionDelta) -> Self {
         // Compose the two relative transforms.
-        let first = Pose2::new(self.dx, self.dy, self.dtheta);
-        let second = Pose2::new(next.dx, next.dy, next.dtheta);
-        let composed = first.compose(&second);
+        let (s, c) = sin_cos(self.dtheta);
         MotionDelta {
-            dx: composed.x,
-            dy: composed.y,
-            dtheta: mcl_num::angular_difference(composed.theta, 0.0),
+            dx: self.dx + c * next.dx - s * next.dy,
+            dy: self.dy + s * next.dx + c * next.dy,
+            dtheta: mcl_num::angular_difference(self.dtheta + next.dtheta, 0.0),
         }
+    }
+
+    /// Returns `true` when every component is finite (neither NaN nor ±∞).
+    pub fn is_finite(&self) -> bool {
+        self.dx.is_finite() && self.dy.is_finite() && self.dtheta.is_finite()
     }
 
     /// Returns `true` when both translation and rotation are negligible.
@@ -96,6 +103,10 @@ impl MotionModel {
     ///
     /// The per-particle noise stream is identified by `(seed, update, index)` so
     /// that the result is identical no matter which core processes the particle.
+    /// Four uniforms feed two Box–Muller pairs: the first pair perturbs the
+    /// forward and lateral step, the cosine half of the second the yaw. The
+    /// pose is then composed with the noisy increment (see
+    /// [`MotionModel::move_pose`]).
     pub fn sample<S: Scalar>(
         &self,
         particle: &Particle<S>,
@@ -105,36 +116,63 @@ impl MotionModel {
         particle_index: u64,
     ) -> Particle<S> {
         let mut rng = CounterRng::for_particle(seed, update_index, particle_index);
-        let noisy = MotionDelta {
-            dx: rng.normal(delta.dx, self.sigma[0]),
-            dy: rng.normal(delta.dy, self.sigma[1]),
-            dtheta: rng.normal(delta.dtheta, self.sigma[2]),
-        };
-        let pose = particle.pose();
-        let new_pose = pose.compose(&Pose2::new(noisy.dx, noisy.dy, noisy.dtheta));
+        let uniforms = [rng.uniform(), rng.uniform(), rng.uniform(), rng.uniform()];
+        let (x, y, theta) = self.move_pose(
+            delta,
+            uniforms,
+            particle.x.to_f32(),
+            particle.y.to_f32(),
+            particle.theta.to_f32(),
+        );
         Particle {
-            x: S::from_f32(new_pose.x),
-            y: S::from_f32(new_pose.y),
-            theta: S::from_f32(new_pose.theta),
+            x: S::from_f32(x),
+            y: S::from_f32(y),
+            theta: S::from_f32(theta),
             weight: particle.weight,
         }
     }
 
-    /// Applies [`MotionModel::sample`] to an array-of-structs particle slice in
-    /// place. This is the AoS baseline kept for the micro-benchmarks; the
-    /// filter's hot path runs [`crate::kernel::motion_predict`] over the SoA
-    /// buffers instead, with identical per-particle math and RNG streams.
-    pub fn apply<S: Scalar>(
+    /// The per-particle arithmetic of [`MotionModel::sample`] after the four
+    /// uniform draws — the reference op sequence every kernel backend
+    /// replays (the AVX2 body lane by lane):
+    ///
+    /// ```text
+    /// (n_x, n_y) = box_muller(u0, u1),  (n_θ, _) = box_muller(u2, u3)
+    /// dx = δx + σx·n_x,  dy = δy + σy·n_y,  dθ = δθ + σθ·n_θ   (σ ≤ 0: no noise)
+    /// (s, c) = sin_cos(θ)
+    /// x' = (x + c·dx) − s·dy,  y' = (y + s·dx) + c·dy,  θ' = normalize_angle(θ + dθ)
+    /// ```
+    #[inline]
+    pub fn move_pose(
         &self,
-        particles: &mut [Particle<S>],
         delta: &MotionDelta,
-        seed: u64,
-        update_index: u64,
-        first_index: u64,
-    ) {
-        for (i, p) in particles.iter_mut().enumerate() {
-            *p = self.sample(p, delta, seed, update_index, first_index + i as u64);
-        }
+        uniforms: [f32; 4],
+        x: f32,
+        y: f32,
+        theta: f32,
+    ) -> (f32, f32, f32) {
+        let (n_x, n_y) = box_muller(uniforms[0], uniforms[1]);
+        let (n_theta, _) = box_muller(uniforms[2], uniforms[3]);
+        let dx = perturb(delta.dx, self.sigma[0], n_x);
+        let dy = perturb(delta.dy, self.sigma[1], n_y);
+        let dtheta = perturb(delta.dtheta, self.sigma[2], n_theta);
+        let (s, c) = sin_cos(theta);
+        (
+            x + c * dx - s * dy,
+            y + s * dx + c * dy,
+            normalize_angle(theta + dtheta),
+        )
+    }
+}
+
+/// `mean + std · n`, or exactly `mean` when `std ≤ 0` (a noise-free axis
+/// stays bit-exact, signed zeros included).
+#[inline]
+pub(crate) fn perturb(mean: f32, std: f32, n: f32) -> f32 {
+    if std <= 0.0 {
+        mean
+    } else {
+        mean + std * n
     }
 }
 
@@ -231,18 +269,10 @@ mod tests {
     }
 
     #[test]
-    fn apply_matches_individual_sampling() {
-        let model = MotionModel::new([0.05, 0.05, 0.02]);
-        let d = MotionDelta::new(0.1, 0.02, 0.05);
-        let mut batch: Vec<Particle<f32>> = (0..32)
-            .map(|i| Particle::from_pose(&Pose2::new(i as f32 * 0.1, 0.0, 0.0), 1.0))
-            .collect();
-        let individual: Vec<Particle<f32>> = batch
-            .iter()
-            .enumerate()
-            .map(|(i, p)| model.sample(p, &d, 9, 2, i as u64))
-            .collect();
-        model.apply(&mut batch, &d, 9, 2, 0);
-        assert_eq!(batch, individual);
+    fn non_finite_components_are_detected() {
+        assert!(MotionDelta::new(0.1, -0.2, 3.0).is_finite());
+        assert!(!MotionDelta::new(f32::NAN, 0.0, 0.0).is_finite());
+        assert!(!MotionDelta::new(0.0, f32::INFINITY, 0.0).is_finite());
+        assert!(!MotionDelta::new(0.0, 0.0, f32::NEG_INFINITY).is_finite());
     }
 }

@@ -121,7 +121,8 @@ impl BeamEndPointModel {
     /// ([`crate::kernel::observation_log_likelihoods`]) evaluates.
     ///
     /// The batch stores each beam's end point in the drone *body* frame, so
-    /// scoring one particle costs a single `sin_cos` of the particle yaw plus
+    /// scoring one particle costs a single `sin_cos` of the particle yaw (the
+    /// owned [`mcl_num::math::sin_cos`], which every backend replays) plus
     /// four multiply-adds and one distance-field lookup per beam. Rotating the
     /// precomputed body-frame end point is mathematically identical to
     /// [`mcl_sensor::Beam::end_point`] but associates the trigonometry
@@ -145,7 +146,7 @@ impl BeamEndPointModel {
         theta: f32,
         batch: &BeamBatch,
     ) -> f32 {
-        let (sin_t, cos_t) = theta.sin_cos();
+        let (sin_t, cos_t) = mcl_num::math::sin_cos(theta);
         let end_x = batch.end_x_body();
         let end_y = batch.end_y_body();
         if let Some(prefix) = batch.in_range_prefix(self.r_max) {
@@ -254,7 +255,7 @@ impl BeamEndPointModel {
         let mut sin_t = [0.0f32; LANES];
         let mut cos_t = [0.0f32; LANES];
         for l in 0..LANES {
-            let (s, c) = theta[l].sin_cos();
+            let (s, c) = mcl_num::math::sin_cos(theta[l]);
             sin_t[l] = s;
             cos_t[l] = c;
         }

@@ -283,16 +283,28 @@ impl PartialSumResampler {
             let span_end = prefix + chunk_sum;
             prefix = span_end;
 
-            // Arrows are at (offset + i) * step; the first arrow ≥ span_start has
-            // index ceil(span_start/step - offset) and arrows stay in this chunk
-            // while (offset + i) * step < span_end.
-            let first_arrow = ((span_start / step) - f64::from(offset)).ceil().max(0.0) as usize;
+            // Arrows are at (offset + i) * step and stay in this chunk while
+            // that position is < span_end. The first arrow is the smallest i
+            // whose position is >= span_start — the predicate the previous
+            // worker stopped on, since its span_end is this span_start — so
+            // the ranges tile 0..target_n by construction. The division only
+            // seeds the search: it can round differently from the
+            // multiplication, which used to leave a gap or an overlap.
+            let position_of = |i: usize| (f64::from(offset) + i as f64) * step;
+            let mut first_arrow =
+                ((span_start / step) - f64::from(offset)).ceil().max(0.0) as usize;
+            while first_arrow > 0 && position_of(first_arrow - 1) >= span_start {
+                first_arrow -= 1;
+            }
+            while first_arrow < target_n && position_of(first_arrow) < span_start {
+                first_arrow += 1;
+            }
             let mut arrow = first_arrow;
             let mut cumulative = span_start + f64::from(weights[start].max(0.0));
             let mut source = start;
             let out_start = arrow.min(target_n);
             while arrow < target_n {
-                let position = (f64::from(offset) + arrow as f64) * step;
+                let position = position_of(arrow);
                 if position >= span_end {
                     break;
                 }
@@ -323,6 +335,7 @@ impl PartialSumResampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcl_num::F16;
 
     fn weights_from_pattern(n: usize, seed: u64) -> Vec<f32> {
         // Deterministic pseudo-random positive weights.
@@ -605,6 +618,70 @@ mod tests {
                 plan.worker_output_ranges, expected,
                 "n={n} workers={workers}"
             );
+        }
+    }
+
+    /// Asserts that a plan's worker ranges tile `0..target` contiguously.
+    fn assert_tiles(plan: &ResamplePlan, target: usize, what: &str) {
+        let mut covered = 0usize;
+        for &(start, end) in &plan.worker_output_ranges {
+            assert!(
+                start <= end,
+                "{what}: inverted range in {:?}",
+                plan.worker_output_ranges
+            );
+            assert_eq!(
+                start, covered,
+                "{what}: gap or overlap in {:?}",
+                plan.worker_output_ranges
+            );
+            covered = end;
+        }
+        assert_eq!(covered, target, "{what}: ranges stop short");
+    }
+
+    #[test]
+    fn resized_ranges_tile_when_division_and_multiplication_round_apart() {
+        // Uniform binary16 weights renormalized in f32 — what the fp16
+        // filter hands the resampler after a resampling pass. With offset 0
+        // the wheel positions land exactly on the chunk boundaries, where
+        // `ceil(span_start / step)` and the stop predicate
+        // `(offset + i)·step >= span_end` used to disagree by one arrow: the
+        // first worker stopped before arrow 15, the second started at 16,
+        // and slot 15 kept a stale index (ranges `[(0, 15), (16, 30)]`).
+        for prev in [10usize, 20, 1000, 4096] {
+            let raw = [F16::from_f32(1.0 / prev as f32).to_f32(); 10];
+            let sum: f32 = raw.iter().sum();
+            let weights: Vec<f32> = raw.iter().map(|w| w / sum).collect();
+            let plan = PartialSumResampler::new(2).plan_resize(&weights, 0.0, 30);
+            assert_tiles(&plan, 30, &format!("prev={prev}"));
+            assert_eq!(
+                plan.indices,
+                sequential_resize(&weights, 0.0, 30),
+                "prev={prev}"
+            );
+        }
+        // A broader sweep over the same weight shape.
+        for n in [10usize, 100, 197, 1024] {
+            let raw = vec![F16::from_f32(1.0 / n as f32).to_f32(); n];
+            let sum: f32 = raw.iter().sum();
+            let weights: Vec<f32> = raw.iter().map(|w| w / sum).collect();
+            for target in [n / 2, n - 1, n + 1, 2 * n, 3 * n] {
+                for workers in 2..=8 {
+                    for offset in [0.0f32, 0.5, 0.25] {
+                        let plan =
+                            PartialSumResampler::new(workers).plan_resize(&weights, offset, target);
+                        let what =
+                            format!("n={n} target={target} workers={workers} offset={offset}");
+                        assert_tiles(&plan, target, &what);
+                        assert_eq!(
+                            plan.indices,
+                            sequential_resize(&weights, offset, target),
+                            "{what}"
+                        );
+                    }
+                }
+            }
         }
     }
 

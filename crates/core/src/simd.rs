@@ -14,14 +14,22 @@
 //!
 //! Every function is restricted to the same single-rounding IEEE 754 ops the
 //! scalar kernel performs per particle, in the same order — add, subtract,
-//! multiply, divide, min, exact widening — and **never uses FMA**: a fused
-//! multiply-add rounds once where the scalar body rounds twice, which would
-//! break the backend bit-identity contract pinned by
-//! `tests/kernel_backend_equivalence.rs`. Ops whose zero/NaN tie-breaking is
-//! implementation-ambiguous in scalar Rust (`f32::max` weight clamping, the
-//! branching angular difference, `exp`, `sin_cos`) stay scalar per lane, so
-//! the AVX2 kernels cannot diverge even on those edge cases.
-
+//! multiply, divide, square root, compare-and-select, exact widening and
+//! exact integer operations on the float bits — and **never uses FMA**: a
+//! fused multiply-add rounds once where the scalar body rounds twice, which
+//! would break the backend bit-identity contract pinned by
+//! `tests/kernel_backend_equivalence.rs`.
+//!
+//! The transcendentals are 8-lane replays of the owned [`mcl_num::math`]
+//! functions ([`ln_v`], [`exp_v`], [`sin_cos_v`]): the same constants, the
+//! same Horner order, the same special-value selects. The angle wrap
+//! [`normalize_angle_v`] replays [`mcl_num::normalize_angle`]'s exact fast
+//! path and hands a group to the scalar function when a lane leaves it. The
+//! motion noise's SplitMix64 streams run on 4×u64 registers
+//! ([`counter_uniforms`]). What stays scalar per lane is only what has no
+//! vector equivalent with the same edge semantics: the `f32::max` weight
+//! clamp of the pose reduction and the branching angular difference of the
+//! spread reduction.
 // Intrinsics require `unsafe`; this is the one module in the crate allowed to
 // use it. Every unsafe block carries a SAFETY comment discharging the single
 // obligation: the AVX2 (and where noted F16C-independent) target features are
@@ -31,8 +39,16 @@
 use core::arch::x86_64::*;
 
 use crate::kernel::LANES;
+use crate::motion::{MotionDelta, MotionModel};
 use crate::observation::{AnchorRangeModel, BeamEndPointModel};
+use crate::rng::{CounterRng, GOLDEN_GAMMA, PARTICLE_MIX, SCRAMBLE};
+use core::f32::consts::TAU;
 use mcl_gridmap::DistanceField;
+use mcl_num::math::{
+    COS_P, EXP_LN2_HI, EXP_LN2_LO, EXP_OVERFLOW, EXP_P, EXP_UNDERFLOW, FRAC_2_PI, LN2_HI, LN2_LO,
+    LN_LG, LN_SQRT_HALF_BITS, LN_SUBNORMAL_EXPONENT, LN_SUBNORMAL_SCALE, LOG2_E, PIO2, ROUND_MAGIC,
+    SIN_P,
+};
 use mcl_sensor::{BeamBatch, ObservationBatch};
 
 // The lane kernels and the 256-bit registers must agree on the group width.
@@ -49,10 +65,10 @@ pub(crate) fn available() -> bool {
 /// the AVX2 body of `observation_log_likelihoods_avx2`, bit-identical to
 /// [`BeamEndPointModel::batch_log_likelihood`] per lane.
 ///
-/// The yaw `sin_cos` stays scalar per lane (libm call); the per-beam rotation,
-/// truncated EDT lookup (through
-/// [`DistanceField::distances_at_world_lanes_avx2`], which gathers on AVX2
-/// fields) and Eq. 1 accumulation run as 8-wide register ops.
+/// The yaw `sin_cos` ([`sin_cos_v`]), the per-beam rotation, the truncated
+/// EDT lookup (through [`DistanceField::distances_at_world_lanes_avx2`],
+/// which gathers on AVX2 fields) and the Eq. 1 accumulation all run as
+/// 8-wide register ops.
 pub(crate) fn score_pose_group<D: DistanceField + ?Sized>(
     model: &BeamEndPointModel,
     field: &D,
@@ -63,13 +79,7 @@ pub(crate) fn score_pose_group<D: DistanceField + ?Sized>(
     out: &mut [f32; LANES],
 ) {
     debug_assert!(available());
-    let mut sin_t = [0.0f32; LANES];
-    let mut cos_t = [0.0f32; LANES];
-    for l in 0..LANES {
-        let (s, c) = theta[l].sin_cos();
-        sin_t[l] = s;
-        cos_t[l] = c;
-    }
+    let (sin_t, cos_t) = sin_cos_lanes(theta);
     // Same constant the scalar body folds out of `2.0 * σ * σ`: identical
     // expression, identical roundings.
     let denom = 2.0 * model.sigma_obs() * model.sigma_obs();
@@ -280,20 +290,19 @@ unsafe fn score_anchors(
     used
 }
 
-/// The vectorizable half of the reweight body: `out[l] = lg[l] − max_log`,
-/// the exponent inputs of one lane group. The `exp` itself stays a scalar
-/// libm call per lane (as in the `Lanes` backend), so the results are
-/// bit-identical to the scalar kernel.
-pub(crate) fn exp_inputs(lg: &[f32; LANES], max_log: f32, out: &mut [f32; LANES]) {
+/// The reweight body's likelihood factors of one lane group:
+/// `out[l] = exp(lg[l] − max_log)`, one 8-wide subtraction followed by
+/// [`exp_v`] — bit-identical to `mcl_num::math::exp(lg[l] - max_log)`.
+pub(crate) fn exp_shifted(lg: &[f32; LANES], max_log: f32, out: &mut [f32; LANES]) {
     debug_assert!(available());
     // SAFETY: callers gate on `available`.
-    unsafe { exp_inputs_impl(lg, max_log, out) }
+    unsafe { exp_shifted_impl(lg, max_log, out) }
 }
 
 #[target_feature(enable = "avx2")]
-unsafe fn exp_inputs_impl(lg: &[f32; LANES], max_log: f32, out: &mut [f32; LANES]) {
+unsafe fn exp_shifted_impl(lg: &[f32; LANES], max_log: f32, out: &mut [f32; LANES]) {
     let v = _mm256_sub_ps(_mm256_loadu_ps(lg.as_ptr()), _mm256_set1_ps(max_log));
-    _mm256_storeu_ps(out.as_mut_ptr(), v);
+    _mm256_storeu_ps(out.as_mut_ptr(), exp_v(v));
 }
 
 /// Exact f32 → f64 widening of one lane group (`_mm256_cvtps_pd` on each
@@ -329,4 +338,585 @@ unsafe fn widen_deviation_impl(values: &[f32; LANES], mean: f32, out: &mut [f64;
     let hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v));
     _mm256_storeu_pd(out.as_mut_ptr(), lo);
     _mm256_storeu_pd(out[4..].as_mut_ptr(), hi);
+}
+
+/// `sin_cos` of one lane group through [`sin_cos_v`]: returns
+/// `(sin, cos)` arrays bit-identical to `mcl_num::math::sin_cos` per lane.
+pub(crate) fn sin_cos_lanes(theta: &[f32; LANES]) -> ([f32; LANES], [f32; LANES]) {
+    debug_assert!(available());
+    let mut sin_t = [0.0f32; LANES];
+    let mut cos_t = [0.0f32; LANES];
+    // SAFETY: callers gate on `available`.
+    unsafe { sin_cos_lanes_impl(theta, &mut sin_t, &mut cos_t) };
+    (sin_t, cos_t)
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn sin_cos_lanes_impl(
+    theta: &[f32; LANES],
+    sin_t: &mut [f32; LANES],
+    cos_t: &mut [f32; LANES],
+) {
+    let (s, c) = sin_cos_v(_mm256_loadu_ps(theta.as_ptr()));
+    _mm256_storeu_ps(sin_t.as_mut_ptr(), s);
+    _mm256_storeu_ps(cos_t.as_mut_ptr(), c);
+}
+
+/// The motion step of one lane group — the AVX2 body of
+/// `motion_predict_avx2`, bit-identical to [`MotionModel::move_pose`] per
+/// lane. `uniforms[d][l]` is lane `l`'s `d`-th uniform draw; the poses are
+/// updated in place.
+///
+/// Both Box–Muller pairs ([`ln_v`], `vsqrtps`, [`sin_cos_v`]), the noise
+/// perturbation, the yaw `sin_cos`, the pose composition and the angle wrap
+/// ([`normalize_angle_v`]) run as 8-wide register ops.
+pub(crate) fn motion_group(
+    model: &MotionModel,
+    delta: &MotionDelta,
+    uniforms: &[[f32; LANES]; 4],
+    x: &mut [f32; LANES],
+    y: &mut [f32; LANES],
+    theta: &mut [f32; LANES],
+) {
+    debug_assert!(available());
+    // SAFETY: callers gate on `available`.
+    unsafe { motion_group_impl(model.sigma(), delta, uniforms, x, y, theta) }
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn motion_group_impl(
+    sigma: [f32; 3],
+    delta: &MotionDelta,
+    uniforms: &[[f32; LANES]; 4],
+    x: &mut [f32; LANES],
+    y: &mut [f32; LANES],
+    theta: &mut [f32; LANES],
+) {
+    let u = uniforms.map(|lane| _mm256_loadu_ps(lane.as_ptr()));
+    let (n_x, n_y) = box_muller_v(u[0], u[1]);
+    let (n_theta, _) = box_muller_v(u[2], u[3]);
+    let dx = perturb_v(delta.dx, sigma[0], n_x);
+    let dy = perturb_v(delta.dy, sigma[1], n_y);
+    let dtheta = perturb_v(delta.dtheta, sigma[2], n_theta);
+    let x_v = _mm256_loadu_ps(x.as_ptr());
+    let y_v = _mm256_loadu_ps(y.as_ptr());
+    let theta_v = _mm256_loadu_ps(theta.as_ptr());
+    let (s, c) = sin_cos_v(theta_v);
+    // x' = (x + c·dx) − s·dy and y' = (y + s·dx) + c·dy, no FMA.
+    let new_x = _mm256_sub_ps(
+        _mm256_add_ps(x_v, _mm256_mul_ps(c, dx)),
+        _mm256_mul_ps(s, dy),
+    );
+    let new_y = _mm256_add_ps(
+        _mm256_add_ps(y_v, _mm256_mul_ps(s, dx)),
+        _mm256_mul_ps(c, dy),
+    );
+    _mm256_storeu_ps(x.as_mut_ptr(), new_x);
+    _mm256_storeu_ps(y.as_mut_ptr(), new_y);
+    normalize_angle_v(_mm256_add_ps(theta_v, dtheta), theta);
+}
+
+/// The four uniform draws of the eight particle streams
+/// `CounterRng::for_particle(seed, update_index, first_particle + l)`,
+/// `l ∈ 0..8` — `out[d][l]` is lane `l`'s `d`-th draw, bit-identical to
+/// calling [`CounterRng::uniform`](crate::rng::CounterRng::uniform) four
+/// times per stream. SplitMix64 runs on two 4×u64 registers; AVX2 has no
+/// 64-bit multiply, so each wrapping product is assembled from three
+/// 32×32→64 `vpmuludq` partial products (exact integer arithmetic).
+pub(crate) fn counter_uniforms(
+    seed: u64,
+    update_index: u64,
+    first_particle: u64,
+) -> [[f32; LANES]; 4] {
+    debug_assert!(available());
+    let mut out = [[0.0f32; LANES]; 4];
+    // SAFETY: callers gate on `available`.
+    unsafe { counter_uniforms_impl(seed, update_index, first_particle, &mut out) };
+    out
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn counter_uniforms_impl(
+    seed: u64,
+    update_index: u64,
+    first_particle: u64,
+    out: &mut [[f32; LANES]; 4],
+) {
+    let base = _mm256_set1_epi64x(CounterRng::stream_base(seed, update_index) as i64);
+    let first = _mm256_set1_epi64x(first_particle as i64);
+    let mut state = [
+        _mm256_add_epi64(first, _mm256_setr_epi64x(0, 1, 2, 3)),
+        _mm256_add_epi64(first, _mm256_setr_epi64x(4, 5, 6, 7)),
+    ]
+    .map(|index| _mm256_add_epi64(base, mul_u64_v(index, PARTICLE_MIX)));
+    let gamma = _mm256_set1_epi64x(GOLDEN_GAMMA as i64);
+    // Gathers the low dword of each 64-bit lane into the low 128 bits.
+    let low_dwords = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+    let scale = _mm256_set1_ps((1u64 << 24) as f32);
+    for draws in out.iter_mut() {
+        let top = state.map(|s| {
+            let mut z = _mm256_add_epi64(s, gamma);
+            z = mul_u64_v(_mm256_xor_si256(z, _mm256_srli_epi64::<30>(z)), SCRAMBLE[0]);
+            z = mul_u64_v(_mm256_xor_si256(z, _mm256_srli_epi64::<27>(z)), SCRAMBLE[1]);
+            z = _mm256_xor_si256(z, _mm256_srli_epi64::<31>(z));
+            // The top 24 bits, which fit the low dword exactly.
+            _mm256_permutevar8x32_epi32(_mm256_srli_epi64::<40>(z), low_dwords)
+        });
+        state = state.map(|s| _mm256_add_epi64(s, gamma));
+        let packed = _mm256_permute2x128_si256::<0x20>(top[0], top[1]);
+        let uniform = _mm256_div_ps(_mm256_cvtepi32_ps(packed), scale);
+        _mm256_storeu_ps(draws.as_mut_ptr(), uniform);
+    }
+}
+
+/// Wrapping 64-bit multiply of each lane by the constant `k`:
+/// `lo(a)·lo(k) + ((hi(a)·lo(k) + lo(a)·hi(k)) << 32)` mod 2⁶⁴.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn mul_u64_v(a: __m256i, k: u64) -> __m256i {
+    let k_lo = _mm256_set1_epi64x((k & 0xFFFF_FFFF) as i64);
+    let k_hi = _mm256_set1_epi64x((k >> 32) as i64);
+    let low = _mm256_mul_epu32(a, k_lo);
+    let cross = _mm256_add_epi64(
+        _mm256_mul_epu32(_mm256_srli_epi64::<32>(a), k_lo),
+        _mm256_mul_epu32(a, k_hi),
+    );
+    _mm256_add_epi64(low, _mm256_slli_epi64::<32>(cross))
+}
+
+/// `crate::rng::box_muller` on 8 lanes.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn box_muller_v(u1: __m256, u2: __m256) -> (__m256, __m256) {
+    let log = ln_v(_mm256_sub_ps(_mm256_set1_ps(1.0), u1));
+    let radius = _mm256_sqrt_ps(_mm256_mul_ps(_mm256_set1_ps(-2.0), log));
+    let (sin_phi, cos_phi) = sin_cos_v(_mm256_mul_ps(_mm256_set1_ps(TAU), u2));
+    (
+        _mm256_mul_ps(radius, cos_phi),
+        _mm256_mul_ps(radius, sin_phi),
+    )
+}
+
+/// `crate::motion::perturb` on 8 lanes (`std` is the same for every lane).
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn perturb_v(mean: f32, std: f32, n: __m256) -> __m256 {
+    if std <= 0.0 {
+        _mm256_set1_ps(mean)
+    } else {
+        _mm256_add_ps(_mm256_set1_ps(mean), _mm256_mul_ps(_mm256_set1_ps(std), n))
+    }
+}
+
+/// `_mm256_blendv_ps(a, b, mask)`: `b` where the lane's mask is set.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn select(mask: __m256, b: __m256, a: __m256) -> __m256 {
+    _mm256_blendv_ps(a, b, mask)
+}
+
+/// `f32::abs` on 8 lanes (clears the sign bit).
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn abs_v(x: __m256) -> __m256 {
+    _mm256_andnot_ps(_mm256_set1_ps(-0.0), x)
+}
+
+/// `mcl_num::math::ln` on 8 lanes: the same bit split, the same Horner
+/// order, the same special-value selects.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn ln_v(x: __m256) -> __m256 {
+    let subnormal = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(f32::MIN_POSITIVE));
+    let scaled = select(
+        subnormal,
+        _mm256_mul_ps(x, _mm256_set1_ps(LN_SUBNORMAL_SCALE)),
+        x,
+    );
+    let k_adjust = _mm256_and_si256(
+        _mm256_castps_si256(subnormal),
+        _mm256_set1_epi32(LN_SUBNORMAL_EXPONENT),
+    );
+    let ix = _mm256_add_epi32(
+        _mm256_castps_si256(scaled),
+        _mm256_set1_epi32((0x3F80_0000 - LN_SQRT_HALF_BITS) as i32),
+    );
+    let k = _mm256_add_epi32(
+        _mm256_sub_epi32(_mm256_srli_epi32::<23>(ix), _mm256_set1_epi32(0x7F)),
+        k_adjust,
+    );
+    let m = _mm256_castsi256_ps(_mm256_add_epi32(
+        _mm256_and_si256(ix, _mm256_set1_epi32(0x007F_FFFF)),
+        _mm256_set1_epi32(LN_SQRT_HALF_BITS as i32),
+    ));
+    let f = _mm256_sub_ps(m, _mm256_set1_ps(1.0));
+    let s = _mm256_div_ps(f, _mm256_add_ps(_mm256_set1_ps(2.0), f));
+    let z = _mm256_mul_ps(s, s);
+    let w = _mm256_mul_ps(z, z);
+    let t1 = _mm256_mul_ps(
+        w,
+        _mm256_add_ps(
+            _mm256_set1_ps(LN_LG[1]),
+            _mm256_mul_ps(w, _mm256_set1_ps(LN_LG[3])),
+        ),
+    );
+    let t2 = _mm256_mul_ps(
+        z,
+        _mm256_add_ps(
+            _mm256_set1_ps(LN_LG[0]),
+            _mm256_mul_ps(w, _mm256_set1_ps(LN_LG[2])),
+        ),
+    );
+    let r = _mm256_add_ps(t2, t1);
+    let hfsq = _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5), f), f);
+    let dk = _mm256_cvtepi32_ps(k);
+    // (((s·(h + R) + k·lo) − h) + f) + k·hi
+    let mut main = _mm256_mul_ps(s, _mm256_add_ps(hfsq, r));
+    main = _mm256_add_ps(main, _mm256_mul_ps(dk, _mm256_set1_ps(LN2_LO)));
+    main = _mm256_sub_ps(main, hfsq);
+    main = _mm256_add_ps(main, f);
+    main = _mm256_add_ps(main, _mm256_mul_ps(dk, _mm256_set1_ps(LN2_HI)));
+    // The scalar if-chain, applied from its last arm to its first.
+    let mut out = _mm256_set1_ps(f32::NAN);
+    out = select(
+        _mm256_cmp_ps::<_CMP_GT_OQ>(x, _mm256_setzero_ps()),
+        main,
+        out,
+    );
+    out = select(
+        _mm256_cmp_ps::<_CMP_EQ_OQ>(x, _mm256_setzero_ps()),
+        _mm256_set1_ps(f32::NEG_INFINITY),
+        out,
+    );
+    select(
+        _mm256_cmp_ps::<_CMP_EQ_OQ>(x, _mm256_set1_ps(f32::INFINITY)),
+        _mm256_set1_ps(f32::INFINITY),
+        out,
+    )
+}
+
+/// `2ⁿ` per lane for `n ∈ [-126, 127]` (the scalar `pow2i`).
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn pow2i_v(n: __m256i) -> __m256 {
+    _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
+        n,
+        _mm256_set1_epi32(127),
+    )))
+}
+
+/// `mcl_num::math::exp` on 8 lanes.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn exp_v(x: __m256) -> __m256 {
+    let over = _mm256_set1_ps(EXP_OVERFLOW);
+    let under = _mm256_set1_ps(EXP_UNDERFLOW);
+    let is_over = _mm256_cmp_ps::<_CMP_GT_OQ>(x, over);
+    let in_range = _mm256_cmp_ps::<_CMP_GE_OQ>(x, under);
+    let xc = select(is_over, over, select(in_range, x, under));
+    let magic = _mm256_set1_ps(ROUND_MAGIC);
+    let t = _mm256_add_ps(_mm256_mul_ps(xc, _mm256_set1_ps(LOG2_E)), magic);
+    let kf = _mm256_sub_ps(t, magic);
+    let k = _mm256_sub_epi32(_mm256_castps_si256(t), _mm256_castps_si256(magic));
+    let r = _mm256_sub_ps(
+        _mm256_sub_ps(xc, _mm256_mul_ps(kf, _mm256_set1_ps(EXP_LN2_HI))),
+        _mm256_mul_ps(kf, _mm256_set1_ps(EXP_LN2_LO)),
+    );
+    let z = _mm256_mul_ps(r, r);
+    let mut p = _mm256_set1_ps(EXP_P[0]);
+    for &coefficient in &EXP_P[1..] {
+        p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(coefficient));
+    }
+    let er = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, z), r), _mm256_set1_ps(1.0));
+    let k1 = _mm256_srai_epi32::<1>(k);
+    let k2 = _mm256_sub_epi32(k, k1);
+    let main = _mm256_mul_ps(_mm256_mul_ps(er, pow2i_v(k1)), pow2i_v(k2));
+    let mut out = _mm256_set1_ps(f32::NAN);
+    out = select(
+        _mm256_cmp_ps::<_CMP_LT_OQ>(x, under),
+        _mm256_setzero_ps(),
+        out,
+    );
+    out = select(in_range, main, out);
+    select(is_over, _mm256_set1_ps(f32::INFINITY), out)
+}
+
+/// `mcl_num::math::sin_cos` on 8 lanes: returns `(sin, cos)`.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn sin_cos_v(x: __m256) -> (__m256, __m256) {
+    let magic = _mm256_set1_ps(ROUND_MAGIC);
+    let t = _mm256_add_ps(_mm256_mul_ps(x, _mm256_set1_ps(FRAC_2_PI)), magic);
+    let j = _mm256_sub_ps(t, magic);
+    let quadrant = _mm256_castps_si256(t);
+    let mut r = _mm256_sub_ps(x, _mm256_mul_ps(j, _mm256_set1_ps(PIO2[0])));
+    r = _mm256_sub_ps(r, _mm256_mul_ps(j, _mm256_set1_ps(PIO2[1])));
+    r = _mm256_sub_ps(r, _mm256_mul_ps(j, _mm256_set1_ps(PIO2[2])));
+    let z = _mm256_mul_ps(r, r);
+    // s = ((S0·z + S1)·z + S2)·z·r + r
+    let mut ps = _mm256_set1_ps(SIN_P[0]);
+    ps = _mm256_add_ps(_mm256_mul_ps(ps, z), _mm256_set1_ps(SIN_P[1]));
+    ps = _mm256_add_ps(_mm256_mul_ps(ps, z), _mm256_set1_ps(SIN_P[2]));
+    let s = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(ps, z), r), r);
+    // c = ((C0·z + C1)·z + C2)·z·z − ½·z + 1
+    let mut pc = _mm256_set1_ps(COS_P[0]);
+    pc = _mm256_add_ps(_mm256_mul_ps(pc, z), _mm256_set1_ps(COS_P[1]));
+    pc = _mm256_add_ps(_mm256_mul_ps(pc, z), _mm256_set1_ps(COS_P[2]));
+    let c = _mm256_add_ps(
+        _mm256_sub_ps(
+            _mm256_mul_ps(_mm256_mul_ps(pc, z), z),
+            _mm256_mul_ps(_mm256_set1_ps(0.5), z),
+        ),
+        _mm256_set1_ps(1.0),
+    );
+    // Odd quadrants swap the pair and negate the cosine; quadrants 2 and 3
+    // negate both (sign-bit flips, exactly the scalar `-v`).
+    let sign = _mm256_set1_ps(-0.0);
+    let odd = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+        _mm256_and_si256(quadrant, _mm256_set1_epi32(1)),
+        _mm256_set1_epi32(1),
+    ));
+    let sin_r = select(odd, c, s);
+    let cos_r = select(odd, _mm256_xor_ps(s, sign), c);
+    let flip = _mm256_castsi256_ps(_mm256_slli_epi32::<30>(_mm256_and_si256(
+        quadrant,
+        _mm256_set1_epi32(2),
+    )));
+    let finite = _mm256_cmp_ps::<_CMP_LT_OQ>(abs_v(x), _mm256_set1_ps(f32::INFINITY));
+    let nan = _mm256_set1_ps(f32::NAN);
+    (
+        select(finite, _mm256_xor_ps(sin_r, flip), nan),
+        select(finite, _mm256_xor_ps(cos_r, flip), nan),
+    )
+}
+
+/// `mcl_num::normalize_angle` on 8 lanes, written to `out`.
+///
+/// The exact `rem_tau` fast path (`|a| < 3·TAU`) runs as register ops; when
+/// any lane falls outside it (NaN, ±∞ or more than three turns), the whole
+/// group goes through the scalar function, which takes `%` for that lane.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn normalize_angle_v(a: __m256, out: &mut [f32; LANES]) {
+    let tau = _mm256_set1_ps(TAU);
+    let m = abs_v(a);
+    let mut sub = select(
+        _mm256_cmp_ps::<_CMP_GE_OQ>(m, tau),
+        tau,
+        _mm256_setzero_ps(),
+    );
+    sub = select(
+        _mm256_cmp_ps::<_CMP_GE_OQ>(m, _mm256_set1_ps(2.0 * TAU)),
+        _mm256_set1_ps(2.0 * TAU),
+        sub,
+    );
+    let r = _mm256_sub_ps(m, sub);
+    let fast = _mm256_cmp_ps::<_CMP_LT_OQ>(r, tau);
+    if _mm256_movemask_ps(fast) != 0xFF {
+        _mm256_storeu_ps(out.as_mut_ptr(), a);
+        for v in out.iter_mut() {
+            *v = mcl_num::normalize_angle(*v);
+        }
+        return;
+    }
+    // copysign(r, a): r is non-negative, so OR in a's sign bit.
+    let rem = _mm256_or_ps(r, _mm256_and_ps(a, _mm256_set1_ps(-0.0)));
+    let mut wrapped = select(
+        _mm256_cmp_ps::<_CMP_LT_OQ>(rem, _mm256_setzero_ps()),
+        _mm256_add_ps(rem, tau),
+        rem,
+    );
+    wrapped = select(
+        _mm256_cmp_ps::<_CMP_GE_OQ>(wrapped, tau),
+        _mm256_sub_ps(wrapped, tau),
+        wrapped,
+    );
+    _mm256_storeu_ps(out.as_mut_ptr(), wrapped);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mcl_num::math;
+
+    /// Runs `f` on the lane group starting at `values[i]` for every full
+    /// group, returning the outputs.
+    fn lanes_of(values: &[f32], f: impl Fn(&[f32; LANES]) -> [f32; LANES]) -> Vec<f32> {
+        values
+            .chunks_exact(LANES)
+            .flat_map(|group| f(group.try_into().unwrap()))
+            .collect()
+    }
+
+    /// The sweep inputs: a strided walk over every bit pattern (both signs,
+    /// NaNs and infinities included) plus the special values.
+    fn sweep() -> Vec<f32> {
+        let mut values: Vec<f32> = (0..=u32::MAX).step_by(65_537).map(f32::from_bits).collect();
+        values.extend([
+            0.0,
+            -0.0,
+            1.0,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            TAU,
+            -TAU,
+            3.0 * TAU,
+            EXP_OVERFLOW,
+            EXP_UNDERFLOW,
+            -103.5,
+        ]);
+        // Dense over the kernels' working ranges.
+        let mut x = -4.0 * TAU;
+        while x < 4.0 * TAU {
+            values.push(x);
+            x += 0.001_3;
+        }
+        values.resize(values.len().next_multiple_of(LANES), 0.5);
+        values
+    }
+
+    fn assert_same_bits(
+        simd: &[f32],
+        scalar: impl Iterator<Item = f32>,
+        what: &str,
+        input: &[f32],
+    ) {
+        for ((got, want), x) in simd.iter().zip(scalar).zip(input) {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{what}({x:e}): {got:e} vs {want:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn lane_transcendentals_match_the_scalar_bits() {
+        if !available() {
+            return;
+        }
+        let values = sweep();
+        let ln = lanes_of(&values, |g| {
+            let mut out = [0.0; LANES];
+            // SAFETY: AVX2 checked above.
+            unsafe { _mm256_storeu_ps(out.as_mut_ptr(), ln_v(_mm256_loadu_ps(g.as_ptr()))) };
+            out
+        });
+        assert_same_bits(&ln, values.iter().map(|&x| math::ln(x)), "ln", &values);
+        let exp = lanes_of(&values, |g| {
+            let mut out = [0.0; LANES];
+            exp_shifted(g, 0.0, &mut out);
+            out
+        });
+        assert_same_bits(&exp, values.iter().map(|&x| math::exp(x)), "exp", &values);
+        let sin = lanes_of(&values, |g| sin_cos_lanes(g).0);
+        let cos = lanes_of(&values, |g| sin_cos_lanes(g).1);
+        assert_same_bits(
+            &sin,
+            values.iter().map(|&x| math::sin_cos(x).0),
+            "sin",
+            &values,
+        );
+        assert_same_bits(
+            &cos,
+            values.iter().map(|&x| math::sin_cos(x).1),
+            "cos",
+            &values,
+        );
+        let wrapped = lanes_of(&values, |g| {
+            let mut out = [0.0; LANES];
+            // SAFETY: AVX2 checked above.
+            unsafe { normalize_angle_v(_mm256_loadu_ps(g.as_ptr()), &mut out) };
+            out
+        });
+        assert_same_bits(
+            &wrapped,
+            values.iter().map(|&x| mcl_num::normalize_angle(x)),
+            "normalize_angle",
+            &values,
+        );
+    }
+
+    #[test]
+    fn lane_uniforms_match_the_scalar_streams() {
+        if !available() {
+            return;
+        }
+        for (seed, update, first) in [
+            (0u64, 0u64, 0u64),
+            (42, 7, 1000),
+            (u64::MAX, u64::MAX - 2, 12),
+            (0x1234_5678_9ABC_DEF0, 3, u64::MAX - 7),
+        ] {
+            let lanes = counter_uniforms(seed, update, first);
+            for l in 0..LANES {
+                let mut rng = CounterRng::for_particle(seed, update, first + l as u64);
+                for (d, draws) in lanes.iter().enumerate() {
+                    assert_eq!(
+                        draws[l].to_bits(),
+                        rng.uniform().to_bits(),
+                        "seed={seed} update={update} particle={} draw={d}",
+                        first + l as u64
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_box_muller_matches_the_scalar_bits() {
+        if !available() {
+            return;
+        }
+        let mut rng = crate::rng::CounterRng::for_update(1, 2);
+        for _ in 0..512 {
+            let u1: [f32; LANES] = core::array::from_fn(|_| rng.uniform());
+            let u2: [f32; LANES] = core::array::from_fn(|_| rng.uniform());
+            let (mut a, mut b) = ([0.0f32; LANES], [0.0f32; LANES]);
+            // SAFETY: AVX2 checked above.
+            unsafe {
+                let (va, vb) =
+                    box_muller_v(_mm256_loadu_ps(u1.as_ptr()), _mm256_loadu_ps(u2.as_ptr()));
+                _mm256_storeu_ps(a.as_mut_ptr(), va);
+                _mm256_storeu_ps(b.as_mut_ptr(), vb);
+            }
+            for l in 0..LANES {
+                let (sa, sb) = crate::rng::box_muller(u1[l], u2[l]);
+                assert_eq!(
+                    (a[l].to_bits(), b[l].to_bits()),
+                    (sa.to_bits(), sb.to_bits())
+                );
+            }
+        }
+        // The extremes of the uniform lattice.
+        let edge = [
+            0.0,
+            1.0 - f32::EPSILON / 2.0,
+            0.5,
+            0.25,
+            0.75,
+            1e-7,
+            0.999,
+            0.0,
+        ];
+        let (mut a, mut b) = ([0.0f32; LANES], [0.0f32; LANES]);
+        // SAFETY: AVX2 checked above.
+        unsafe {
+            let v = _mm256_loadu_ps(edge.as_ptr());
+            let (va, vb) = box_muller_v(v, v);
+            _mm256_storeu_ps(a.as_mut_ptr(), va);
+            _mm256_storeu_ps(b.as_mut_ptr(), vb);
+        }
+        for l in 0..LANES {
+            let (sa, sb) = crate::rng::box_muller(edge[l], edge[l]);
+            assert_eq!(
+                (a[l].to_bits(), b[l].to_bits()),
+                (sa.to_bits(), sb.to_bits())
+            );
+        }
+    }
 }

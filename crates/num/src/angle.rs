@@ -15,6 +15,35 @@
 
 use core::f32::consts::{PI, TAU};
 
+/// `angle % TAU` — the IEEE remainder with the sign of `angle`, which is
+/// always exact — with a fast path for finite inputs within three turns of
+/// zero, where it needs no division.
+///
+/// For `m = |angle| < 3·TAU` the remainder is `m`, `m − TAU` or `m − 2·TAU`
+/// with the sign of `angle` restored. Each subtraction is exact by
+/// Sterbenz's lemma (`TAU` and `2·TAU` are within a factor of two of `m`
+/// whenever they are subtracted), so the fast path returns the same bits
+/// as `%`, signed zeros included. Larger or non-finite inputs take `%`.
+///
+/// The check `r < TAU` after the subtraction decides the fast path; it is
+/// false for NaN, for infinities and for every `m ≥ 3·TAU`.
+#[inline]
+pub fn rem_tau(angle: f32) -> f32 {
+    let m = angle.abs();
+    let r = if m < TAU {
+        m
+    } else if m < 2.0 * TAU {
+        m - TAU
+    } else {
+        m - 2.0 * TAU
+    };
+    if r < TAU {
+        r.copysign(angle)
+    } else {
+        angle % TAU
+    }
+}
+
 /// Wraps an angle into the canonical interval `[0, 2π)`.
 ///
 /// # Example
@@ -27,7 +56,7 @@ use core::f32::consts::{PI, TAU};
 /// assert_eq!(normalize_angle(0.0), 0.0);
 /// ```
 pub fn normalize_angle(angle: f32) -> f32 {
-    let mut a = angle % TAU;
+    let mut a = rem_tau(angle);
     if a < 0.0 {
         a += TAU;
     }
@@ -52,7 +81,7 @@ pub fn normalize_angle(angle: f32) -> f32 {
 /// assert!((angular_difference(2.0 * PI - 0.1, 0.1) + 0.2).abs() < 1e-6);
 /// ```
 pub fn angular_difference(a: f32, b: f32) -> f32 {
-    let mut d = (a - b) % TAU;
+    let mut d = rem_tau(a - b);
     if d > PI {
         d -= TAU;
     } else if d <= -PI {
@@ -119,6 +148,110 @@ mod tests {
             let wrapped = normalize_angle(base + k as f32 * TAU);
             assert!((wrapped - base).abs() < 1e-4, "k={k} wrapped={wrapped}");
         }
+    }
+
+    /// The `%`-only definitions the fast paths must reproduce bit for bit.
+    fn reference_normalize(angle: f32) -> f32 {
+        let mut a = angle % TAU;
+        if a < 0.0 {
+            a += TAU;
+        }
+        if a >= TAU {
+            a -= TAU;
+        }
+        a
+    }
+
+    fn reference_difference(a: f32, b: f32) -> f32 {
+        let mut d = (a - b) % TAU;
+        if d > PI {
+            d -= TAU;
+        } else if d <= -PI {
+            d += TAU;
+        }
+        d
+    }
+
+    fn same_bits(got: f32, want: f32) -> bool {
+        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+    }
+
+    #[test]
+    fn fast_wrap_matches_the_remainder_reference_bit_for_bit() {
+        let next_up = |x: f32| f32::from_bits(x.to_bits() + 1);
+        let next_down = |x: f32| f32::from_bits(x.to_bits() - 1);
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            -1e-9,
+            1e-9,
+            -1e-30,
+            f32::MIN_POSITIVE,
+            -f32::from_bits(1),
+            PI,
+            -PI,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            -f32::MAX,
+            1e7,
+        ];
+        for k in [1.0f32, 2.0, 3.0, 4.0] {
+            for base in [k * TAU, -k * TAU] {
+                edges.extend([base, next_up(base), next_down(base)]);
+            }
+        }
+        for &a in &edges {
+            assert!(
+                same_bits(normalize_angle(a), reference_normalize(a)),
+                "a={a:e}"
+            );
+            assert!(same_bits(rem_tau(a), a % TAU), "a={a:e}");
+            for &b in &edges {
+                assert!(
+                    same_bits(angular_difference(a, b), reference_difference(a, b)),
+                    "a={a:e} b={b:e}"
+                );
+            }
+        }
+        // A dense sweep across the fast range and past both of its ends.
+        let mut a = -4.0 * TAU;
+        while a < 4.0 * TAU {
+            assert!(
+                same_bits(normalize_angle(a), reference_normalize(a)),
+                "a={a:e}"
+            );
+            assert!(
+                same_bits(angular_difference(a, 1.3), reference_difference(a, 1.3)),
+                "a={a:e}"
+            );
+            a += 0.000_37;
+        }
+        // Every bit pattern near the turn boundaries, where rounding bites.
+        for base in [TAU, 2.0 * TAU, 3.0 * TAU, PI] {
+            for sign in [1.0f32, -1.0] {
+                let centre = (sign * base).to_bits();
+                for bits in centre - 512..centre + 512 {
+                    let a = f32::from_bits(bits);
+                    assert!(
+                        same_bits(normalize_angle(a), reference_normalize(a)),
+                        "a={a:e}"
+                    );
+                    assert!(same_bits(rem_tau(a), a % TAU), "a={a:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn negative_multiples_of_a_turn_keep_the_remainders_negative_zero() {
+        assert_eq!(normalize_angle(-TAU).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(normalize_angle(-2.0 * TAU).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(normalize_angle(-0.0).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(normalize_angle(TAU).to_bits(), 0);
+        assert_eq!(angular_difference(0.0, TAU).to_bits(), (-0.0f32).to_bits());
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //!   evaluation metrics (ATE, success rate, convergence probability).
 //! * [`angle`] — angle wrapping and circular means used by the motion model and
 //!   the weighted-average pose computation.
+//! * [`math`] — libm-free `ln`, `exp` and `sin_cos` with fixed coefficients
+//!   and operation order, so the per-particle kernels vectorize and return
+//!   the same bits on every host.
 //!
 //! # Example
 //!
@@ -44,11 +47,12 @@
 
 pub mod angle;
 pub mod f16;
+pub mod math;
 pub mod quant;
 pub mod scalar;
 pub mod stats;
 
-pub use angle::{angular_difference, normalize_angle, weighted_circular_mean};
+pub use angle::{angular_difference, normalize_angle, rem_tau, weighted_circular_mean};
 pub use f16::F16;
 pub use quant::{QuantError, Quantizer};
 pub use scalar::Scalar;

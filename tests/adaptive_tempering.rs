@@ -39,18 +39,25 @@ fn floored(floor: f32) -> AdaptiveConfig {
     PaperScenario::adaptive_config(PARTICLES).with_temper_beta_floor(floor)
 }
 
-/// Captures the PR 8 tail on a reproducible instance (paper world 100,
-/// filter seed 4): the unfloored adaptive leg converges early onto a
-/// degraded mode and finishes with roughly 3× the fixed baseline's ATE,
+/// Captures the adaptive-population tail on a reproducible instance (paper world 118,
+/// filter seed 7): the unfloored adaptive leg commits to a wrong mode and
+/// finishes with about 16× the fixed baseline's ATE (1.58 m vs 0.10 m),
 /// while a β floor of 0.5 restores parity with fixed on the same flight.
 /// Every run here is bit-deterministic (counter-based RNG, schedule- and
 /// backend-independent kernels), so the thresholds are exact replay pins,
 /// not statistical hopes.
+///
+/// The instance was re-chosen when the motion noise moved to paired
+/// Box–Muller draws on the owned `ln`/`sin_cos`: that changed every
+/// particle's random stream, and the old instance (world 100, seed 4) now
+/// trails fixed by 1.6× instead of 3×. The new normals pass the moment and
+/// Kolmogorov–Smirnov tests in `mcl_core::rng`, so the tail moved with the
+/// stream, not with the sampler. `explore_floor_sweep` reproduces the pick.
 #[test]
 fn beta_floor_recovers_the_wrong_mode_commitment_on_global_init() {
-    let scenario = PaperScenario::with_settings(100, 1, FLIGHT_S);
+    let scenario = PaperScenario::with_settings(118, 1, FLIGHT_S);
     let sequence = &scenario.sequences()[0];
-    let seed = 4;
+    let seed = 7;
 
     let fixed = scenario.evaluate(sequence, PipelineConfig::FP32, PARTICLES, seed);
     let unfloored = run_adaptive(&scenario, sequence, seed, floored(0.0));
@@ -110,10 +117,10 @@ fn default_keeps_tempering_unchanged_and_non_binding_floors_are_bit_identical() 
 #[test]
 #[ignore = "exploration harness: sweeps floors x seeds and prints the table"]
 fn explore_floor_sweep() {
-    for world_seed in [100u64, 200] {
+    for world_seed in [100u64, 118, 200] {
         let scenario = PaperScenario::with_settings(world_seed, 1, FLIGHT_S);
         let sequence = &scenario.sequences()[0];
-        for seed in 1..=6u64 {
+        for seed in 1..=8u64 {
             let fixed = scenario.evaluate(sequence, PipelineConfig::FP32, PARTICLES, seed);
             print!(
                 "world {world_seed} seed {seed}: fixed ate={:?} conv={:?} |",

@@ -153,7 +153,15 @@ fn onboard_pipeline_meets_realtime_and_publishes_a_log() {
 fn single_sensor_configuration_is_never_better_than_two_sensors() {
     // Aggregated over a couple of seeds, the two-sensor configuration must be at
     // least as successful as the single-sensor one (claim (i) of the paper).
-    let scenario = PaperScenario::with_settings(105, 1, 30.0);
+    //
+    // World 101: two sensors localize on all three seeds and one sensor on
+    // none, under both the libm-era random stream and the current one. The
+    // earlier world 105 was degenerate — two sensors failed on all of seeds
+    // 1..=8 and the single-sensor leg succeeded on one of them by luck —
+    // so it passed as 0 ≥ 0 and flipped when the motion noise moved to
+    // paired Box–Muller draws. The new normals pass the moment and KS tests
+    // in `mcl_core::rng`.
+    let scenario = PaperScenario::with_settings(101, 1, 30.0);
     let sequence = &scenario.sequences()[0];
     let mut two = tof_mcl::sim::ResultAggregator::new();
     let mut one = tof_mcl::sim::ResultAggregator::new();

@@ -7,7 +7,7 @@
 //! absolute anchor: any future kernel change that silently shifts the
 //! filter's numerics (a re-associated sum, a "harmless" fused multiply-add, a
 //! different rounding in the f16 converter) fails this test loudly, under
-//! **both** kernel backends.
+//! **every** kernel backend.
 //!
 //! The trace exercises every kernel: gated motion accumulation, the
 //! branch-free partitioned correction (plus beams beyond `r_max` that take
@@ -15,17 +15,34 @@
 //! reduction, on a particle count (197) that is not a multiple of the lane
 //! width or the reduction block.
 //!
-//! The pinned bits depend on the host libm's `sin`/`cos`/`exp`/`ln` (the
-//! filter is otherwise pure IEEE 754 arithmetic); they are valid for the
-//! x86-64 Linux/glibc toolchain this repository builds and tests on. If a
-//! *deliberate* numeric change (or a platform change) moves the trace, verify
-//! the shift is intended and re-bless the fixture:
+//! The filter's per-particle transcendentals — the Box–Muller `ln` and
+//! `sin_cos` of the motion noise, the yaw `sin_cos` of the observation and
+//! pose kernels, the reweighting `exp` — and the odometry accumulation in
+//! `predict` run on the owned `mcl_num::math` functions, which are fixed IEEE
+//! 754 op sequences and return the same bits on every host. The libm calls
+//! that still sit on the pinned path are:
+//!
+//! * the simulated sensor inputs: `SensorRig::observe` (ray-casting `sin`/
+//!   `cos`, the range-noise `ln`/`cos`, the zone-elevation `cos`),
+//!   `BeamBatch::from_beams` (each beam's azimuth `sin_cos`) and this file's
+//!   `trace_range` ripple (`sin`);
+//! * the ground truth this file steps with `Pose2::compose` and converts
+//!   with `MotionDelta::between` (`Pose2` `sin_cos`);
+//! * the observation models' constant log-normalizers (`ln`, once per model);
+//! * the circular mean in `PosePartials::mean` (`f64::atan2`, once per
+//!   estimate).
+//!
+//! They are valid for the x86-64 Linux/glibc toolchain this repository
+//! builds and tests on. If a *deliberate* numeric change (or a platform
+//! change) moves the trace, verify the shift is intended and re-bless the
+//! fixture:
 //!
 //! ```sh
 //! MCL_BLESS=1 cargo test -q --test golden_trace -- --nocapture
 //! ```
 //!
-//! and paste the printed table over `GOLDEN_POSE_BITS`.
+//! and paste the printed tables over `GOLDEN_POSE_BITS` and
+//! `GOLDEN_FUSED_POSE_BITS`.
 
 use tof_mcl::core::kernel::KernelBackend;
 use tof_mcl::core::{MclConfig, MonteCarloLocalization, MotionDelta};
@@ -36,28 +53,28 @@ use rand::SeedableRng;
 
 /// `(x, y, theta)` estimate bits after each applied update, in step order.
 const GOLDEN_POSE_BITS: [[u32; 3]; 8] = [
-    [0x3F29E0D3, 0x3F23AE1A, 0x3E0EA0D4],
-    [0x3F4B7AAA, 0x3F30CAA3, 0x3E30B5DC],
-    [0x3F6D6FCB, 0x3F42D79F, 0x3E68839E],
-    [0x3F8811AA, 0x3F4C79D1, 0x3E4431E0],
-    [0x3F99EDD3, 0x3F54C4C1, 0x3E4449FF],
-    [0x3FAC14F6, 0x3F498587, 0x3E52EFFD],
-    [0x3FBBFF4C, 0x3F5062AE, 0x3E68CF7A],
-    [0x3FCA4FF1, 0x3F57293E, 0x3E840D8E],
+    [0x3F2A02AF, 0x3F240048, 0x3E0A92E8],
+    [0x3F4DE946, 0x3F3A4272, 0x3E0CD8FE],
+    [0x3F706BEB, 0x3F56D6C6, 0x3E420B51],
+    [0x3F8A6263, 0x3F6460C2, 0x3E2CB30F],
+    [0x3F99ADF0, 0x3F5BE860, 0x3E4AC4F3],
+    [0x3FAD0F01, 0x3F46B38F, 0x3E5B2BB6],
+    [0x3FBC3D44, 0x3F5274D3, 0x3E720CDC],
+    [0x3FCB59D8, 0x3F58AA3B, 0x3E86132E],
 ];
 
 /// `(x, y, theta)` estimate bits of the *fused* replay (same corridor, same
 /// beams, plus three UWB anchors per step — one denied with a NaN range, so
 /// the non-finite skip predicate is on the pinned path too).
 const GOLDEN_FUSED_POSE_BITS: [[u32; 3]; 8] = [
-    [0x3F27DCF1, 0x3F19AAE0, 0x3E1E580A],
-    [0x3F4BC135, 0x3F1B9577, 0x3E2E9458],
-    [0x3F6DF9D8, 0x3F2B642F, 0x3E30A1D8],
-    [0x3F87AC50, 0x3F38F517, 0x3E3E2A95],
-    [0x3F991FD9, 0x3F45FF57, 0x3E54D813],
-    [0x3FA9E0EA, 0x3F4891EA, 0x3E6CB919],
-    [0x3FB9D249, 0x3F54624C, 0x3E6B88F7],
-    [0x3FC69FAE, 0x3F5323D9, 0x3E86E0F0],
+    [0x3F284B5C, 0x3F125861, 0x3E044BBA],
+    [0x3F4E19DF, 0x3F1D84B7, 0x3DE70741],
+    [0x3F6EE321, 0x3F27DDE7, 0x3E24126D],
+    [0x3F876D2D, 0x3F3C0AC9, 0x3E3B0D17],
+    [0x3F98235F, 0x3F490311, 0x3E5A9F36],
+    [0x3FA84C89, 0x3F420670, 0x3E77644A],
+    [0x3FB8871F, 0x3F4A2A2F, 0x3E78A4DC],
+    [0x3FC74008, 0x3F572DD0, 0x3E881009],
 ];
 
 /// The fixed UWB anchors of the fused replay: two corridor corners plus one

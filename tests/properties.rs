@@ -14,6 +14,7 @@ use tof_mcl::gridmap::{
     CellIndex, CellState, DistanceField, EuclideanDistanceField, MapBuilder, OccupancyGrid, Point2,
     Pose2,
 };
+use tof_mcl::num::math::{exp, sin_cos};
 use tof_mcl::num::{angular_difference, normalize_angle, Quantizer, F16};
 use tof_mcl::sensor::{raycast_distance, Beam, ObservationBatch};
 
@@ -33,7 +34,10 @@ fn reference_batch_log_likelihood(
     r_max: f32,
 ) -> f32 {
     let log_normalizer = -(core::f32::consts::TAU.sqrt() * sigma_obs).ln();
-    let (sin_t, cos_t) = theta.sin_cos();
+    // The particle yaw goes through the owned sin_cos, like the kernels; the
+    // beam azimuth below is simulation input and stays on libm, exactly as in
+    // `BeamBatch::from_beams`.
+    let (sin_t, cos_t) = sin_cos(theta);
     let mut log_sum = 0.0f32;
     let mut used = 0usize;
     for beam in beams {
@@ -93,7 +97,7 @@ fn reference_aos_iteration(
         .collect();
     let max_log = logs.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
     for (p, &log_lik) in particles.iter_mut().zip(logs.iter()) {
-        p.weight *= (log_lik - max_log).exp();
+        p.weight *= exp(log_lik - max_log);
     }
     // 3. Normalization (sequential f32 sum, like ParticleSet::normalize_weights)
     // and systematic resampling with the per-update wheel offset.
