@@ -299,7 +299,7 @@ pub fn motion_predict_lanes<S: Scalar>(
 /// (`crate::simd::counter_uniforms`), then both Box–Muller pairs, the noise,
 /// the yaw `sin_cos`, the pose composition and the angle wrap run as 8-wide
 /// register ops (`crate::simd::motion_group`, the lane replay of
-/// [`MotionModel::move_pose`]), with the same scalar-reference tail as the
+/// [`MotionModel::sample`]), with the same scalar-reference tail as the
 /// lane kernel. Falls back to [`motion_predict_lanes`] without AVX2 and on
 /// non-x86 builds. Bit-identical to [`motion_predict`] in every case.
 pub fn motion_predict_avx2<S: Scalar>(
@@ -950,13 +950,7 @@ impl PosePartials {
     /// owned [`mcl_num::math::sin_cos`].
     pub fn accumulate<S: Scalar>(particles: ParticleSlice<'_, S>) -> Self {
         let mut p = PosePartials::default();
-        for i in 0..particles.len() {
-            let w = f64::from(particles.weight[i].to_f32().max(0.0));
-            let x = f64::from(particles.x[i].to_f32());
-            let y = f64::from(particles.y[i].to_f32());
-            let (sin_t, cos_t) = sin_cos(particles.theta[i].to_f32());
-            p.push(w, x, y, f64::from(sin_t), f64::from(cos_t));
-        }
+        p.accumulate_from(particles, 0);
         p
     }
 
@@ -991,13 +985,14 @@ impl PosePartials {
             }
             i += LANES;
         }
-        p.accumulate_tail(particles, i);
+        p.accumulate_from(particles, i);
         p
     }
 
-    /// The scalar-reference tail shared by the lane-batched bodies:
-    /// accumulates particles `start..` one at a time.
-    fn accumulate_tail<S: Scalar>(&mut self, particles: ParticleSlice<'_, S>, start: usize) {
+    /// The scalar reference loop: accumulates particles `start..` one at a
+    /// time (the whole chunk for the scalar kernel, the tail for the
+    /// lane-batched ones).
+    fn accumulate_from<S: Scalar>(&mut self, particles: ParticleSlice<'_, S>, start: usize) {
         for j in start..particles.len() {
             let w = f64::from(particles.weight[j].to_f32().max(0.0));
             let x = f64::from(particles.x[j].to_f32());
@@ -1048,7 +1043,7 @@ impl PosePartials {
                 }
                 i += LANES;
             }
-            p.accumulate_tail(particles, i);
+            p.accumulate_from(particles, i);
             return p;
         }
         Self::accumulate_lanes(particles)

@@ -8,7 +8,7 @@
 //! standard deviations `σ_odom = (σ_x, σ_y, σ_θ)`.
 
 use crate::particle::Particle;
-use crate::rng::{box_muller, CounterRng};
+use crate::rng::CounterRng;
 use mcl_gridmap::Pose2;
 use mcl_num::math::sin_cos;
 use mcl_num::{normalize_angle, Scalar};
@@ -104,9 +104,16 @@ impl MotionModel {
     /// The per-particle noise stream is identified by `(seed, update, index)` so
     /// that the result is identical no matter which core processes the particle.
     /// Four uniforms feed two Box–Muller pairs: the first pair perturbs the
-    /// forward and lateral step, the cosine half of the second the yaw. The
-    /// pose is then composed with the noisy increment (see
-    /// [`MotionModel::move_pose`]).
+    /// forward and lateral step, the cosine half of the second the yaw. This
+    /// is the reference op sequence every kernel backend replays (the AVX2
+    /// body lane by lane):
+    ///
+    /// ```text
+    /// (n_x, n_y) = box_muller(u0, u1),  (n_θ, _) = box_muller(u2, u3)
+    /// dx = δx + σx·n_x,  dy = δy + σy·n_y,  dθ = δθ + σθ·n_θ   (σ ≤ 0: no noise)
+    /// (s, c) = sin_cos(θ)
+    /// x' = (x + c·dx) − s·dy,  y' = (y + s·dx) + c·dy,  θ' = normalize_angle(θ + dθ)
+    /// ```
     pub fn sample<S: Scalar>(
         &self,
         particle: &Particle<S>,
@@ -116,59 +123,30 @@ impl MotionModel {
         particle_index: u64,
     ) -> Particle<S> {
         let mut rng = CounterRng::for_particle(seed, update_index, particle_index);
-        let uniforms = [rng.uniform(), rng.uniform(), rng.uniform(), rng.uniform()];
-        let (x, y, theta) = self.move_pose(
-            delta,
-            uniforms,
+        let (n_x, n_y) = rng.standard_normal_pair();
+        let (n_theta, _) = rng.standard_normal_pair();
+        let dx = perturb(delta.dx, self.sigma[0], n_x);
+        let dy = perturb(delta.dy, self.sigma[1], n_y);
+        let dtheta = perturb(delta.dtheta, self.sigma[2], n_theta);
+        let (x, y, theta) = (
             particle.x.to_f32(),
             particle.y.to_f32(),
             particle.theta.to_f32(),
         );
+        let (s, c) = sin_cos(theta);
         Particle {
-            x: S::from_f32(x),
-            y: S::from_f32(y),
-            theta: S::from_f32(theta),
+            x: S::from_f32(x + c * dx - s * dy),
+            y: S::from_f32(y + s * dx + c * dy),
+            theta: S::from_f32(normalize_angle(theta + dtheta)),
             weight: particle.weight,
         }
-    }
-
-    /// The per-particle arithmetic of [`MotionModel::sample`] after the four
-    /// uniform draws — the reference op sequence every kernel backend
-    /// replays (the AVX2 body lane by lane):
-    ///
-    /// ```text
-    /// (n_x, n_y) = box_muller(u0, u1),  (n_θ, _) = box_muller(u2, u3)
-    /// dx = δx + σx·n_x,  dy = δy + σy·n_y,  dθ = δθ + σθ·n_θ   (σ ≤ 0: no noise)
-    /// (s, c) = sin_cos(θ)
-    /// x' = (x + c·dx) − s·dy,  y' = (y + s·dx) + c·dy,  θ' = normalize_angle(θ + dθ)
-    /// ```
-    #[inline]
-    pub fn move_pose(
-        &self,
-        delta: &MotionDelta,
-        uniforms: [f32; 4],
-        x: f32,
-        y: f32,
-        theta: f32,
-    ) -> (f32, f32, f32) {
-        let (n_x, n_y) = box_muller(uniforms[0], uniforms[1]);
-        let (n_theta, _) = box_muller(uniforms[2], uniforms[3]);
-        let dx = perturb(delta.dx, self.sigma[0], n_x);
-        let dy = perturb(delta.dy, self.sigma[1], n_y);
-        let dtheta = perturb(delta.dtheta, self.sigma[2], n_theta);
-        let (s, c) = sin_cos(theta);
-        (
-            x + c * dx - s * dy,
-            y + s * dx + c * dy,
-            normalize_angle(theta + dtheta),
-        )
     }
 }
 
 /// `mean + std · n`, or exactly `mean` when `std ≤ 0` (a noise-free axis
 /// stays bit-exact, signed zeros included).
 #[inline]
-pub(crate) fn perturb(mean: f32, std: f32, n: f32) -> f32 {
+fn perturb(mean: f32, std: f32, n: f32) -> f32 {
     if std <= 0.0 {
         mean
     } else {

@@ -363,7 +363,7 @@ unsafe fn sin_cos_lanes_impl(
 }
 
 /// The motion step of one lane group — the AVX2 body of
-/// `motion_predict_avx2`, bit-identical to [`MotionModel::move_pose`] per
+/// `motion_predict_avx2`, bit-identical to [`MotionModel::sample`] per
 /// lane. `uniforms[d][l]` is lane `l`'s `d`-th uniform draw; the poses are
 /// updated in place.
 ///
@@ -497,7 +497,7 @@ unsafe fn box_muller_v(u1: __m256, u2: __m256) -> (__m256, __m256) {
     )
 }
 
-/// `crate::motion::perturb` on 8 lanes (`std` is the same for every lane).
+/// The motion noise `mean + std·n` (exactly `mean` when `std ≤ 0`) on 8 lanes (`std` is the same for every lane).
 #[target_feature(enable = "avx2")]
 #[inline]
 unsafe fn perturb_v(mean: f32, std: f32, n: __m256) -> __m256 {

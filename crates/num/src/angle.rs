@@ -28,7 +28,7 @@ use core::f32::consts::{PI, TAU};
 /// The check `r < TAU` after the subtraction decides the fast path; it is
 /// false for NaN, for infinities and for every `m ≥ 3·TAU`.
 #[inline]
-pub fn rem_tau(angle: f32) -> f32 {
+fn rem_tau(angle: f32) -> f32 {
     let m = angle.abs();
     let r = if m < TAU {
         m

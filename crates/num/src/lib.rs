@@ -52,7 +52,7 @@ pub mod quant;
 pub mod scalar;
 pub mod stats;
 
-pub use angle::{angular_difference, normalize_angle, rem_tau, weighted_circular_mean};
+pub use angle::{angular_difference, normalize_angle, weighted_circular_mean};
 pub use f16::F16;
 pub use quant::{QuantError, Quantizer};
 pub use scalar::Scalar;
