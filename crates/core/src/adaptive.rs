@@ -31,11 +31,11 @@
 //! [`crate::resampling::PartialSumResampler::plan_resize_into`]).
 
 use crate::config::MclError;
+use crate::kernel::ModeRefineScratch;
 use crate::particle::ParticleSlice;
 use crate::rng::CounterRng;
 use mcl_num::Scalar;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Salt XORed into the filter seed for the recovery-injection RNG stream, so
 /// injected poses can never collide with the motion kernel's per-particle
@@ -358,16 +358,79 @@ pub fn kld_bound(k: usize, epsilon: f32, delta: f32) -> usize {
     n.ceil().max(1.0) as usize
 }
 
+/// One slot of [`BinTable`]: an exact bin key and the generation that wrote
+/// it.
+#[derive(Debug, Clone, Copy, Default)]
+struct BinSlot {
+    key: [i32; 3],
+    stamp: u32,
+}
+
+/// A set of occupied bins: open addressing with linear probing over a
+/// power-of-two slot array kept at most half full. Keys are stored exactly,
+/// so every distinct `(x, y, θ)` bin triple — negative, saturated or from a
+/// NaN pose — stays distinct. A slot is occupied only when its stamp equals
+/// the current generation, so clearing is one increment; the slots are
+/// zeroed only when the generation counter wraps.
+#[derive(Debug, Clone, Default)]
+struct BinTable {
+    slots: Vec<BinSlot>,
+    generation: u32,
+}
+
+impl BinTable {
+    /// Empties the table and makes room for `n` distinct keys. The slot
+    /// array only grows, and allocates nothing until the first call.
+    fn reset(&mut self, n: usize) {
+        let want = (2 * n).next_power_of_two().max(16);
+        if self.slots.len() < want {
+            self.slots = vec![BinSlot::default(); want];
+            self.generation = 0;
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Every stamp in 1..=u32::MAX may still sit in a slot; zero them
+            // so no stale slot matches a generation handed out again.
+            self.slots.fill(BinSlot::default());
+            self.generation = 1;
+        }
+    }
+
+    /// Inserts `key`, returning whether it was absent.
+    fn insert(&mut self, key: [i32; 3]) -> bool {
+        let mask = self.slots.len() - 1;
+        let mut h = u64::from(key[0] as u32) | (u64::from(key[1] as u32) << 32);
+        h ^= u64::from(key[2] as u32).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let mut i = (h ^ (h >> 32)) as usize & mask;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.stamp != self.generation {
+                *slot = BinSlot {
+                    key,
+                    stamp: self.generation,
+                };
+                return true;
+            }
+            if slot.key == key {
+                return false;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+}
+
 /// Bin-occupancy statistics over the pose-space grid, feeding [`kld_bound`].
 ///
-/// The sampler keeps its hash set across updates so the steady-state
-/// per-update cost is one clear plus one insert per particle; the occupied
-/// *count* is independent of iteration and hash order, so the resulting
-/// population target is deterministic.
+/// The sampler keeps a flat open-addressing bin table across updates, sized
+/// lazily on the first count and grown only when the population outgrows
+/// it, so the steady-state per-update cost is one generation bump plus one
+/// probe per particle. The occupied *count* is independent of probe order,
+/// so the resulting population target is deterministic.
 #[derive(Debug, Clone)]
 pub struct KldSampler {
     config: AdaptiveConfig,
-    bins: HashSet<(i32, i32, i32)>,
+    bins: BinTable,
 }
 
 impl KldSampler {
@@ -375,26 +438,27 @@ impl KldSampler {
     pub fn new(config: AdaptiveConfig) -> Self {
         KldSampler {
             config,
-            bins: HashSet::new(),
+            bins: BinTable::default(),
         }
     }
 
     /// Counts the pose-space bins occupied by `particles`.
     pub fn occupied_bins<S: Scalar>(&mut self, particles: ParticleSlice<'_, S>) -> usize {
-        self.bins.clear();
+        self.bins.reset(particles.len());
         let inv_xy = 1.0 / self.config.bin_xy_m;
         let inv_theta = 1.0 / self.config.bin_theta_rad;
+        let mut occupied = 0;
         for i in 0..particles.len() {
             let x = particles.x[i].to_f32();
             let y = particles.y[i].to_f32();
             let theta = particles.theta[i].to_f32();
-            self.bins.insert((
+            occupied += usize::from(self.bins.insert([
                 (x * inv_xy).floor() as i32,
                 (y * inv_xy).floor() as i32,
                 (theta * inv_theta).floor() as i32,
-            ));
+            ]));
         }
-        self.bins.len()
+        occupied
     }
 
     /// The unclamped [`kld_bound`] for the bins `particles` occupies. A bound
@@ -587,8 +651,8 @@ pub const RECOVERY_END_FRACTION: f64 = 0.02;
 /// for genuine collapses while keeping the response proportional below it.
 pub const RECOVERY_COLLAPSE_SATURATION: f64 = 0.25;
 
-/// The per-filter adaptive state: bin statistics, the likelihood monitor and
-/// the recovery-episode latch.
+/// The per-filter adaptive state: bin statistics, the likelihood monitor,
+/// the recovery-episode latch and the mode-refinement scratch.
 #[derive(Debug, Clone)]
 pub struct AdaptiveState {
     /// KLD bin-occupancy sampler.
@@ -598,6 +662,8 @@ pub struct AdaptiveState {
     /// Applied updates remaining in the current recovery episode
     /// (0 = not recovering). See [`RECOVERY_EPISODE_UPDATES`].
     pub recovery_updates_left: u32,
+    /// Scratch of the published estimate's mode refinement.
+    pub(crate) mode_refine: ModeRefineScratch,
 }
 
 impl AdaptiveState {
@@ -607,6 +673,7 @@ impl AdaptiveState {
             kld: KldSampler::new(config),
             monitor: LikelihoodMonitor::new(config),
             recovery_updates_left: 0,
+            mode_refine: ModeRefineScratch::default(),
         }
     }
 }
@@ -624,6 +691,120 @@ mod tests {
     use super::*;
     use crate::particle::{Particle, ParticleBuffer};
     use mcl_gridmap::Pose2;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// The bin count as the hash-set sampler computed it: the reference the
+    /// flat table must match.
+    fn reference_bins(config: &AdaptiveConfig, particles: &ParticleBuffer<f32>) -> usize {
+        let inv_xy = 1.0 / config.bin_xy_m;
+        let inv_theta = 1.0 / config.bin_theta_rad;
+        particles
+            .iter()
+            .map(|p| {
+                (
+                    (p.x * inv_xy).floor() as i32,
+                    (p.y * inv_xy).floor() as i32,
+                    (p.theta * inv_theta).floor() as i32,
+                )
+            })
+            .collect::<HashSet<_>>()
+            .len()
+    }
+
+    /// One coordinate drawn from a mix of NaN, ±∞, values that saturate the
+    /// `i32` bin cast, bins far beyond ±2²⁰, and a dense ±20 m range where
+    /// negative bins and collisions are common.
+    fn coordinate((kind, v): (u8, f32)) -> f32 {
+        match kind {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => v * 100.0,
+            4 | 5 => v,
+            _ => v * 5e-7,
+        }
+    }
+
+    fn cloud(raw: &[((u8, f32), (u8, f32), (u8, f32))]) -> ParticleBuffer<f32> {
+        raw.iter()
+            .map(|&(x, y, theta)| Particle {
+                x: coordinate(x),
+                y: coordinate(y),
+                theta: coordinate(theta),
+                weight: 1.0,
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn flat_bin_table_counts_like_a_hash_set(
+            clouds in prop::collection::vec(
+                prop::collection::vec(
+                    ((0u8..12, -4.0e7f32..4.0e7), (0u8..12, -4.0e7f32..4.0e7), (0u8..12, -4.0e7f32..4.0e7)),
+                    0..600,
+                ),
+                1..6,
+            )
+        ) {
+            // One sampler reused across clouds whose populations shrink and
+            // regrow, as the adaptive filter reuses it across updates.
+            let config = AdaptiveConfig::default();
+            let mut sampler = KldSampler::new(config);
+            for raw in &clouds {
+                let particles = cloud(raw);
+                prop_assert_eq!(
+                    sampler.occupied_bins(particles.as_slice()),
+                    reference_bins(&config, &particles)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flat_bin_table_survives_growth_and_the_generation_wrap() {
+        let config = AdaptiveConfig::default();
+        let grid = |n: usize, pitch: f32| -> ParticleBuffer<f32> {
+            (0..n)
+                .map(|i| {
+                    let pose = Pose2::new(
+                        (i % 37) as f32 * pitch - 9.0,
+                        (i / 37) as f32 * pitch - 4.0,
+                        (i % 11) as f32 * 0.6 - 3.0,
+                    );
+                    Particle::from_pose(&pose, 1.0)
+                })
+                .collect()
+        };
+        let (a, b, c) = (grid(4000, 0.5), grid(10, 0.1), grid(900, 0.3));
+        let mut sampler = KldSampler::new(config);
+        // A fresh sampler owns no table until its first count.
+        assert!(sampler.bins.slots.is_empty());
+        for cloud in [&b, &a, &b, &c, &a] {
+            assert_eq!(
+                sampler.occupied_bins(cloud.as_slice()),
+                reference_bins(&config, cloud)
+            );
+        }
+        // Stamp wrap: the first generation after the wrap reuses stamp 1,
+        // which `c` writes first. Unless the wrap zeroes the slots, `c`'s
+        // stale bins would read as occupied and be missed on the recount.
+        let mut sampler = KldSampler::new(config);
+        assert_eq!(
+            sampler.occupied_bins(c.as_slice()),
+            reference_bins(&config, &c)
+        );
+        sampler.bins.generation = u32::MAX - 1;
+        for cloud in [&b, &c, &b, &c] {
+            assert_eq!(
+                sampler.occupied_bins(cloud.as_slice()),
+                reference_bins(&config, cloud)
+            );
+        }
+        assert_eq!(sampler.bins.generation, 3);
+    }
 
     #[test]
     fn normal_quantile_matches_reference_values() {

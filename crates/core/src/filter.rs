@@ -428,20 +428,21 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
     /// the plain weighted average *between* the modes; the mean-shift pass
     /// reports the heaviest one instead, the convention of deployed MCL
     /// stacks.
-    fn published_estimate(&self, kept: usize) -> PoseEstimate {
+    fn published_estimate(&mut self, kept: usize) -> PoseEstimate {
         let mut estimate = kernel::pose_estimate_prefix_with(
             self.particles.current(),
             kept,
             &self.cluster,
             self.config.kernel_backend,
         );
-        if self.adaptive.is_some() {
+        if let Some(state) = self.adaptive.as_mut() {
             let (pose, mass) = kernel::refine_mode_estimate(
                 self.particles.current(),
                 kept,
                 estimate.pose,
                 adaptive::MODE_REFINE_RADIUS_M,
                 adaptive::MODE_REFINE_ITERATIONS,
+                &mut state.mode_refine,
             );
             // Publish the refined pose only once the dominant mode holds a
             // majority of the mass: while several hypotheses are still live,

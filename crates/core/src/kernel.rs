@@ -1410,6 +1410,18 @@ pub fn pose_estimate_prefix_with<S: Scalar>(
     }
 }
 
+/// Reusable scratch of [`refine_mode_estimate`]: each particle's position and
+/// weight widened to `f64` once per call, and its yaw sine and cosine
+/// computed on its first entry into a window. Empty until the first call;
+/// the buffers only grow.
+#[derive(Debug, Clone, Default)]
+pub struct ModeRefineScratch {
+    /// `(x, y, w)` per particle.
+    xyw: Vec<(f64, f64, f64)>,
+    /// `(sin θ, cos θ)` per particle, `None` until it first enters a window.
+    trig: Vec<Option<(f64, f64)>>,
+}
+
 /// Weighted mean-shift refinement of a pose estimate onto the dominant mode
 /// of the cloud, considering only the first `n` particles.
 ///
@@ -1423,7 +1435,9 @@ pub fn pose_estimate_prefix_with<S: Scalar>(
 /// stacks. Yaw is the circular mean of the in-window particles.
 ///
 /// Serial `f64` accumulation in index order, so the result is bit-identical
-/// for every backend and worker count. Returns the refined pose together
+/// for every backend and worker count. Each particle is widened once and its
+/// yaw's `sin`/`cos` evaluated at most once per call (cached in `scratch`),
+/// whatever the number of iterations. Returns the refined pose together
 /// with the fraction of the total prefix weight the final window holds —
 /// the caller should only *publish* the refined pose when that fraction is a
 /// majority, otherwise the refinement confidently reports one of several
@@ -1435,31 +1449,42 @@ pub fn refine_mode_estimate<S: Scalar>(
     start: Pose2,
     radius_m: f32,
     iterations: usize,
+    scratch: &mut ModeRefineScratch,
 ) -> (Pose2, f64) {
     let view = particles.as_slice();
     let r2 = f64::from(radius_m) * f64::from(radius_m);
-    let total: f64 = view.weight[..n].iter().map(|w| f64::from(w.to_f32())).sum();
+    scratch.xyw.clear();
+    scratch.xyw.extend((0..n).map(|i| {
+        (
+            f64::from(view.x[i].to_f32()),
+            f64::from(view.y[i].to_f32()),
+            f64::from(view.weight[i].to_f32()),
+        )
+    }));
+    let total: f64 = scratch.xyw.iter().map(|&(_, _, w)| w).sum();
     if total <= 0.0 {
         return (start, 0.0);
     }
+    scratch.trig.clear();
+    scratch.trig.resize(n, None);
     let mut center = start;
     let mut window_mass = 0.0f64;
     for _ in 0..iterations {
         let cx = f64::from(center.x);
         let cy = f64::from(center.y);
         let (mut sw, mut sx, mut sy, mut ssin, mut scos) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
-        for i in 0..n {
-            let x = f64::from(view.x[i].to_f32());
-            let y = f64::from(view.y[i].to_f32());
+        for (i, &(x, y, w)) in scratch.xyw.iter().enumerate() {
             let (dx, dy) = (x - cx, y - cy);
             if dx * dx + dy * dy <= r2 {
-                let w = f64::from(view.weight[i].to_f32());
-                let theta = f64::from(view.theta[i].to_f32());
+                let (sin, cos) = *scratch.trig[i].get_or_insert_with(|| {
+                    let theta = f64::from(view.theta[i].to_f32());
+                    (theta.sin(), theta.cos())
+                });
                 sw += w;
                 sx += w * x;
                 sy += w * y;
-                ssin += w * theta.sin();
-                scos += w * theta.cos();
+                ssin += w * sin;
+                scos += w * cos;
             }
         }
         if sw <= 0.0 {
@@ -1931,5 +1956,115 @@ mod tests {
         let empty = BeamBatch::from_beams(&[] as &[Beam]);
         observation_log_likelihoods(particles.as_slice(), &edt, &model, &empty, &mut out);
         assert_eq!(out, vec![0.0; 4]);
+    }
+
+    /// The mode refinement as it was before the per-call cache: every
+    /// iteration widens x/y/w/θ and evaluates `sin`/`cos` for each in-window
+    /// particle. The reference the cached version must match bit for bit.
+    fn refine_mode_estimate_reference<S: Scalar>(
+        particles: &ParticleBuffer<S>,
+        n: usize,
+        start: Pose2,
+        radius_m: f32,
+        iterations: usize,
+    ) -> (Pose2, f64) {
+        let view = particles.as_slice();
+        let r2 = f64::from(radius_m) * f64::from(radius_m);
+        let total: f64 = view.weight[..n].iter().map(|w| f64::from(w.to_f32())).sum();
+        if total <= 0.0 {
+            return (start, 0.0);
+        }
+        let mut center = start;
+        let mut window_mass = 0.0f64;
+        for _ in 0..iterations {
+            let cx = f64::from(center.x);
+            let cy = f64::from(center.y);
+            let (mut sw, mut sx, mut sy, mut ssin, mut scos) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
+            for i in 0..n {
+                let x = f64::from(view.x[i].to_f32());
+                let y = f64::from(view.y[i].to_f32());
+                let (dx, dy) = (x - cx, y - cy);
+                if dx * dx + dy * dy <= r2 {
+                    let w = f64::from(view.weight[i].to_f32());
+                    let theta = f64::from(view.theta[i].to_f32());
+                    sw += w;
+                    sx += w * x;
+                    sy += w * y;
+                    ssin += w * theta.sin();
+                    scos += w * theta.cos();
+                }
+            }
+            if sw <= 0.0 {
+                break;
+            }
+            window_mass = sw;
+            let next = Pose2::new((sx / sw) as f32, (sy / sw) as f32, ssin.atan2(scos) as f32);
+            if next.x == center.x && next.y == center.y && next.theta == center.theta {
+                break;
+            }
+            center = next;
+        }
+        (center, window_mass / total)
+    }
+
+    /// Two unequal modes 1.5 m apart plus a thin uniform background, with
+    /// per-particle yaws and weights that vary.
+    fn bimodal<S: Scalar>(n: usize) -> ParticleBuffer<S> {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(n as u64);
+        (0..n)
+            .map(|i| {
+                let (cx, cy) = match i % 5 {
+                    0..=2 => (2.0, 1.0),
+                    3 => (3.5, 1.0),
+                    _ => (rng.gen_range(0.0..6.0), rng.gen_range(0.0..3.0)),
+                };
+                let pose = Pose2::new(
+                    cx + rng.gen_range(-0.3f32..0.3),
+                    cy + rng.gen_range(-0.3f32..0.3),
+                    rng.gen_range(-3.1f32..3.1),
+                );
+                Particle::from_pose(&pose, rng.gen_range(0.1f32..1.0) / n as f32)
+            })
+            .collect()
+    }
+
+    fn assert_refine_matches_reference<S: Scalar>(scratch: &mut ModeRefineScratch) {
+        // Windows holding no particle (far start), some (the mode radius)
+        // and all of them (a radius wider than the map), over prefixes that
+        // shrink and regrow so the scratch is reused at other lengths.
+        let cases = [
+            (Pose2::new(50.0, 50.0, 0.0), 0.6),
+            (Pose2::new(2.6, 1.2, 0.3), 0.6),
+            (Pose2::new(3.2, 1.0, -1.0), 0.3),
+            (Pose2::new(3.0, 1.5, 0.0), 100.0),
+        ];
+        let particles = bimodal::<S>(700);
+        for n in [700, 1, 0, 333, 700] {
+            for &(start, radius) in &cases {
+                let (pose, mass) = refine_mode_estimate(&particles, n, start, radius, 8, scratch);
+                let (want_pose, want_mass) =
+                    refine_mode_estimate_reference(&particles, n, start, radius, 8);
+                let label = format!("n = {n}, start = {start:?}, radius = {radius}");
+                assert_eq!(pose.x.to_bits(), want_pose.x.to_bits(), "{label}");
+                assert_eq!(pose.y.to_bits(), want_pose.y.to_bits(), "{label}");
+                assert_eq!(pose.theta.to_bits(), want_pose.theta.to_bits(), "{label}");
+                assert_eq!(mass.to_bits(), want_mass.to_bits(), "{label}");
+            }
+        }
+        // The cases above really cover an empty, a partial and a full window.
+        let (_, empty) = refine_mode_estimate(&particles, 700, cases[0].0, 0.6, 8, scratch);
+        let (_, partial) = refine_mode_estimate(&particles, 700, cases[1].0, 0.6, 8, scratch);
+        let (_, full) = refine_mode_estimate(&particles, 700, cases[3].0, 100.0, 8, scratch);
+        assert_eq!(empty, 0.0);
+        assert!(partial > 0.0 && partial < 1.0, "partial = {partial}");
+        assert!((full - 1.0).abs() < 1e-12, "full = {full}");
+    }
+
+    #[test]
+    fn refine_mode_estimate_matches_the_uncached_loop_bit_for_bit() {
+        let mut scratch = ModeRefineScratch::default();
+        assert_refine_matches_reference::<f32>(&mut scratch);
+        assert_refine_matches_reference::<mcl_num::F16>(&mut scratch);
     }
 }
