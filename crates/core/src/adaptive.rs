@@ -551,52 +551,220 @@ impl LikelihoodMonitor {
     }
 }
 
-/// The effective sample size of `weights[i] · exp(beta · (logs[i] − max_log))`,
-/// computed in `f64` (serial — part of the schedule-independent planning
-/// path, like the ESS gate itself).
-fn tempered_ess(weights: &[f32], logs: &[f32], max_log: f32, beta: f64) -> f64 {
-    let mut sum = 0.0f64;
-    let mut sum_sq = 0.0f64;
-    for (&w, &l) in weights.iter().zip(logs) {
-        let tempered = f64::from(w) * (beta * f64::from(l - max_log)).exp();
-        sum += tempered;
-        sum_sq += tempered * tempered;
-    }
-    if sum_sq <= 0.0 {
-        return 0.0;
-    }
-    sum * sum / sum_sq
+/// Most passes [`temper_beta`] makes over the population, the β = 1 pass
+/// included.
+const TEMPER_MAX_PASSES: usize = 12;
+
+/// Relative ESS tolerance of [`temper_beta`]: a solved `β` satisfies
+/// `0 ≤ ESS(β)/target − 1 < TEMPER_TOLERANCE`.
+const TEMPER_TOLERANCE: f64 = 1e-4;
+
+/// The outcome of [`temper_beta`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Tempering {
+    /// The tempering exponent `β ∈ [0, 1]`.
+    pub beta: f64,
+    /// `Σ exp(l − max_log)` over the raw log-likelihoods, summed in `f64` in
+    /// index order: the by-product of the β = 1 pass that the filter's
+    /// per-beam mean likelihood (the Augmented-MCL monitor input) is built
+    /// from.
+    pub raw_likelihood_sum: f64,
 }
 
-/// Solves for the likelihood-tempering exponent `β ∈ (0, 1]` such that
+/// The sums of one tempering pass at exponent `β`. With `d = l − max_log`
+/// and `t = w·e^{βd}`: `s1 = Σt`, `s1d = Σt·d`, `s2 = Σt²`, `s2d = Σt²·d`.
+#[derive(Debug, Clone, Copy, Default)]
+struct TemperSums {
+    s1: f64,
+    s1d: f64,
+    s2: f64,
+    s2d: f64,
+}
+
+impl TemperSums {
+    fn add(&mut self, t: f64, d: f64) {
+        self.s1 += t;
+        self.s2 += t * t;
+        // A vanished term adds nothing; skipping it keeps `0 · −∞` out of
+        // the slope sums.
+        if t > 0.0 {
+            self.s1d += t * d;
+            self.s2d += t * t * d;
+        }
+    }
+
+    /// `ln ESS(β) = 2 ln s1 − ln s2`, `−∞` when the tempered weights vanish.
+    fn ln_ess(&self) -> f64 {
+        if self.s1 > 0.0 && self.s2 > 0.0 {
+            2.0 * self.s1.ln() - self.s2.ln()
+        } else {
+            f64::NEG_INFINITY
+        }
+    }
+
+    /// `d ln ESS / dβ = 2·s1d/s1 − 2·s2d/s2`.
+    fn ln_ess_slope(&self) -> f64 {
+        2.0 * (self.s1d / self.s1 - self.s2d / self.s2)
+    }
+}
+
+/// One tempering pass at exponent `beta`, serial `f64` in index order.
+fn temper_pass(weights: &[f32], logs: &[f32], max_log: f64, beta: f64) -> TemperSums {
+    let mut sums = TemperSums::default();
+    for (&w, &l) in weights.iter().zip(logs) {
+        let d = f64::from(l) - max_log;
+        sums.add(f64::from(w) * (beta * d).exp(), d);
+    }
+    sums
+}
+
+/// The smallest root in `(0, 1)` of `a + b·β + c·β²`, if any.
+fn smallest_unit_root(a: f64, b: f64, c: f64) -> Option<f64> {
+    let inside = |r: f64| (r > 0.0 && r < 1.0).then_some(r);
+    if c == 0.0 {
+        return inside(-a / b);
+    }
+    let disc = b * b - 4.0 * a * c;
+    if disc < 0.0 {
+        return None;
+    }
+    // The cancellation-free pair of quadratic roots.
+    let q = -0.5 * (b + b.signum() * disc.sqrt());
+    match (inside(q / c), inside(a / q)) {
+        (Some(r1), Some(r2)) => Some(r1.min(r2)),
+        (r1, r2) => r1.or(r2),
+    }
+}
+
+/// [`temper_beta`] together with the number of passes it made over the
+/// population.
+fn solve_temper_beta(
+    weights: &[f32],
+    logs: &[f32],
+    max_log: f32,
+    target_ess: f64,
+) -> (Tempering, usize) {
+    assert_eq!(weights.len(), logs.len(), "one weight per log-likelihood");
+    let max_log = f64::from(max_log);
+    // Pass 1 at β = 1: the tempering sums, the raw likelihood sum, and the
+    // exp-free w- and w²-weighted moments of `d` that seed the solve.
+    let mut at_one = TemperSums::default();
+    let mut raw_likelihood_sum = 0.0f64;
+    let mut moments = [0.0f64; 6];
+    for (&w, &l) in weights.iter().zip(logs) {
+        let d = f64::from(l) - max_log;
+        let e = d.exp();
+        raw_likelihood_sum += e;
+        let w = f64::from(w);
+        let w2 = w * w;
+        at_one.add(w * e, d);
+        for (sum, term) in moments
+            .iter_mut()
+            .zip([w, w * d, w * d * d, w2, w2 * d, w2 * d * d])
+        {
+            *sum += term;
+        }
+    }
+    let done = |beta| {
+        (
+            Tempering {
+                beta,
+                raw_likelihood_sum,
+            },
+            1,
+        )
+    };
+    let ln_target = target_ess.ln();
+    if target_ess.is_nan() || target_ess <= 0.0 || at_one.ln_ess() >= ln_target {
+        return done(1.0);
+    }
+    // ESS(0) is the incoming weights' own ESS. Below the target no β can
+    // help; in the tolerance band β = 0 is already the answer.
+    let [sw, swd, swd2, sw2, sw2d, sw2d2] = moments;
+    let ln_ess0 = if sw > 0.0 && sw2 > 0.0 {
+        2.0 * sw.ln() - sw2.ln()
+    } else {
+        f64::NEG_INFINITY
+    };
+    if ln_ess0.is_nan() || ln_ess0 < ln_target || (ln_ess0 - ln_target).exp_m1() < TEMPER_TOLERANCE
+    {
+        return done(0.0);
+    }
+    // Aim Newton at the middle of the acceptance band so it converges into
+    // it from either side.
+    let ln_aim = ln_target + 0.5 * TEMPER_TOLERANCE;
+    let g1 = at_one.ln_ess() - ln_aim;
+    let g0 = ln_ess0 - ln_aim;
+    // Start from the second-order cumulant model of g around β = 0:
+    // g(β) ≈ g₀ + 2(m₁ − m₂)β + (v₁ − 2v₂)β², falling back to the secant
+    // through β = 0 and β = 1 when the model has no root in (0, 1).
+    let (m1, m2) = (swd / sw, sw2d / sw2);
+    let (v1, v2) = (swd2 / sw - m1 * m1, sw2d2 / sw2 - m2 * m2);
+    let mut beta = smallest_unit_root(g0, 2.0 * (m1 - m2), v1 - 2.0 * v2)
+        .or_else(|| {
+            let secant = g0 / (g0 - g1);
+            (secant > 0.0 && secant < 1.0).then_some(secant)
+        })
+        .unwrap_or(0.5);
+    // Bracket: ESS(lo) ≥ target > ESS(hi). Newton steps that leave it
+    // become bisections, so the solve never does worse than bisecting.
+    let (mut lo, mut hi) = (0.0f64, 1.0f64);
+    let mut passes = 1;
+    while passes < TEMPER_MAX_PASSES {
+        let sums = temper_pass(weights, logs, max_log, beta);
+        passes += 1;
+        let ln_ess = sums.ln_ess();
+        if ln_ess >= ln_target {
+            lo = beta;
+            if (ln_ess - ln_target).exp_m1() < TEMPER_TOLERANCE {
+                break;
+            }
+        } else {
+            hi = beta;
+        }
+        let newton = beta - (ln_ess - ln_aim) / sums.ln_ess_slope();
+        beta = if newton > lo && newton < hi {
+            newton
+        } else {
+            0.5 * (lo + hi)
+        };
+    }
+    (
+        Tempering {
+            beta: lo,
+            raw_likelihood_sum,
+        },
+        passes,
+    )
+}
+
+/// Solves for the likelihood-tempering exponent `β ∈ [0, 1]` such that
 /// multiplying `weights` by `exp(β·(logs − max_log))` keeps the effective
 /// sample size at or above `target_ess` (adaptive annealing, as used by
 /// sequential Monte Carlo samplers to bound per-step weight degeneracy).
 ///
-/// Returns `1.0` when the untempered update already satisfies the target —
-/// i.e. tempering only ever weakens an observation that would otherwise
-/// collapse the cloud onto a handful of particles. When even `β = 0` cannot
-/// reach the target (the incoming weights are already degenerate), the
-/// bisection converges toward `0` and the caller effectively discards an
-/// observation it could not absorb; with the ESS resampling gate active the
-/// incoming ESS is always at least the gate threshold, so this case does not
-/// arise in the filter loop.
-pub fn temper_beta(weights: &[f32], logs: &[f32], max_log: f32, target_ess: f64) -> f64 {
-    if tempered_ess(weights, logs, max_log, 1.0) >= target_ess {
-        return 1.0;
-    }
-    let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    // 40 halvings puts the bracket width below 1e-12 — far inside what the
-    // f32 log-likelihood resolution can distinguish.
-    for _ in 0..40 {
-        let mid = 0.5 * (lo + hi);
-        if tempered_ess(weights, logs, max_log, mid) >= target_ess {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
+/// The first pass, at `β = 1`, also returns the raw likelihood sum (see
+/// [`Tempering::raw_likelihood_sum`]). It returns `β = 1` when the untempered
+/// update already satisfies the target (or `target_ess ≤ 0`): tempering only
+/// ever weakens an observation that would otherwise collapse the cloud onto
+/// a handful of particles. When even `β = 0` cannot reach the target (the
+/// incoming weights are already degenerate), it returns `0` and the caller
+/// effectively discards an observation it could not absorb; with the ESS
+/// resampling gate active the incoming ESS is always at least the gate
+/// threshold, so this case does not arise in the filter loop.
+///
+/// Otherwise it solves `g(β) = ln ESS(β) − ln target = 0` by Newton's method:
+/// one pass yields `Σw·e^{βd}`, `Σw·d·e^{βd}`, `Σw²·e^{2βd}` and
+/// `Σw²·d·e^{2βd}` (with `d = l − max_log`), hence `g` and `g′`. The start
+/// is the smallest root in `(0, 1)` of the exp-free second-order model of `g`
+/// around `β = 0`, built from the weighted mean and variance of `d`. A
+/// bracket with `ESS(lo) ≥ target` turns any step that leaves it into a
+/// bisection. The solve stops once `0 ≤ ESS(lo)/target − 1 < 10⁻⁴`, after at
+/// most 12 passes in all, and returns `lo`, so the tempered ESS is never
+/// below the target. Every pass is serial `f64` in index order, so `β` is
+/// bit-identical for every backend and worker count.
+pub fn temper_beta(weights: &[f32], logs: &[f32], max_log: f32, target_ess: f64) -> Tempering {
+    solve_temper_beta(weights, logs, max_log, target_ess).0
 }
 
 /// Mode-refinement window radius for the published adaptive pose estimate,
@@ -715,7 +883,10 @@ mod tests {
     /// One coordinate drawn from a mix of NaN, ±∞, values that saturate the
     /// `i32` bin cast, bins far beyond ±2²⁰, and a dense ±20 m range where
     /// negative bins and collisions are common.
-    fn coordinate((kind, v): (u8, f32)) -> f32 {
+    /// A coordinate draw: a kind selector and a value.
+    type Coordinate = (u8, f32);
+
+    fn coordinate((kind, v): Coordinate) -> f32 {
         match kind {
             0 => f32::NAN,
             1 => f32::INFINITY,
@@ -726,7 +897,7 @@ mod tests {
         }
     }
 
-    fn cloud(raw: &[((u8, f32), (u8, f32), (u8, f32))]) -> ParticleBuffer<f32> {
+    fn cloud(raw: &[(Coordinate, Coordinate, Coordinate)]) -> ParticleBuffer<f32> {
         raw.iter()
             .map(|&(x, y, theta)| Particle {
                 x: coordinate(x),
@@ -944,40 +1115,184 @@ mod tests {
         assert!(c.validate().is_err());
     }
 
-    #[test]
-    fn temper_beta_leaves_healthy_updates_alone() {
-        // Near-flat likelihoods keep the ESS high; no tempering.
-        let weights = [0.25f32; 4];
-        let logs = [-0.1f32, -0.2, -0.15, -0.05];
-        assert_eq!(temper_beta(&weights, &logs, -0.05, 2.0), 1.0);
+    /// The effective sample size of `weights · exp(β·(logs − max_log))`,
+    /// with `d` formed in `f64` exactly as the solver forms it.
+    fn tempered_ess(weights: &[f32], logs: &[f32], max_log: f32, beta: f64) -> f64 {
+        let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
+        for (&w, &l) in weights.iter().zip(logs) {
+            let t = f64::from(w) * (beta * (f64::from(l) - f64::from(max_log))).exp();
+            sum += t;
+            sum_sq += t * t;
+        }
+        if sum_sq <= 0.0 {
+            return 0.0;
+        }
+        sum * sum / sum_sq
     }
 
-    #[test]
-    fn temper_beta_lands_the_ess_on_the_floor() {
-        // One particle takes essentially all the mass untempered: ESS → 1.
-        let n = 64;
-        let weights = vec![1.0 / n as f32; n];
-        let mut logs = vec![-200.0f32; n];
-        logs[7] = 0.0;
-        assert!(tempered_ess(&weights, &logs, 0.0, 1.0) < 1.5);
-        let target = 0.25 * n as f64;
-        let beta = temper_beta(&weights, &logs, 0.0, target);
-        assert!(beta > 0.0 && beta < 1.0, "beta = {beta}");
-        let ess = tempered_ess(&weights, &logs, 0.0, beta);
-        assert!(
-            (ess - target).abs() < 1e-3 * target,
-            "ess = {ess}, target = {target}"
+    /// The solver the Newton solve replaced: 40 bisection steps after the
+    /// β = 1 check.
+    fn bisection_reference(weights: &[f32], logs: &[f32], max_log: f32, target: f64) -> f64 {
+        if tempered_ess(weights, logs, max_log, 1.0) >= target {
+            return 1.0;
+        }
+        let (mut lo, mut hi) = (0.0f64, 1.0f64);
+        for _ in 0..40 {
+            let mid = 0.5 * (lo + hi);
+            if tempered_ess(weights, logs, max_log, mid) >= target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    fn max_of(logs: &[f32]) -> f32 {
+        logs.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b))
+    }
+
+    /// Checks one solve against the bisection reference and the solver
+    /// contract, returning `(β, passes)`.
+    fn check_solve(label: &str, weights: &[f32], logs: &[f32], target: f64) -> (f64, usize) {
+        let max_log = max_of(logs);
+        let (tempering, passes) = solve_temper_beta(weights, logs, max_log, target);
+        let beta = tempering.beta;
+        let reference = bisection_reference(weights, logs, max_log, target);
+        assert!(passes <= TEMPER_MAX_PASSES, "{label}: {passes} passes");
+        assert!((0.0..=1.0).contains(&beta), "{label}: beta = {beta}");
+        let raw: f64 = logs
+            .iter()
+            .map(|&l| (f64::from(l) - f64::from(max_log)).exp())
+            .sum();
+        assert_eq!(
+            tempering.raw_likelihood_sum.to_bits(),
+            raw.to_bits(),
+            "{label}"
         );
+        let reachable = tempered_ess(weights, logs, max_log, 0.0) >= target;
+        if !reachable {
+            assert_eq!((beta, reference), (0.0, 0.0), "{label}");
+            return (beta, passes);
+        }
+        let ess = tempered_ess(weights, logs, max_log, beta);
+        assert!(ess >= target, "{label}: ess {ess} below target {target}");
+        if beta == 1.0 {
+            assert_eq!(reference, 1.0, "{label}");
+            assert_eq!(passes, 1, "{label}");
+        } else {
+            let excess = ess / target - 1.0;
+            assert!(
+                excess < TEMPER_TOLERANCE,
+                "{label}: ess/target − 1 = {excess}"
+            );
+            // ESS falls with β, so meeting the target puts β at or below the
+            // root that bisection brackets to 1e-12.
+            assert!(
+                beta <= reference + 1e-9,
+                "{label}: beta {beta} above bisection {reference}"
+            );
+        }
+        (beta, passes)
     }
 
     #[test]
-    fn temper_beta_is_monotone_in_the_target() {
-        let n = 32;
-        let weights = vec![1.0 / n as f32; n];
-        let logs: Vec<f32> = (0..n).map(|i| -(i as f32)).collect();
-        let loose = temper_beta(&weights, &logs, 0.0, 4.0);
-        let tight = temper_beta(&weights, &logs, 0.0, 16.0);
-        assert!(tight < loose, "tight = {tight}, loose = {loose}");
+    fn temper_beta_matches_bisection_on_the_case_table() {
+        let n = 512;
+        let uniform = vec![1.0 / n as f32; n];
+        let mut one_hot = vec![-200.0f32; n];
+        one_hot[7] = 0.0;
+        let ramp: Vec<f32> = (0..n).map(|i| -0.5 * i as f32).collect();
+        let two_modes: Vec<f32> = (0..n)
+            .map(|i| match i % 8 {
+                0 => -0.1 * (i % 5) as f32,
+                1 | 2 => -25.0 - (i % 3) as f32,
+                _ => -300.0 - (i % 17) as f32 * 4.0,
+            })
+            .collect();
+        let healthy: Vec<f32> = (0..n).map(|i| -0.01 * (i % 9) as f32).collect();
+        let flat = vec![-3.5f32; n];
+        let mut degenerate = vec![0.0f32; n];
+        degenerate[3] = 1.0;
+        let uneven: Vec<f32> = (0..n)
+            .map(|i| (1 + i % 7) as f32 / (4 * n) as f32)
+            .collect();
+        let target = 0.15 * n as f64;
+        // (label, weights, logs, target ESS, expected β when not interior)
+        type Case<'a> = (&'a str, &'a [f32], &'a [f32], f64, Option<f64>);
+        let cases: [Case; 10] = [
+            ("one-hot sharp", &uniform, &one_hot, target, None),
+            (
+                "one-hot sharp, uneven weights",
+                &uneven,
+                &one_hot,
+                target,
+                None,
+            ),
+            ("linear ramp", &uniform, &ramp, target, None),
+            ("two modes", &uniform, &two_modes, target, None),
+            (
+                "two modes, tight target",
+                &uniform,
+                &two_modes,
+                0.6 * n as f64,
+                None,
+            ),
+            ("already healthy", &uniform, &healthy, target, Some(1.0)),
+            ("all-equal logs", &uniform, &flat, target, Some(1.0)),
+            (
+                "all-equal logs, unreachable",
+                &uniform,
+                &flat,
+                2.0 * n as f64,
+                Some(0.0),
+            ),
+            ("n = 1", &[1.0], &[-42.0], 0.15, Some(1.0)),
+            (
+                "degenerate incoming weights",
+                &degenerate,
+                &ramp,
+                target,
+                Some(0.0),
+            ),
+        ];
+        for (label, weights, logs, target, expected) in cases {
+            let (beta, _) = check_solve(label, weights, logs, target);
+            if let Some(expected) = expected {
+                assert_eq!(beta, expected, "{label}");
+            } else {
+                assert!(beta > 0.0 && beta < 1.0, "{label}: beta = {beta}");
+            }
+        }
+        // A zero target (tempering disabled) stops after the β = 1 pass.
+        let (tempering, passes) = solve_temper_beta(&uniform, &one_hot, 0.0, 0.0);
+        assert_eq!((tempering.beta, passes), (1.0, 1));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn temper_beta_is_monotone_in_the_target(
+            raw in prop::collection::vec(0.0f32..1.0, 2..400),
+            scale in 0.05f32..600.0,
+            fraction in 0.02f64..0.9,
+            gap in 2e-4f64..1.0,
+        ) {
+            let n = raw.len();
+            let weights = vec![1.0 / n as f32; n];
+            let logs: Vec<f32> = raw.iter().map(|&u| -scale * u).collect();
+            let loose = fraction * n as f64;
+            let tight = loose * (1.0 + gap);
+            let (loose_beta, loose_passes) = check_solve("loose", &weights, &logs, loose);
+            let (tight_beta, tight_passes) = check_solve("tight", &weights, &logs, tight);
+            prop_assert!(loose_passes <= TEMPER_MAX_PASSES && tight_passes <= TEMPER_MAX_PASSES);
+            prop_assert!(
+                tight_beta <= loose_beta,
+                "tight {} > loose {}",
+                tight_beta,
+                loose_beta
+            );
+        }
     }
 
     #[test]

@@ -582,17 +582,6 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
                 observations_used += observations.usable_anchor_count();
             }
             let beams = observations_used.max(1);
-            let mean = if max_log.is_finite() {
-                let mean_rel = self
-                    .log_likelihoods
-                    .iter()
-                    .map(|&l| (f64::from(l) - f64::from(max_log)).exp())
-                    .sum::<f64>()
-                    / n as f64;
-                ((f64::from(max_log) + mean_rel.ln()) / beams as f64).exp()
-            } else {
-                0.0
-            };
             // Halve the tempering floor while a recovery episode runs: the
             // episode exists to let freshly injected hypotheses seize mass
             // from a wrong mode quickly, which is exactly the weight
@@ -609,22 +598,29 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
             {
                 temper *= 0.5;
             }
-            if temper > 0.0 && max_log.is_finite() {
+            let mean = if max_log.is_finite() {
                 self.weights_f32.clear();
                 self.weights_f32
                     .extend(self.particles.current().weight().iter().map(|w| w.to_f32()));
+                // The solve's β = 1 pass also sums the raw relative
+                // likelihoods for the monitor; a zero target (tempering
+                // off) stops after that pass with β = 1.
+                let tempering = adaptive::temper_beta(
+                    &self.weights_f32,
+                    &self.log_likelihoods,
+                    max_log,
+                    temper * n as f64,
+                );
+                let mean_rel = tempering.raw_likelihood_sum / n as f64;
+                let mean = ((f64::from(max_log) + mean_rel.ln()) / beams as f64).exp();
                 // The β floor bounds how much of the observation annealing
                 // may discard (see `AdaptiveConfig::temper_beta_floor`):
                 // during aliased global init every update ESS-crashes, and
                 // unfloored annealing starves the filter of evidence until
                 // the wheel commits it to an arbitrary mode.
-                let beta = adaptive::temper_beta(
-                    &self.weights_f32,
-                    &self.log_likelihoods,
-                    max_log,
-                    temper * n as f64,
-                )
-                .max(f64::from(self.config.adaptive.temper_beta_floor));
+                let beta = tempering
+                    .beta
+                    .max(f64::from(self.config.adaptive.temper_beta_floor));
                 if beta < 1.0 {
                     for l in &mut self.log_likelihoods {
                         *l = (f64::from(*l) * beta) as f32;
@@ -632,7 +628,10 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
                     max_log = (f64::from(max_log) * beta) as f32;
                     self.counters.updates_tempered += 1;
                 }
-            }
+                mean
+            } else {
+                0.0
+            };
             Some(mean)
         } else {
             None
