@@ -39,23 +39,27 @@ fn floored(floor: f32) -> AdaptiveConfig {
     PaperScenario::adaptive_config(PARTICLES).with_temper_beta_floor(floor)
 }
 
-/// Captures the adaptive-population tail on a reproducible instance (paper world 118,
+/// Captures the adaptive-population tail on a reproducible instance (paper world 125,
 /// filter seed 7): the unfloored adaptive leg commits to a wrong mode and
-/// finishes with about 16× the fixed baseline's ATE (1.58 m vs 0.10 m),
-/// while a β floor of 0.5 restores parity with fixed on the same flight.
-/// Every run here is bit-deterministic (counter-based RNG, schedule- and
-/// backend-independent kernels), so the thresholds are exact replay pins,
-/// not statistical hopes.
+/// finishes with about 2.5× the fixed baseline's ATE (0.229 m vs 0.091 m),
+/// while a β floor of 0.5 restores parity with fixed on the same flight
+/// (0.102 m). Every run here is bit-deterministic (counter-based RNG,
+/// schedule- and backend-independent kernels), so the thresholds are exact
+/// replay pins, not statistical hopes.
 ///
-/// The instance was re-chosen when the motion noise moved to paired
-/// Box–Muller draws on the owned `ln`/`sin_cos`: that changed every
-/// particle's random stream, and the old instance (world 100, seed 4) now
-/// trails fixed by 1.6× instead of 3×. The new normals pass the moment and
-/// Kolmogorov–Smirnov tests in `mcl_core::rng`, so the tail moved with the
-/// stream, not with the sampler. `explore_floor_sweep` reproduces the pick.
+/// The instance has been re-chosen twice, each time with
+/// `explore_floor_sweep`. The first move (from world 100, seed 4, to world
+/// 118, seed 7) followed the motion noise onto paired Box–Muller draws on
+/// the owned `ln`/`sin_cos`: every particle's random stream changed, and
+/// the old instance trailed fixed by only 1.6×. The second move followed
+/// the tempering solve from 40-step bisection to a bracketed Newton solve
+/// that stops within 10⁻⁴ of the ESS target: the solved `β` moved by up to
+/// ~10⁻⁴ relative, enough to re-route a chaotic global-init flight, and on
+/// world 118, seed 7 the unfloored leg no longer converged at all. The
+/// tail moved with the trajectories, not with the floor's effect.
 #[test]
 fn beta_floor_recovers_the_wrong_mode_commitment_on_global_init() {
-    let scenario = PaperScenario::with_settings(118, 1, FLIGHT_S);
+    let scenario = PaperScenario::with_settings(125, 1, FLIGHT_S);
     let sequence = &scenario.sequences()[0];
     let seed = 7;
 
@@ -117,7 +121,7 @@ fn default_keeps_tempering_unchanged_and_non_binding_floors_are_bit_identical() 
 #[test]
 #[ignore = "exploration harness: sweeps floors x seeds and prints the table"]
 fn explore_floor_sweep() {
-    for world_seed in [100u64, 118, 200] {
+    for world_seed in [100u64, 118, 125, 200] {
         let scenario = PaperScenario::with_settings(world_seed, 1, FLIGHT_S);
         let sequence = &scenario.sequences()[0];
         for seed in 1..=8u64 {
