@@ -1197,6 +1197,32 @@ mod tests {
     }
 
     #[test]
+    fn temper_beta_leaves_healthy_updates_alone() {
+        // Near-flat likelihoods keep the ESS high; no tempering.
+        let weights = [0.25f32; 4];
+        let logs = [-0.1f32, -0.2, -0.15, -0.05];
+        assert_eq!(temper_beta(&weights, &logs, -0.05, 2.0).beta, 1.0);
+    }
+
+    #[test]
+    fn temper_beta_lands_the_ess_on_the_floor() {
+        // One particle takes essentially all the mass untempered: ESS → 1.
+        let n = 64;
+        let weights = vec![1.0 / n as f32; n];
+        let mut logs = vec![-200.0f32; n];
+        logs[7] = 0.0;
+        assert!(tempered_ess(&weights, &logs, 0.0, 1.0) < 1.5);
+        let target = 0.25 * n as f64;
+        let beta = temper_beta(&weights, &logs, 0.0, target).beta;
+        assert!(beta > 0.0 && beta < 1.0, "beta = {beta}");
+        let ess = tempered_ess(&weights, &logs, 0.0, beta);
+        assert!(
+            (ess - target).abs() < 1e-3 * target,
+            "ess = {ess}, target = {target}"
+        );
+    }
+
+    #[test]
     fn temper_beta_matches_bisection_on_the_case_table() {
         let n = 512;
         let uniform = vec![1.0 / n as f32; n];
