@@ -647,23 +647,21 @@ fn solve_temper_beta(
     assert_eq!(weights.len(), logs.len(), "one weight per log-likelihood");
     let max_log = f64::from(max_log);
     // Pass 1 at β = 1: the tempering sums, the raw likelihood sum, and the
-    // exp-free w- and w²-weighted moments of `d` that seed the solve.
+    // exp-free β = 0 sums plus the second moments Σw·d² and Σw²·d² that
+    // seed the solve.
     let mut at_one = TemperSums::default();
+    let mut at_zero = TemperSums::default();
+    let (mut swd2, mut sw2d2) = (0.0f64, 0.0f64);
     let mut raw_likelihood_sum = 0.0f64;
-    let mut moments = [0.0f64; 6];
     for (&w, &l) in weights.iter().zip(logs) {
         let d = f64::from(l) - max_log;
         let e = d.exp();
         raw_likelihood_sum += e;
         let w = f64::from(w);
-        let w2 = w * w;
         at_one.add(w * e, d);
-        for (sum, term) in moments
-            .iter_mut()
-            .zip([w, w * d, w * d * d, w2, w2 * d, w2 * d * d])
-        {
-            *sum += term;
-        }
+        at_zero.add(w, d);
+        swd2 += w * d * d;
+        sw2d2 += w * w * d * d;
     }
     let done = |beta| {
         (
@@ -680,12 +678,7 @@ fn solve_temper_beta(
     }
     // ESS(0) is the incoming weights' own ESS. Below the target no β can
     // help; in the tolerance band β = 0 is already the answer.
-    let [sw, swd, swd2, sw2, sw2d, sw2d2] = moments;
-    let ln_ess0 = if sw > 0.0 && sw2 > 0.0 {
-        2.0 * sw.ln() - sw2.ln()
-    } else {
-        f64::NEG_INFINITY
-    };
+    let ln_ess0 = at_zero.ln_ess();
     if ln_ess0.is_nan() || ln_ess0 < ln_target || (ln_ess0 - ln_target).exp_m1() < TEMPER_TOLERANCE
     {
         return done(0.0);
@@ -696,11 +689,13 @@ fn solve_temper_beta(
     let g1 = at_one.ln_ess() - ln_aim;
     let g0 = ln_ess0 - ln_aim;
     // Start from the second-order cumulant model of g around β = 0:
-    // g(β) ≈ g₀ + 2(m₁ − m₂)β + (v₁ − 2v₂)β², falling back to the secant
-    // through β = 0 and β = 1 when the model has no root in (0, 1).
-    let (m1, m2) = (swd / sw, sw2d / sw2);
-    let (v1, v2) = (swd2 / sw - m1 * m1, sw2d2 / sw2 - m2 * m2);
-    let mut beta = smallest_unit_root(g0, 2.0 * (m1 - m2), v1 - 2.0 * v2)
+    // g(β) ≈ g₀ + 2(m₁ − m₂)β + (v₁ − 2v₂)β², with m and v the w- and
+    // w²-weighted mean and variance of d (so 2(m₁ − m₂) = g′(0)), falling
+    // back to the secant through β = 0 and β = 1 when the model has no root
+    // in (0, 1).
+    let (m1, m2) = (at_zero.s1d / at_zero.s1, at_zero.s2d / at_zero.s2);
+    let (v1, v2) = (swd2 / at_zero.s1 - m1 * m1, sw2d2 / at_zero.s2 - m2 * m2);
+    let mut beta = smallest_unit_root(g0, at_zero.ln_ess_slope(), v1 - 2.0 * v2)
         .or_else(|| {
             let secant = g0 / (g0 - g1);
             (secant > 0.0 && secant < 1.0).then_some(secant)
