@@ -36,6 +36,8 @@ use crate::particle::ParticleSlice;
 use crate::rng::CounterRng;
 use mcl_num::Scalar;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Salt XORed into the filter seed for the recovery-injection RNG stream, so
 /// injected poses can never collide with the motion kernel's per-particle
@@ -358,79 +360,47 @@ pub fn kld_bound(k: usize, epsilon: f32, delta: f32) -> usize {
     n.ceil().max(1.0) as usize
 }
 
-/// One slot of [`BinTable`]: an exact bin key and the generation that wrote
-/// it.
+/// The FxHash multiply–rotate mix, for bin keys. The keys come from the
+/// filter's own particles, so SipHash's resistance to crafted collisions
+/// buys nothing here and costs most of a KLD count.
 #[derive(Debug, Clone, Copy, Default)]
-struct BinSlot {
-    key: [i32; 3],
-    stamp: u32,
-}
+struct BinHasher(u64);
 
-/// A set of occupied bins: open addressing with linear probing over a
-/// power-of-two slot array kept at most half full. Keys are stored exactly,
-/// so every distinct `(x, y, θ)` bin triple — negative, saturated or from a
-/// NaN pose — stays distinct. A slot is occupied only when its stamp equals
-/// the current generation, so clearing is one increment; the slots are
-/// zeroed only when the generation counter wraps.
-#[derive(Debug, Clone, Default)]
-struct BinTable {
-    slots: Vec<BinSlot>,
-    generation: u32,
-}
-
-impl BinTable {
-    /// Empties the table and makes room for `n` distinct keys. The slot
-    /// array only grows, and allocates nothing until the first call.
-    fn reset(&mut self, n: usize) {
-        let want = (2 * n).next_power_of_two().max(16);
-        if self.slots.len() < want {
-            self.slots = vec![BinSlot::default(); want];
-            self.generation = 0;
+impl Hasher for BinHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(4);
+        for word in &mut words {
+            self.write_u32(u32::from_le_bytes([word[0], word[1], word[2], word[3]]));
         }
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // Every stamp in 1..=u32::MAX may still sit in a slot; zero them
-            // so no stale slot matches a generation handed out again.
-            self.slots.fill(BinSlot::default());
-            self.generation = 1;
+        for &byte in words.remainder() {
+            self.write_u32(u32::from(byte));
         }
     }
 
-    /// Inserts `key`, returning whether it was absent.
-    fn insert(&mut self, key: [i32; 3]) -> bool {
-        let mask = self.slots.len() - 1;
-        let mut h = u64::from(key[0] as u32) | (u64::from(key[1] as u32) << 32);
-        h ^= u64::from(key[2] as u32).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        let mut i = (h ^ (h >> 32)) as usize & mask;
-        loop {
-            let slot = &mut self.slots[i];
-            if slot.stamp != self.generation {
-                *slot = BinSlot {
-                    key,
-                    stamp: self.generation,
-                };
-                return true;
-            }
-            if slot.key == key {
-                return false;
-            }
-            i = (i + 1) & mask;
-        }
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best bits at the top; rotate them down to
+        // the bits that pick the bucket.
+        self.0.rotate_left(26)
     }
 }
 
 /// Bin-occupancy statistics over the pose-space grid, feeding [`kld_bound`].
 ///
-/// The sampler keeps a flat open-addressing bin table across updates, sized
-/// lazily on the first count and grown only when the population outgrows
-/// it, so the steady-state per-update cost is one generation bump plus one
-/// probe per particle. The occupied *count* is independent of probe order,
-/// so the resulting population target is deterministic.
+/// The sampler keeps its bin set across updates: it allocates on the first
+/// count and keeps its capacity across clears, so the steady-state
+/// per-update cost is one clear plus one cheaply hashed insert per particle.
+/// Keys are exact `(x, y, θ)` bin triples, so negative, saturated and
+/// NaN-pose bins all stay distinct. The occupied *count* is independent of
+/// iteration and hash order, so the resulting population target is
+/// deterministic.
 #[derive(Debug, Clone)]
 pub struct KldSampler {
     config: AdaptiveConfig,
-    bins: BinTable,
+    bins: HashSet<[i32; 3], BuildHasherDefault<BinHasher>>,
 }
 
 impl KldSampler {
@@ -438,27 +408,26 @@ impl KldSampler {
     pub fn new(config: AdaptiveConfig) -> Self {
         KldSampler {
             config,
-            bins: BinTable::default(),
+            bins: HashSet::default(),
         }
     }
 
     /// Counts the pose-space bins occupied by `particles`.
     pub fn occupied_bins<S: Scalar>(&mut self, particles: ParticleSlice<'_, S>) -> usize {
-        self.bins.reset(particles.len());
+        self.bins.clear();
         let inv_xy = 1.0 / self.config.bin_xy_m;
         let inv_theta = 1.0 / self.config.bin_theta_rad;
-        let mut occupied = 0;
         for i in 0..particles.len() {
             let x = particles.x[i].to_f32();
             let y = particles.y[i].to_f32();
             let theta = particles.theta[i].to_f32();
-            occupied += usize::from(self.bins.insert([
+            self.bins.insert([
                 (x * inv_xy).floor() as i32,
                 (y * inv_xy).floor() as i32,
                 (theta * inv_theta).floor() as i32,
-            ]));
+            ]);
         }
-        occupied
+        self.bins.len()
     }
 
     /// The unclamped [`kld_bound`] for the bins `particles` occupies. A bound
@@ -686,21 +655,14 @@ fn solve_temper_beta(
     // Aim Newton at the middle of the acceptance band so it converges into
     // it from either side.
     let ln_aim = ln_target + 0.5 * TEMPER_TOLERANCE;
-    let g1 = at_one.ln_ess() - ln_aim;
     let g0 = ln_ess0 - ln_aim;
     // Start from the second-order cumulant model of g around β = 0:
     // g(β) ≈ g₀ + 2(m₁ − m₂)β + (v₁ − 2v₂)β², with m and v the w- and
-    // w²-weighted mean and variance of d (so 2(m₁ − m₂) = g′(0)), falling
-    // back to the secant through β = 0 and β = 1 when the model has no root
-    // in (0, 1).
+    // w²-weighted mean and variance of d (so 2(m₁ − m₂) = g′(0)), or from
+    // the middle of the bracket when the model has no root in (0, 1).
     let (m1, m2) = (at_zero.s1d / at_zero.s1, at_zero.s2d / at_zero.s2);
     let (v1, v2) = (swd2 / at_zero.s1 - m1 * m1, sw2d2 / at_zero.s2 - m2 * m2);
-    let mut beta = smallest_unit_root(g0, at_zero.ln_ess_slope(), v1 - 2.0 * v2)
-        .or_else(|| {
-            let secant = g0 / (g0 - g1);
-            (secant > 0.0 && secant < 1.0).then_some(secant)
-        })
-        .unwrap_or(0.5);
+    let mut beta = smallest_unit_root(g0, at_zero.ln_ess_slope(), v1 - 2.0 * v2).unwrap_or(0.5);
     // Bracket: ESS(lo) ≥ target > ESS(hi). Newton steps that leave it
     // become bisections, so the solve never does worse than bisecting.
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
@@ -855,10 +817,9 @@ mod tests {
     use crate::particle::{Particle, ParticleBuffer};
     use mcl_gridmap::Pose2;
     use proptest::prelude::*;
-    use std::collections::HashSet;
 
-    /// The bin count as the hash-set sampler computed it: the reference the
-    /// flat table must match.
+    /// The bin count as a SipHash set of bin tuples computes it: the
+    /// reference the sampler's cheaply hashed set must match.
     fn reference_bins(config: &AdaptiveConfig, particles: &ParticleBuffer<f32>) -> usize {
         let inv_xy = 1.0 / config.bin_xy_m;
         let inv_theta = 1.0 / config.bin_theta_rad;
@@ -875,12 +836,12 @@ mod tests {
             .len()
     }
 
-    /// One coordinate drawn from a mix of NaN, ±∞, values that saturate the
-    /// `i32` bin cast, bins far beyond ±2²⁰, and a dense ±20 m range where
-    /// negative bins and collisions are common.
     /// A coordinate draw: a kind selector and a value.
     type Coordinate = (u8, f32);
 
+    /// One coordinate drawn from a mix of NaN, ±∞, values that saturate the
+    /// `i32` bin cast, bins far beyond ±2²⁰, and a dense ±20 m range where
+    /// negative bins and collisions are common.
     fn coordinate((kind, v): Coordinate) -> f32 {
         match kind {
             0 => f32::NAN,
@@ -906,7 +867,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
-        fn flat_bin_table_counts_like_a_hash_set(
+        fn bin_count_matches_a_sip_hash_set(
             clouds in prop::collection::vec(
                 prop::collection::vec(
                     ((0u8..12, -4.0e7f32..4.0e7), (0u8..12, -4.0e7f32..4.0e7), (0u8..12, -4.0e7f32..4.0e7)),
@@ -930,7 +891,7 @@ mod tests {
     }
 
     #[test]
-    fn flat_bin_table_survives_growth_and_the_generation_wrap() {
+    fn bin_set_allocates_on_first_count_and_survives_regrowth() {
         let config = AdaptiveConfig::default();
         let grid = |n: usize, pitch: f32| -> ParticleBuffer<f32> {
             (0..n)
@@ -946,30 +907,14 @@ mod tests {
         };
         let (a, b, c) = (grid(4000, 0.5), grid(10, 0.1), grid(900, 0.3));
         let mut sampler = KldSampler::new(config);
-        // A fresh sampler owns no table until its first count.
-        assert!(sampler.bins.slots.is_empty());
+        // A fresh sampler owns no bin storage until its first count.
+        assert_eq!(sampler.bins.capacity(), 0);
         for cloud in [&b, &a, &b, &c, &a] {
             assert_eq!(
                 sampler.occupied_bins(cloud.as_slice()),
                 reference_bins(&config, cloud)
             );
         }
-        // Stamp wrap: the first generation after the wrap reuses stamp 1,
-        // which `c` writes first. Unless the wrap zeroes the slots, `c`'s
-        // stale bins would read as occupied and be missed on the recount.
-        let mut sampler = KldSampler::new(config);
-        assert_eq!(
-            sampler.occupied_bins(c.as_slice()),
-            reference_bins(&config, &c)
-        );
-        sampler.bins.generation = u32::MAX - 1;
-        for cloud in [&b, &c, &b, &c] {
-            assert_eq!(
-                sampler.occupied_bins(cloud.as_slice()),
-                reference_bins(&config, cloud)
-            );
-        }
-        assert_eq!(sampler.bins.generation, 3);
     }
 
     #[test]
