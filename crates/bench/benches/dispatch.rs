@@ -5,7 +5,7 @@
 //! * `contended_dispatch` — the headline of the multi-queue refactor: two
 //!   `run_batch` sweeps executed **concurrently** from two threads versus the
 //!   same two sweeps executed back to back (the behaviour the single-slot
-//!   scheduler's `dispatch_queued` forced on every contending study). Each
+//!   scheduler forced on every contending study). Each
 //!   sweep holds fewer jobs than the pool has workers, so under the old
 //!   scheduler the surplus workers idled twice over; work stealing lets the
 //!   two sweeps interleave across all workers and lets each job's nested
@@ -15,11 +15,8 @@
 //!   time-slice one core and the ratio sits near 1×, which the archived JSON
 //!   reports honestly.
 //! * `dispatch_overhead` — the publish/claim round trip of one pool dispatch
-//!   against the same loop run inline: the host-side cost the
-//!   `mcl_gap9::DispatchModel::WorkStealing` constants
-//!   (`injector_publish_cycles`, `steal_cycles_per_worker`) are calibrated
-//!   from (host ns × 0.4 GHz ≈ GAP9 cycles at 400 MHz, same scaling as the
-//!   spawn-model calibration).
+//!   against the same loop run inline: the fixed host-side cost a kernel
+//!   dispatch adds on top of its work.
 //!
 //! Both groups emit JSON lines under `MCL_BENCH_JSON` and are archived into
 //! `BENCH_kernels.json` by the CI bench-smoke job, which runs them with
@@ -48,8 +45,8 @@ fn bench_contended_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("contended_dispatch");
     group.sample_size(10);
     // Two sweeps, one after the other, from one thread: the single-slot
-    // scheduler's contention behaviour (a sweep waited in dispatch_queued
-    // until the other released the pool).
+    // scheduler's contention behaviour (a sweep waited until the other
+    // released the pool).
     group.bench_with_input(
         BenchmarkId::new("serialized", "2x2jobs"),
         &scenario,
@@ -86,8 +83,7 @@ fn bench_dispatch_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("dispatch_overhead");
     group.sample_size(30);
     // One near-empty task per worker: the measured time is dominated by the
-    // publish + wakeup + per-worker claim round trip, the quantity the
-    // WorkStealing cost-model constants are calibrated from.
+    // publish + wakeup + per-worker claim round trip.
     let sink = AtomicU64::new(0);
     group.bench_with_input(
         BenchmarkId::new("pool_publish_claim", workers),

@@ -1,12 +1,12 @@
 //! Host micro-benchmark of the motion (prediction) step: the SoA
 //! [`mcl_core::kernel::motion_predict`] kernel on 1 and 8 workers, the three
 //! kernel backends on one full-population call, plus the `motion_dispatch`
-//! spawn-vs-pool group comparing the persistent worker pool against the
-//! scoped-spawn reference on identical chunk geometry.
+//! group timing the persistent worker pool at one and at eight workers on
+//! identical chunk geometry.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcl_core::kernel;
-use mcl_core::{ClusterLayout, MotionDelta, MotionModel, Particle, ParticleBuffer};
+use mcl_core::{ClusterLayout, KernelBackend, MotionDelta, MotionModel, Particle, ParticleBuffer};
 use mcl_gridmap::Pose2;
 
 fn particles(n: usize) -> Vec<Particle<f32>> {
@@ -46,9 +46,9 @@ fn bench_motion(c: &mut Criterion) {
     kernel_group.finish();
 
     // The three kernel backends on one full-population invocation. Scalar
-    // and lanes run the per-particle body one lane at a time; avx2 runs the
-    // Box–Muller pairs, the yaw sin_cos, the composition and the wrap 8 wide
-    // and should show the win.
+    // and lanes both run the per-particle body (prediction has no lane
+    // body); avx2 runs the Box–Muller pairs, the yaw sin_cos, the
+    // composition and the wrap 8 wide and should show the win.
     let mut backend_group = c.benchmark_group("motion_backend");
     backend_group.sample_size(30);
     {
@@ -68,7 +68,15 @@ fn bench_motion(c: &mut Criterion) {
             b.iter_batched(
                 || soa.clone(),
                 |mut batch| {
-                    kernel::motion_predict_lanes(batch.as_mut_slice(), &model, &delta, 7, 3, 0);
+                    kernel::motion_predict_with(
+                        KernelBackend::Lanes,
+                        batch.as_mut_slice(),
+                        &model,
+                        &delta,
+                        7,
+                        3,
+                        0,
+                    );
                     batch
                 },
                 criterion::BatchSize::LargeInput,
@@ -87,10 +95,9 @@ fn bench_motion(c: &mut Criterion) {
     }
     backend_group.finish();
 
-    // Spawn-vs-pool: the same motion kernel over the same chunks, executed on
-    // the persistent shared pool vs. fresh scoped threads per dispatch. At one
-    // worker both run inline on the caller (the pool must be no slower); at
-    // eight the pool removes the per-dispatch thread spawn from the hot path.
+    // Pool dispatch: the same motion kernel over the same chunks on the
+    // persistent shared pool. At one worker the kernel runs inline on the
+    // caller; at eight the chunks go to the resident workers.
     let mut dispatch_group = c.benchmark_group("motion_dispatch");
     dispatch_group.sample_size(30);
     let soa: ParticleBuffer<f32> = particles(4096).into_iter().collect();
@@ -104,22 +111,6 @@ fn bench_motion(c: &mut Criterion) {
                     || soa.clone(),
                     |mut batch| {
                         cluster.for_each_split(batch.as_mut_slice(), |start, chunk| {
-                            kernel::motion_predict(chunk, &model, &delta, 7, 3, start as u64);
-                        });
-                        batch
-                    },
-                    criterion::BatchSize::LargeInput,
-                )
-            },
-        );
-        dispatch_group.bench_with_input(
-            BenchmarkId::new(format!("scoped_spawn_{workers}w"), 4096usize),
-            &soa,
-            |b, soa| {
-                b.iter_batched(
-                    || soa.clone(),
-                    |mut batch| {
-                        cluster.for_each_split_scoped(batch.as_mut_slice(), |start, chunk| {
                             kernel::motion_predict(chunk, &model, &delta, 7, 3, start as u64);
                         });
                         batch

@@ -10,8 +10,8 @@
 //!   beams pre-flattened into a [`BeamBatch`] (partitioned for `r_max`, so the
 //!   per-particle loop body is branch-free), scored by
 //!   [`mcl_core::kernel::observation_log_likelihoods`] on 1 and 8 workers.
-//! * `observation_dispatch` — spawn-vs-pool: the same kernel over the same
-//!   chunks on the persistent worker pool vs. scoped threads per dispatch.
+//! * `observation_dispatch` — the same kernel over the same chunks on the
+//!   persistent worker pool at one and at eight workers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcl_core::kernel;
@@ -129,10 +129,9 @@ fn bench_observation(c: &mut Criterion) {
     }
     kernel_group.finish();
 
-    // Spawn-vs-pool on the dominating kernel of the update: identical chunk
-    // geometry, persistent pool vs. per-dispatch scoped threads. One worker
-    // runs inline on both paths (the pool must be no slower); at eight workers
-    // the pool amortizes thread startup away.
+    // Pool dispatch of the dominating kernel of the update: identical chunk
+    // geometry, inline on the caller at one worker and on the resident pool
+    // workers at eight.
     let mut dispatch_group = c.benchmark_group("observation_dispatch");
     dispatch_group.sample_size(30);
     {
@@ -149,28 +148,6 @@ fn bench_observation(c: &mut Criterion) {
                     b.iter(|| {
                         let mut out = vec![0.0f32; soa.len()];
                         cluster.for_each_split(
-                            (soa.as_slice(), out.as_mut_slice()),
-                            |_, (chunk, logs)| {
-                                kernel::observation_log_likelihoods(
-                                    chunk,
-                                    scenario.edt_fp32(),
-                                    &model,
-                                    &batch,
-                                    logs,
-                                );
-                            },
-                        );
-                        out
-                    })
-                },
-            );
-            dispatch_group.bench_with_input(
-                BenchmarkId::new(format!("scoped_spawn_{workers}w"), n),
-                &soa,
-                |b, soa| {
-                    b.iter(|| {
-                        let mut out = vec![0.0f32; soa.len()];
-                        cluster.for_each_split_scoped(
                             (soa.as_slice(), out.as_mut_slice()),
                             |_, (chunk, logs)| {
                                 kernel::observation_log_likelihoods(

@@ -2,9 +2,9 @@
 //! circular mean over the yaw): the seed's array-of-structs
 //! `PoseEstimate::from_particles` vs. the fixed-block SoA reduction kernel
 //! ([`mcl_core::kernel::pose_estimate`]) on 1 and 8 workers, plus the
-//! `pose_dispatch` spawn-vs-pool group running the fixed-block
+//! `pose_dispatch` group running the fixed-block
 //! [`PosePartials`](mcl_core::kernel::PosePartials) reduction on the
-//! persistent pool vs. scoped threads per dispatch.
+//! persistent pool at one and at eight workers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcl_core::kernel;
@@ -76,9 +76,9 @@ fn bench_pose(c: &mut Criterion) {
     }
     backend_group.finish();
 
-    // Spawn-vs-pool on the pose reduction: the same fixed 256-particle blocks
-    // folded in order, distributed over the persistent pool vs. scoped threads
-    // spawned per dispatch.
+    // Pool dispatch of the pose reduction: the same fixed 256-particle blocks
+    // folded in order, inline at one worker and distributed over the
+    // persistent pool at eight.
     let mut dispatch_group = c.benchmark_group("pose_dispatch");
     dispatch_group.sample_size(30);
     {
@@ -108,18 +108,6 @@ fn bench_pose(c: &mut Criterion) {
                     )
                 })
             });
-            dispatch_group.bench_function(
-                BenchmarkId::new(format!("scoped_spawn_{workers}w"), n),
-                |b| {
-                    b.iter(|| {
-                        fold(cluster.map_index_blocks_scoped(
-                            n,
-                            kernel::POSE_REDUCTION_BLOCK,
-                            |start, end| kernel::PosePartials::accumulate(slice_of(start, end)),
-                        ))
-                    })
-                },
-            );
         }
     }
     dispatch_group.finish();

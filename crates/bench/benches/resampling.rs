@@ -2,8 +2,8 @@
 //! partial-sum decomposition used for the 8-core cluster (`resampling_step`),
 //! plus the full step — plan + particle scatter + weight reset — on the seed's
 //! array-of-structs path vs. the SoA scatter kernel (`resampling_kernel`),
-//! plus the `resampling_dispatch` spawn-vs-pool group running the plan's
-//! per-worker scatter ranges on the persistent pool vs. scoped threads.
+//! plus the `resampling_dispatch` group running the plan's per-worker
+//! scatter ranges on the persistent pool at one and at eight workers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcl_core::kernel;
@@ -195,9 +195,9 @@ fn bench_resampling(c: &mut Criterion) {
     }
     backend_group.finish();
 
-    // Spawn-vs-pool on the scatter: identical plan (so identical per-worker
-    // output ranges), executed through the persistent pool vs. per-dispatch
-    // scoped threads.
+    // Pool dispatch of the scatter: identical plan (so identical per-worker
+    // output ranges), inline at one worker and on the persistent pool at
+    // eight.
     let mut dispatch_group = c.benchmark_group("resampling_dispatch");
     dispatch_group.sample_size(30);
     {
@@ -215,31 +215,6 @@ fn bench_resampling(c: &mut Criterion) {
                         || soa.clone(),
                         |mut scratch| {
                             cluster.for_each_range(
-                                (scratch.as_mut_slice(), plan.indices.as_slice()),
-                                &plan.worker_output_ranges,
-                                |_, (target, indices)| {
-                                    kernel::resample_scatter(
-                                        soa.as_slice(),
-                                        target,
-                                        indices,
-                                        uniform,
-                                    );
-                                },
-                            );
-                            scratch.get(0)
-                        },
-                        criterion::BatchSize::LargeInput,
-                    )
-                },
-            );
-            dispatch_group.bench_with_input(
-                BenchmarkId::new(format!("scoped_spawn_{workers}w"), n),
-                &soa,
-                |b, soa| {
-                    b.iter_batched(
-                        || soa.clone(),
-                        |mut scratch| {
-                            cluster.for_each_range_scoped(
                                 (scratch.as_mut_slice(), plan.indices.as_slice()),
                                 &plan.worker_output_ranges,
                                 |_, (target, indices)| {

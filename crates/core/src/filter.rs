@@ -20,21 +20,23 @@
 //! persistent shared [`crate::pool::WorkerPool`] (resident threads, no spawn
 //! per update — and a filter updating inside an already-parallel job, such as
 //! an `mcl_sim::run_batch` worker, automatically runs its kernels inline
-//! instead of oversubscribing the host). The beams of the observation are
-//! flattened into a [`BeamBatch`] **once per update** and partitioned for the
-//! configured `r_max` so the correction loop body is branch-free. When the
-//! batch carries anchor ranges, the anchor-range kernel *adds* its per-sensor
-//! log-likelihoods into the same per-particle accumulator the beam kernel
-//! fills, so the correct step stays one reweight pass regardless of how many
+//! instead of oversubscribing the host). The beams of the observation arrive
+//! flattened into a [`BeamBatch`](mcl_sensor::BeamBatch) that the caller
+//! partitions **once per update** for the configured `r_max`, so the
+//! correction loop body is branch-free. When the batch carries anchor
+//! ranges, the anchor-range kernel *adds* its per-sensor log-likelihoods
+//! into the same per-particle accumulator the beam kernel fills, so the
+//! correct step stays one reweight pass regardless of how many
 //! sensor modalities contributed. Per-update scratch buffers
 //! (log-likelihoods, f32 weights) are reused across updates, so the
 //! steady-state hot path performs no heap allocation beyond the resampling
 //! plan.
 //!
-//! The pre-fusion beam-only entry points (`update`, `update_batch`,
-//! `force_update`, `force_update_batch`) remain as deprecated shims that
-//! forward to the same iteration with no anchor block — bit-identical to the
-//! pre-redesign behaviour, as pinned by the golden trace test.
+//! A beam-only observation is an [`ObservationBatch`] without an anchor
+//! block ([`ObservationBatch::from_beams`] /
+//! [`ObservationBatch::from_beam_batch`]); the anchor kernel is gated on
+//! [`ObservationBatch::has_anchors`], so such an update executes the exact
+//! beam-only instruction sequence the golden trace test pins.
 
 use crate::adaptive::{self, AdaptiveState};
 use crate::config::{MclConfig, MclError};
@@ -48,7 +50,7 @@ use crate::resampling::{PartialSumResampler, ResamplePlan};
 use crate::rng::CounterRng;
 use mcl_gridmap::{DistanceField, OccupancyGrid, Pose2};
 use mcl_num::Scalar;
-use mcl_sensor::{Beam, BeamBatch, ObservationBatch};
+use mcl_sensor::ObservationBatch;
 
 /// Result of offering an observation to the filter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -276,14 +278,14 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
     /// Per-sensor log-likelihood kernels sum into the particle weights: the
     /// beam kernel fills the per-particle accumulator, then (only when the
     /// batch [carries anchors](ObservationBatch::has_anchors)) the
-    /// anchor-range kernel adds its scores on top. A beam-only batch is
-    /// bit-identical to the deprecated [`MonteCarloLocalization::update_batch`]
-    /// path; non-finite anchor ranges are skipped, never propagated.
+    /// anchor-range kernel adds its scores on top. A beam-only batch runs
+    /// no anchor dispatch at all; non-finite anchor ranges are skipped,
+    /// never propagated.
     ///
-    /// Callers that [partition](BeamBatch::partition_in_range) the beam block
-    /// for this filter's `r_max` get the branch-free correction loop; an
-    /// unpartitioned batch is scored through the (bit-identical) per-beam
-    /// range test.
+    /// Callers that [partition](ObservationBatch::partition_in_range) the
+    /// beam block for this filter's `r_max` get the branch-free correction
+    /// loop; an unpartitioned batch is scored through the (bit-identical)
+    /// per-beam range test and counted with the same `r < r_max` predicate.
     ///
     /// # Errors
     ///
@@ -300,9 +302,7 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
             self.counters.updates_skipped += 1;
             return Ok(UpdateOutcome::Skipped);
         }
-        Ok(UpdateOutcome::Applied(
-            self.apply_iteration(observations.beams(), Some(observations)),
-        ))
+        Ok(UpdateOutcome::Applied(self.apply_iteration(observations)))
     }
 
     /// Applies one full multi-sensor MCL iteration regardless of the motion
@@ -319,90 +319,7 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
             self.particles.is_initialized(),
             "initialize the particle set before updating"
         );
-        self.apply_iteration(observations.beams(), Some(observations))
-    }
-
-    /// Offers a beam-only observation to the filter. Applies the full MCL
-    /// iteration when the motion gate is open, otherwise skips it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MclError::NotInitialized`] before the particles have been
-    /// initialized.
-    #[deprecated(
-        note = "use `update_observations` with an `ObservationBatch` (beam-only batches are bit-identical to this shim)"
-    )]
-    pub fn update(&mut self, beams: &[Beam]) -> Result<UpdateOutcome, MclError> {
-        if !self.particles.is_initialized() {
-            return Err(MclError::NotInitialized);
-        }
-        if !self.gate_open() {
-            self.counters.updates_skipped += 1;
-            return Ok(UpdateOutcome::Skipped);
-        }
-        let mut batch = BeamBatch::from_beams(beams);
-        batch.partition_in_range(self.config.r_max);
-        Ok(UpdateOutcome::Applied(self.apply_iteration(&batch, None)))
-    }
-
-    /// Offers a pre-flattened beam-only observation to the filter — the
-    /// allocation-lean entry point for callers that build the [`BeamBatch`]
-    /// straight from sensor frames. Callers that additionally
-    /// [partition](BeamBatch::partition_in_range) the batch for this filter's
-    /// `r_max` get the branch-free correction loop; an unpartitioned batch is
-    /// scored through the (bit-identical) per-beam range test.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MclError::NotInitialized`] before the particles have been
-    /// initialized.
-    #[deprecated(
-        note = "use `update_observations` with an `ObservationBatch` (beam-only batches are bit-identical to this shim)"
-    )]
-    pub fn update_batch(&mut self, batch: &BeamBatch) -> Result<UpdateOutcome, MclError> {
-        if !self.particles.is_initialized() {
-            return Err(MclError::NotInitialized);
-        }
-        if !self.gate_open() {
-            self.counters.updates_skipped += 1;
-            return Ok(UpdateOutcome::Skipped);
-        }
-        Ok(UpdateOutcome::Applied(self.apply_iteration(batch, None)))
-    }
-
-    /// Applies one full beam-only MCL iteration regardless of the motion gate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the particles have not been initialized; use
-    /// [`MonteCarloLocalization::update`] for the checked variant.
-    #[deprecated(
-        note = "use `force_update_observations` with an `ObservationBatch` (beam-only batches are bit-identical to this shim)"
-    )]
-    pub fn force_update(&mut self, beams: &[Beam]) -> PoseEstimate {
-        let mut batch = BeamBatch::from_beams(beams);
-        batch.partition_in_range(self.config.r_max);
-        assert!(
-            self.particles.is_initialized(),
-            "initialize the particle set before updating"
-        );
-        self.apply_iteration(&batch, None)
-    }
-
-    /// Batched variant of [`MonteCarloLocalization::force_update`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the particles have not been initialized.
-    #[deprecated(
-        note = "use `force_update_observations` with an `ObservationBatch` (beam-only batches are bit-identical to this shim)"
-    )]
-    pub fn force_update_batch(&mut self, batch: &BeamBatch) -> PoseEstimate {
-        assert!(
-            self.particles.is_initialized(),
-            "initialize the particle set before updating"
-        );
-        self.apply_iteration(batch, None)
+        self.apply_iteration(observations)
     }
 
     /// The current pose estimate (weighted particle average), reduced by the
@@ -457,15 +374,9 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
         estimate
     }
 
-    /// One full prediction–correction–resampling–pose sequence. `fused`
-    /// carries the anchor-range block when the caller came through the
-    /// multi-sensor API; `None` (the deprecated beam-only shims) runs the
-    /// exact pre-fusion instruction sequence.
-    fn apply_iteration(
-        &mut self,
-        batch: &BeamBatch,
-        fused: Option<&ObservationBatch>,
-    ) -> PoseEstimate {
+    /// One full prediction–correction–resampling–pose sequence.
+    fn apply_iteration(&mut self, observations: &ObservationBatch) -> PoseEstimate {
+        let batch = observations.beams();
         let delta = self.pending;
         self.pending = MotionDelta::default();
         self.update_counter += 1;
@@ -523,27 +434,25 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
         // the accumulator the beam kernel just filled — per-sensor
         // log-likelihoods sum, which is the independent-sensor fusion rule.
         // The dispatch is strictly gated on the anchor block being non-empty
-        // so beam-only updates execute the exact pre-fusion floating-point
+        // so beam-only updates execute the exact beam-only floating-point
         // sequence (golden-trace pinned).
-        if let Some(observations) = fused {
-            if observations.has_anchors() {
-                let anchor_model = self.anchor_model;
-                cluster.for_each_split(
-                    (
-                        self.particles.current().as_slice(),
-                        self.log_likelihoods.as_mut_slice(),
-                    ),
-                    |_, (chunk, out)| {
-                        kernel::anchor_log_likelihoods_with(
-                            backend,
-                            chunk,
-                            &anchor_model,
-                            observations,
-                            out,
-                        );
-                    },
-                );
-            }
+        if observations.has_anchors() {
+            let anchor_model = self.anchor_model;
+            cluster.for_each_split(
+                (
+                    self.particles.current().as_slice(),
+                    self.log_likelihoods.as_mut_slice(),
+                ),
+                |_, (chunk, out)| {
+                    kernel::anchor_log_likelihoods_with(
+                        backend,
+                        chunk,
+                        &anchor_model,
+                        observations,
+                        out,
+                    );
+                },
+            );
         }
         let mut max_log = self
             .log_likelihoods
@@ -571,17 +480,16 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
         //   weights and logs, so the outcome is schedule- and
         //   backend-independent.
         let raw_mean_likelihood = if self.adaptive.is_some() {
-            // Per-observation normalization count: in-range beams plus, for
-            // fused updates, the usable (finite) anchor ranges that also
-            // contributed log-likelihood mass. Integer-only, so the
-            // beam-only value is unchanged from the pre-fusion behaviour.
-            let mut observations_used = batch
-                .in_range_prefix(self.config.r_max)
-                .unwrap_or_else(|| batch.len());
-            if let Some(observations) = fused {
-                observations_used += observations.usable_anchor_count();
-            }
-            let beams = observations_used.max(1);
+            // Per-observation normalization count: in-range beams plus the
+            // usable (finite) anchor ranges that also contributed
+            // log-likelihood mass. An unpartitioned batch counts its in-range
+            // beams with the partition's own `r < r_max` predicate, so
+            // partitioning stays an execution detail here too.
+            let r_max = self.config.r_max;
+            let in_range = batch
+                .in_range_prefix(r_max)
+                .unwrap_or_else(|| batch.beams_within(r_max));
+            let beams = (in_range + observations.usable_anchor_count()).max(1);
             // Halve the tempering floor while a recovery episode runs: the
             // episode exists to let freshly injected hypotheses seize mass
             // from a wrong mode quickly, which is exactly the weight
@@ -840,14 +748,11 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
 
 #[cfg(test)]
 mod tests {
-    // The pre-fusion entry points are deprecated shims whose behaviour these
-    // tests deliberately keep pinned alongside the fused paths.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::adaptive::AdaptiveConfig;
     use mcl_gridmap::{EuclideanDistanceField, MapBuilder, OccupancyGrid};
     use mcl_num::F16;
-    use mcl_sensor::{AnchorRange, SensorConfig, SensorRig};
+    use mcl_sensor::{AnchorRange, Beam, SensorConfig, SensorRig};
     use rand::SeedableRng;
 
     fn arena() -> OccupancyGrid {
@@ -888,11 +793,19 @@ mod tests {
     fn update_before_initialization_is_an_error() {
         let map = arena();
         let mut mcl = MonteCarloLocalization::<f32, _>::new(config(64), edt(&map)).unwrap();
-        assert_eq!(mcl.update(&[]).unwrap_err(), MclError::NotInitialized);
         assert_eq!(
-            mcl.update_batch(&BeamBatch::default()).unwrap_err(),
+            mcl.update_observations(&ObservationBatch::new())
+                .unwrap_err(),
             MclError::NotInitialized
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "initialize the particle set before updating")]
+    fn force_update_before_initialization_panics() {
+        let map = arena();
+        let mut mcl = MonteCarloLocalization::<f32, _>::new(config(64), edt(&map)).unwrap();
+        let _ = mcl.force_update_observations(&ObservationBatch::new());
     }
 
     #[test]
@@ -901,15 +814,24 @@ mod tests {
         let mut mcl = MonteCarloLocalization::<f32, _>::new(config(128), edt(&map)).unwrap();
         mcl.initialize_uniform(&map, 1).unwrap();
         // No motion at all: skipped.
-        assert_eq!(mcl.update(&[]).unwrap(), UpdateOutcome::Skipped);
+        assert_eq!(
+            mcl.update_observations(&ObservationBatch::new()).unwrap(),
+            UpdateOutcome::Skipped
+        );
         // Small motion below both gates: still skipped.
         mcl.predict(MotionDelta::new(0.04, 0.0, 0.02));
         assert!(!mcl.gate_open());
-        assert_eq!(mcl.update(&[]).unwrap(), UpdateOutcome::Skipped);
+        assert_eq!(
+            mcl.update_observations(&ObservationBatch::new()).unwrap(),
+            UpdateOutcome::Skipped
+        );
         // Enough translation: applied.
         mcl.predict(MotionDelta::new(0.07, 0.0, 0.0));
         assert!(mcl.gate_open());
-        assert!(mcl.update(&[]).unwrap().is_applied());
+        assert!(mcl
+            .update_observations(&ObservationBatch::new())
+            .unwrap()
+            .is_applied());
         // The pending motion is consumed by the applied update.
         assert!(mcl.pending_motion().is_zero());
         let counters = mcl.counters();
@@ -940,7 +862,9 @@ mod tests {
             mcl.predict(MotionDelta::new(f32::NAN, f32::NAN, f32::NAN));
             mcl.predict(MotionDelta::new(0.06, 0.0, 0.01));
             let beams = rig.observe(&map, &truth, f64::from(step) / 15.0, &mut rng);
-            let outcome = mcl.update(&beams).unwrap();
+            let outcome = mcl
+                .update_observations(&ObservationBatch::from_beams(&beams))
+                .unwrap();
             let estimate = outcome.estimate().expect("0.12 m opens the gate");
             assert!(estimate.pose.x.is_finite(), "step {step}");
             assert!(estimate.pose.y.is_finite(), "step {step}");
@@ -959,16 +883,24 @@ mod tests {
         mcl.initialize_uniform(&map, 1).unwrap();
         mcl.predict(MotionDelta::new(0.0, 0.0, 0.15));
         assert!(mcl.gate_open());
-        assert!(mcl.update(&[]).unwrap().is_applied());
+        assert!(mcl
+            .update_observations(&ObservationBatch::new())
+            .unwrap()
+            .is_applied());
     }
 
     #[test]
     fn beam_and_batch_entry_points_agree_exactly() {
+        // Partitioning the beam block is an execution detail: a batch the
+        // caller partitioned for `r_max` and the same batch left
+        // unpartitioned must produce the same particles.
         let map = arena();
-        let mut via_beams = MonteCarloLocalization::<f32, _>::new(config(256), edt(&map)).unwrap();
-        let mut via_batch = MonteCarloLocalization::<f32, _>::new(config(256), edt(&map)).unwrap();
-        via_beams.initialize_uniform(&map, 7).unwrap();
-        via_batch.initialize_uniform(&map, 7).unwrap();
+        let cfg = config(256);
+        let r_max = cfg.r_max;
+        let mut partitioned = MonteCarloLocalization::<f32, _>::new(cfg, edt(&map)).unwrap();
+        let mut unpartitioned = MonteCarloLocalization::<f32, _>::new(cfg, edt(&map)).unwrap();
+        partitioned.initialize_uniform(&map, 7).unwrap();
+        unpartitioned.initialize_uniform(&map, 7).unwrap();
         let rig = rig();
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let mut truth = Pose2::new(1.0, 1.0, 0.0);
@@ -977,52 +909,115 @@ mod tests {
             let delta = MotionDelta::between(&truth, &next);
             truth = next;
             let beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
-            via_beams.predict(delta);
-            via_batch.predict(delta);
-            let a = via_beams.update(&beams).unwrap();
-            let b = via_batch
-                .update_batch(&BeamBatch::from_beams(&beams))
-                .unwrap();
-            assert_eq!(a, b);
-        }
-        assert_eq!(
-            via_beams.particles().current(),
-            via_batch.particles().current()
-        );
-    }
-
-    #[test]
-    fn beam_only_observation_batch_matches_the_deprecated_shim_exactly() {
-        // The redesigned entry point with an anchor-free batch must replay
-        // the exact floating-point sequence of the deprecated beam-only
-        // path — this is the compatibility contract the shims promise.
-        let map = arena();
-        let mut via_shim = MonteCarloLocalization::<f32, _>::new(config(256), edt(&map)).unwrap();
-        let mut via_fused = MonteCarloLocalization::<f32, _>::new(config(256), edt(&map)).unwrap();
-        via_shim.initialize_uniform(&map, 7).unwrap();
-        via_fused.initialize_uniform(&map, 7).unwrap();
-        let rig = rig();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let mut truth = Pose2::new(1.0, 1.0, 0.0);
-        for step in 0..5 {
-            let next = truth.compose(&Pose2::new(0.12, 0.0, 0.05));
-            let delta = MotionDelta::between(&truth, &next);
-            truth = next;
-            let beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
-            via_shim.predict(delta);
-            via_fused.predict(delta);
-            let a = via_shim
-                .update_batch(&BeamBatch::from_beams(&beams))
-                .unwrap();
-            let b = via_fused
+            partitioned.predict(delta);
+            unpartitioned.predict(delta);
+            let mut batch = ObservationBatch::from_beams(&beams);
+            batch.partition_in_range(r_max);
+            let a = partitioned.update_observations(&batch).unwrap();
+            let b = unpartitioned
                 .update_observations(&ObservationBatch::from_beams(&beams))
                 .unwrap();
             assert_eq!(a, b);
         }
         assert_eq!(
-            via_shim.particles().current(),
-            via_fused.particles().current()
+            partitioned.particles().current(),
+            unpartitioned.particles().current()
         );
+    }
+
+    #[test]
+    fn adaptive_results_do_not_depend_on_beam_partitioning() {
+        // The Augmented-MCL monitor normalizes by the in-range beam count;
+        // an unpartitioned batch must count beams at or past `r_max` (and
+        // NaN beams) exactly as the partition does — not at all.
+        let map = arena();
+        let cfg = config(1024).with_adaptive(AdaptiveConfig::enabled());
+        let r_max = cfg.r_max;
+        let mut partitioned = MonteCarloLocalization::<f32, _>::new(cfg, edt(&map)).unwrap();
+        let mut unpartitioned = MonteCarloLocalization::<f32, _>::new(cfg, edt(&map)).unwrap();
+        partitioned.initialize_uniform(&map, 5).unwrap();
+        unpartitioned.initialize_uniform(&map, 5).unwrap();
+        let rig = rig();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut truth = Pose2::new(1.0, 1.0, 0.0);
+        let far = Beam {
+            azimuth_body_rad: 0.0,
+            range_m: r_max + 0.5,
+            origin_body: Pose2::default(),
+        };
+        for step in 0..60 {
+            let next = truth.compose(&Pose2::new(0.11, 0.0, 0.05));
+            let delta = MotionDelta::between(&truth, &next);
+            truth = next;
+            let mut beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
+            beams.push(far);
+            partitioned.predict(delta);
+            unpartitioned.predict(delta);
+            let mut batch = ObservationBatch::from_beams(&beams);
+            batch.partition_in_range(r_max);
+            let _ = partitioned.update_observations(&batch).unwrap();
+            let _ = unpartitioned
+                .update_observations(&ObservationBatch::from_beams(&beams))
+                .unwrap();
+            assert_eq!(
+                partitioned.particles().current(),
+                unpartitioned.particles().current(),
+                "diverged at update {step}"
+            );
+        }
+    }
+
+    #[test]
+    fn nan_denied_anchors_leave_a_beam_update_unchanged() {
+        // Every anchor range denied (NaN): the anchor kernel runs but scores
+        // nothing, so the particles match the same beams without an anchor
+        // block — with fixed and with adaptive population alike.
+        let map = arena();
+        for cfg in [
+            config(512),
+            config(512).with_adaptive(AdaptiveConfig::enabled()),
+        ] {
+            let mut beam_only = MonteCarloLocalization::<f32, _>::new(cfg, edt(&map)).unwrap();
+            let mut denied = MonteCarloLocalization::<f32, _>::new(cfg, edt(&map)).unwrap();
+            beam_only.initialize_uniform(&map, 23).unwrap();
+            denied.initialize_uniform(&map, 23).unwrap();
+            let rig = rig();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+            let mut truth = Pose2::new(1.0, 1.2, 0.1);
+            for step in 0..8 {
+                let next = truth.compose(&Pose2::new(0.12, 0.0, 0.04));
+                let delta = MotionDelta::between(&truth, &next);
+                truth = next;
+                let beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
+                beam_only.predict(delta);
+                denied.predict(delta);
+                let batch = ObservationBatch::from_beams(&beams);
+                let mut with_denied = batch.clone();
+                with_denied.push_anchor(AnchorRange::new(0.3, 0.3, f32::NAN));
+                with_denied.push_anchor(AnchorRange::new(3.7, 0.4, f32::NAN));
+                let a = beam_only.update_observations(&batch).unwrap();
+                let b = denied.update_observations(&with_denied).unwrap();
+                assert_eq!(a, b, "step {step}");
+            }
+            assert_eq!(
+                beam_only.particles().current(),
+                denied.particles().current()
+            );
+        }
+    }
+
+    #[test]
+    fn empty_observation_leaves_finite_uniform_weights() {
+        let map = arena();
+        let mut mcl = MonteCarloLocalization::<f32, _>::new(config(128), edt(&map)).unwrap();
+        mcl.initialize_uniform(&map, 4).unwrap();
+        let estimate = mcl.force_update_observations(&ObservationBatch::new());
+        assert!(estimate.pose.x.is_finite() && estimate.pose.y.is_finite());
+        let expected = 1.0 / 128.0;
+        for p in mcl.particles().iter() {
+            assert!(p.weight_f32().is_finite());
+            assert!((p.weight_f32() - expected).abs() < 1e-6);
+        }
     }
 
     #[test]
@@ -1106,7 +1101,9 @@ mod tests {
             truth = next;
             mcl.predict(delta);
             let beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
-            let _ = mcl.update(&beams).unwrap();
+            let _ = mcl
+                .update_observations(&ObservationBatch::from_beams(&beams))
+                .unwrap();
         }
         let estimate = mcl.estimate();
         let err = estimate.pose.translation_distance(&truth);
@@ -1149,7 +1146,9 @@ mod tests {
                 t += 1.0 / 15.0;
                 mcl.predict(delta);
                 let beams = rig.observe(&map, &truth, t, &mut rng);
-                let _ = mcl.update(&beams).unwrap();
+                let _ = mcl
+                    .update_observations(&ObservationBatch::from_beams(&beams))
+                    .unwrap();
             }
         }
         let estimate = mcl.estimate();
@@ -1179,8 +1178,12 @@ mod tests {
             let beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
             seq.predict(delta);
             par.predict(delta);
-            let _ = seq.update(&beams).unwrap();
-            let _ = par.update(&beams).unwrap();
+            let _ = seq
+                .update_observations(&ObservationBatch::from_beams(&beams))
+                .unwrap();
+            let _ = par
+                .update_observations(&ObservationBatch::from_beams(&beams))
+                .unwrap();
         }
         assert_eq!(seq.particles().current(), par.particles().current());
         // The fixed-block pose reduction is bit-identical too.
@@ -1206,7 +1209,9 @@ mod tests {
             truth = next;
             mcl.predict(delta);
             let beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
-            let _ = mcl.update(&beams).unwrap();
+            let _ = mcl
+                .update_observations(&ObservationBatch::from_beams(&beams))
+                .unwrap();
         }
         let err = mcl.estimate().pose.translation_distance(&truth);
         assert!(err < 0.35, "fp16 tracking error too large: {err}");
@@ -1222,7 +1227,7 @@ mod tests {
         let truth = Pose2::new(0.8, 0.8, 0.4);
         let beams = rig.observe(&map, &truth, 0.0, &mut rng);
         let before = mcl.estimate();
-        let after = mcl.force_update(&beams);
+        let after = mcl.force_update_observations(&ObservationBatch::from_beams(&beams));
         // The update ran (weights were reset, resampling happened) even though
         // the drone never moved.
         assert_eq!(mcl.counters().updates_applied, 1);
@@ -1238,7 +1243,7 @@ mod tests {
         let rig = rig();
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let beams = rig.observe(&map, &Pose2::new(1.0, 1.0, 0.0), 0.0, &mut rng);
-        let _ = mcl.force_update(&beams);
+        let _ = mcl.force_update_observations(&ObservationBatch::from_beams(&beams));
         let expected = 1.0 / 128.0;
         for p in mcl.particles().iter() {
             assert!((p.weight_f32() - expected).abs() < 1e-6);

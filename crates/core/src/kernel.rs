@@ -33,14 +33,17 @@
 //!   straight-line array arithmetic the compiler can autovectorize (the shape
 //!   of the paper's GAP9 fp16-SIMD inner loops), followed by a
 //!   **scalar-reference tail** for the `len % LANES` leftover particles.
+//!   The prediction step has no lane body: its per-particle sampling gains
+//!   nothing from lane-shaped gathers, so `Lanes` runs [`motion_predict`].
 //! * [`KernelBackend::Avx2`] — explicit `core::arch::x86_64` intrinsics: the
 //!   same [`LANES`]-wide groups issued as 8×f32 register ops (including the
 //!   gather-based quantized/fp16 EDT lookups of
 //!   [`DistanceField::distances_at_world_lanes_avx2`]), runtime-gated behind
 //!   `is_x86_feature_detected!("avx2")`. On any host where the probe fails —
 //!   and on non-x86 builds, where the intrinsic bodies do not exist — every
-//!   `Avx2` dispatch falls back to the `Lanes` body, so selecting it is
-//!   always safe and always bit-identical.
+//!   `Avx2` dispatch falls back to the body `Lanes` runs (the scalar
+//!   [`motion_predict`] for prediction, the lane bodies elsewhere), so
+//!   selecting it is always safe and always bit-identical.
 //!
 //! The lane-width contract: lane grouping is an *execution* detail, never a
 //! *numeric* one. Each lane performs exactly the per-particle op sequence of
@@ -80,7 +83,7 @@ use crate::estimate::PoseEstimate;
 use crate::motion::{MotionDelta, MotionModel};
 use crate::observation::{AnchorRangeModel, BeamEndPointModel};
 use crate::parallel::ClusterLayout;
-use crate::particle::{Particle, ParticleBuffer, ParticleSlice, ParticleSliceMut};
+use crate::particle::{ParticleBuffer, ParticleSlice, ParticleSliceMut};
 use mcl_gridmap::{DistanceField, Pose2};
 use mcl_num::math::{exp, sin_cos};
 use mcl_num::{angular_difference, normalize_angle, Scalar};
@@ -111,8 +114,8 @@ pub enum KernelBackend {
     /// kept as the equivalence baseline and the tail body of `Lanes`.
     Scalar,
     /// Lane-batched loops: fixed [`LANES`]-wide, autovectorizer-friendly
-    /// chunk bodies plus a scalar-reference tail. Bit-identical to `Scalar`;
-    /// the portable default.
+    /// chunk bodies plus a scalar-reference tail; prediction runs the
+    /// `Scalar` body. Bit-identical to `Scalar`; the portable default.
     #[default]
     Lanes,
     /// Explicit AVX2 intrinsic bodies (x86-64, runtime-detected): the lane
@@ -157,8 +160,9 @@ impl KernelBackend {
     /// Whether this backend's dedicated kernel bodies can run on this host.
     /// `Scalar` and `Lanes` are portable; `Avx2` requires a runtime-detected
     /// x86-64 AVX2 CPU. Dispatching an unavailable backend is still valid —
-    /// it runs the `Lanes` bodies — so this only reports whether selecting it
-    /// changes the instructions executed.
+    /// it runs what `Lanes` runs (the lane bodies, and the scalar
+    /// [`motion_predict`] for prediction) — so this only reports whether
+    /// selecting it changes the instructions executed.
     pub fn is_available(self) -> bool {
         match self {
             KernelBackend::Scalar | KernelBackend::Lanes => true,
@@ -248,60 +252,13 @@ pub fn motion_predict<S: Scalar>(
     }
 }
 
-/// Lane-batched prediction kernel: samples the chunk in [`LANES`]-wide groups
-/// (per-group component gathers and scatters over the SoA arrays) with a
-/// scalar-reference tail. The per-particle body — four uniforms from the
-/// `(seed, update, global index)` stream, two Box–Muller pairs and the pose
-/// composition — runs through [`MotionModel::sample`] per lane, so this
-/// kernel is bandwidth-shaped rather than arithmetic-vectorized; the
-/// arithmetic runs 8 wide in [`motion_predict_avx2`]. Bit-identical to
-/// [`motion_predict`].
-pub fn motion_predict_lanes<S: Scalar>(
-    mut particles: ParticleSliceMut<'_, S>,
-    model: &MotionModel,
-    delta: &MotionDelta,
-    seed: u64,
-    update_index: u64,
-    first_index: u64,
-) {
-    let n = particles.len();
-    let mut i = 0usize;
-    while i + LANES <= n {
-        let lane: [Particle<S>; LANES] = core::array::from_fn(|l| {
-            let p = particles.get(i + l);
-            model.sample(&p, delta, seed, update_index, first_index + (i + l) as u64)
-        });
-        for (dst, p) in particles.x[i..i + LANES].iter_mut().zip(&lane) {
-            *dst = p.x;
-        }
-        for (dst, p) in particles.y[i..i + LANES].iter_mut().zip(&lane) {
-            *dst = p.y;
-        }
-        for (dst, p) in particles.theta[i..i + LANES].iter_mut().zip(&lane) {
-            *dst = p.theta;
-        }
-        for (dst, p) in particles.weight[i..i + LANES].iter_mut().zip(&lane) {
-            *dst = p.weight;
-        }
-        i += LANES;
-    }
-    for j in i..n {
-        let p = particles.get(j);
-        particles.set(
-            j,
-            model.sample(&p, delta, seed, update_index, first_index + j as u64),
-        );
-    }
-}
-
 /// The [`KernelBackend::Avx2`] prediction kernel. Per [`LANES`]-wide group
 /// the eight SplitMix64 streams draw their four uniforms in 4×u64 registers
 /// (`crate::simd::counter_uniforms`), then both Box–Muller pairs, the noise,
 /// the yaw `sin_cos`, the pose composition and the angle wrap run as 8-wide
 /// register ops (`crate::simd::motion_group`, the lane replay of
-/// [`MotionModel::sample`]), with the same scalar-reference tail as the
-/// lane kernel. Falls back to [`motion_predict_lanes`] without AVX2 and on
-/// non-x86 builds. Bit-identical to [`motion_predict`] in every case.
+/// [`MotionModel::sample`]), followed by a scalar-reference tail. Falls back
+/// to [`motion_predict`] without AVX2 and on non-x86 builds. Bit-identical to [`motion_predict`] in every case.
 pub fn motion_predict_avx2<S: Scalar>(
     mut particles: ParticleSliceMut<'_, S>,
     model: &MotionModel,
@@ -337,7 +294,7 @@ pub fn motion_predict_avx2<S: Scalar>(
         }
         return;
     }
-    motion_predict_lanes(particles, model, delta, seed, update_index, first_index)
+    motion_predict(particles, model, delta, seed, update_index, first_index)
 }
 
 /// Dispatches the prediction kernel of the selected [`KernelBackend`].
@@ -351,11 +308,8 @@ pub fn motion_predict_with<S: Scalar>(
     first_index: u64,
 ) {
     match backend {
-        KernelBackend::Scalar => {
+        KernelBackend::Scalar | KernelBackend::Lanes => {
             motion_predict(particles, model, delta, seed, update_index, first_index)
-        }
-        KernelBackend::Lanes => {
-            motion_predict_lanes(particles, model, delta, seed, update_index, first_index)
         }
         KernelBackend::Avx2 => {
             motion_predict_avx2(particles, model, delta, seed, update_index, first_index)
@@ -1702,7 +1656,15 @@ mod tests {
         let mut scalar = buffer(n);
         motion_predict(scalar.as_mut_slice(), &model, &delta, 9, 2, 0);
         let mut lanes = buffer(n);
-        motion_predict_lanes(lanes.as_mut_slice(), &model, &delta, 9, 2, 0);
+        motion_predict_with(
+            KernelBackend::Lanes,
+            lanes.as_mut_slice(),
+            &model,
+            &delta,
+            9,
+            2,
+            0,
+        );
         assert_eq!(scalar, lanes);
 
         let map = MapBuilder::new(4.0, 4.0, 0.05).border_walls().build();

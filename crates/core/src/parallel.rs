@@ -23,13 +23,12 @@
 //! through the pool's work-stealing scheduler — per-worker Chase–Lev deques
 //! plus a shared injector — so no OS thread is spawned on the hot path and
 //! any number of independent dispatches share the workers concurrently.
-//! Chunk boundaries are computed *before* execution and are identical for
-//! the pool and for the scoped-spawn reference, so neither the backend nor
-//! the steal schedule is observable in the results. Each pool-backed entry
-//! point has a `*_scoped` twin that spawns `std::thread::scope` threads per
-//! dispatch instead; the twins exist as the reference implementation the
-//! determinism suite (`tests/pool_determinism.rs`) pins the pool against,
-//! and as the baseline of the spawn-vs-pool benchmark groups.
+//! Chunk boundaries are computed *before* execution and depend only on the
+//! layout, so the steal schedule is not observable in the results: a
+//! dispatch produces exactly what running its chunks serially, in order,
+//! produces. [`ClusterLayout::SINGLE`] runs `work` inline on the calling
+//! thread, which is the serial reference the determinism suite
+//! (`tests/pool_determinism.rs`) pins every multi-worker dispatch against.
 //!
 //! Nested dispatches (a layout dispatch from inside a pool task, e.g. a
 //! filter update inside a `mcl_sim::run_batch` job) enqueue on the
@@ -109,43 +108,6 @@ impl<A: Subdivide, B: Subdivide> Subdivide for (A, B) {
         let (a0, a1) = self.0.subdivide_at(mid);
         let (b0, b1) = self.1.subdivide_at(mid);
         ((a0, b0), (a1, b1))
-    }
-}
-
-/// How a dispatch executes its worker tasks. The chunk geometry is computed
-/// before execution and is identical for both backends; only the threads that
-/// run the chunks differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    /// The persistent shared [`WorkerPool`](crate::pool::WorkerPool) — the
-    /// production hot path.
-    Pool,
-    /// Fresh `std::thread::scope` threads per dispatch — the reference the
-    /// determinism tests and spawn-vs-pool benches compare against.
-    ScopedSpawn,
-}
-
-/// Runs `task(0..tasks)` on the chosen backend. `limit` caps the number of
-/// concurrently executing threads on the pool backend (the scoped backend
-/// spawns one thread per task and lets the OS schedule them, as the previous
-/// per-dispatch implementation did).
-fn execute(backend: Backend, tasks: usize, limit: usize, task: &(dyn Fn(usize) + Sync)) {
-    match backend {
-        Backend::Pool => pool::shared().dispatch_limited(tasks, limit, task),
-        Backend::ScopedSpawn => {
-            if tasks <= 1 {
-                if tasks == 1 {
-                    task(0);
-                }
-                return;
-            }
-            std::thread::scope(|scope| {
-                for index in 1..tasks {
-                    scope.spawn(move || task(index));
-                }
-                task(0);
-            });
-        }
     }
 }
 
@@ -230,26 +192,6 @@ impl ClusterLayout {
         C: Subdivide + Send,
         F: Fn(usize, C) + Send + Sync,
     {
-        self.for_each_split_impl(Backend::Pool, items, work);
-    }
-
-    /// Scoped-spawn reference twin of [`ClusterLayout::for_each_split`]:
-    /// identical chunk geometry, executed on per-dispatch
-    /// `std::thread::scope` threads. Exists for the determinism suite and the
-    /// spawn-vs-pool benchmark groups.
-    pub fn for_each_split_scoped<C, F>(&self, items: C, work: F)
-    where
-        C: Subdivide + Send,
-        F: Fn(usize, C) + Send + Sync,
-    {
-        self.for_each_split_impl(Backend::ScopedSpawn, items, work);
-    }
-
-    fn for_each_split_impl<C, F>(&self, backend: Backend, items: C, work: F)
-    where
-        C: Subdivide + Send,
-        F: Fn(usize, C) + Send + Sync,
-    {
         let n = items.subdivide_len();
         if n == 0 {
             return;
@@ -274,32 +216,12 @@ impl ClusterLayout {
             let (chunk_start, mine) = take_slot(&slots[index]);
             work(chunk_start, mine);
         };
-        execute(backend, slots.len(), threads, &task);
+        pool::shared().dispatch_limited(slots.len(), threads, &task);
     }
 
     /// Runs `work` on every worker chunk and collects one result per chunk, in
     /// chunk order. Used for the per-chunk partial sums of the reduction steps.
     pub fn map_split<C, R, F>(&self, items: C, work: F) -> Vec<R>
-    where
-        C: Subdivide + Send,
-        R: Send,
-        F: Fn(usize, C) -> R + Send + Sync,
-    {
-        self.map_split_impl(Backend::Pool, items, work)
-    }
-
-    /// Scoped-spawn reference twin of [`ClusterLayout::map_split`] (identical
-    /// chunk geometry and result order).
-    pub fn map_split_scoped<C, R, F>(&self, items: C, work: F) -> Vec<R>
-    where
-        C: Subdivide + Send,
-        R: Send,
-        F: Fn(usize, C) -> R + Send + Sync,
-    {
-        self.map_split_impl(Backend::ScopedSpawn, items, work)
-    }
-
-    fn map_split_impl<C, R, F>(&self, backend: Backend, items: C, work: F) -> Vec<R>
     where
         C: Subdivide + Send,
         R: Send,
@@ -334,7 +256,7 @@ impl ClusterLayout {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner) = Some(result);
         };
-        execute(backend, slots.len(), self.thread_cap(), &task);
+        pool::shared().dispatch_limited(slots.len(), self.thread_cap(), &task);
         results
             .into_iter()
             .map(|slot| {
@@ -356,33 +278,6 @@ impl ClusterLayout {
     /// Panics when the ranges do not tile `0..len`.
     pub fn for_each_range<C, F>(&self, items: C, ranges: &[(usize, usize)], work: F)
     where
-        C: Subdivide + Send,
-        F: Fn(usize, C) + Send + Sync,
-    {
-        self.for_each_range_impl(Backend::Pool, items, ranges, work);
-    }
-
-    /// Scoped-spawn reference twin of [`ClusterLayout::for_each_range`]
-    /// (identical range grouping).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the ranges do not tile `0..len`.
-    pub fn for_each_range_scoped<C, F>(&self, items: C, ranges: &[(usize, usize)], work: F)
-    where
-        C: Subdivide + Send,
-        F: Fn(usize, C) + Send + Sync,
-    {
-        self.for_each_range_impl(Backend::ScopedSpawn, items, ranges, work);
-    }
-
-    fn for_each_range_impl<C, F>(
-        &self,
-        backend: Backend,
-        items: C,
-        ranges: &[(usize, usize)],
-        work: F,
-    ) where
         C: Subdivide + Send,
         F: Fn(usize, C) + Send + Sync,
     {
@@ -444,7 +339,7 @@ impl ClusterLayout {
             let (mine, group) = take_slot(&slots[index]);
             run_ranges(mine, group, &work);
         };
-        execute(backend, slots.len(), threads, &task);
+        pool::shared().dispatch_limited(slots.len(), threads, &task);
     }
 
     /// Reduces `0..n` in fixed-size blocks: `reduce` maps each `(start, end)`
@@ -459,34 +354,6 @@ impl ClusterLayout {
     ///
     /// Panics when `block_size` is zero.
     pub fn map_index_blocks<R, F>(&self, n: usize, block_size: usize, reduce: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, usize) -> R + Send + Sync,
-    {
-        self.map_index_blocks_impl(Backend::Pool, n, block_size, reduce)
-    }
-
-    /// Scoped-spawn reference twin of [`ClusterLayout::map_index_blocks`]
-    /// (identical block boundaries and result order).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `block_size` is zero.
-    pub fn map_index_blocks_scoped<R, F>(&self, n: usize, block_size: usize, reduce: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, usize) -> R + Send + Sync,
-    {
-        self.map_index_blocks_impl(Backend::ScopedSpawn, n, block_size, reduce)
-    }
-
-    fn map_index_blocks_impl<R, F>(
-        &self,
-        backend: Backend,
-        n: usize,
-        block_size: usize,
-        reduce: F,
-    ) -> Vec<R>
     where
         R: Send,
         F: Fn(usize, usize) -> R + Send + Sync,
@@ -522,7 +389,7 @@ impl ClusterLayout {
                 .collect();
             *results[w].lock().unwrap_or_else(PoisonError::into_inner) = Some(partials);
         };
-        execute(backend, runs, threads, &task);
+        pool::shared().dispatch_limited(runs, threads, &task);
         results
             .into_iter()
             .flat_map(|slot| {
@@ -531,28 +398,6 @@ impl ClusterLayout {
                     .expect("every block run stores its partials")
             })
             .collect()
-    }
-
-    /// Runs `work` on every chunk of a mutable slice (compatibility wrapper over
-    /// [`ClusterLayout::for_each_split`]).
-    pub fn for_each_chunk<T, F>(&self, items: &mut [T], work: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Send + Sync,
-    {
-        self.for_each_split(items, work);
-    }
-
-    /// Runs `work` on every chunk of a shared slice and collects one result per
-    /// chunk, in chunk order (compatibility wrapper over
-    /// [`ClusterLayout::map_split`]).
-    pub fn map_chunks<T, R, F>(&self, items: &[T], work: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Send + Sync,
-    {
-        self.map_split(items, work)
     }
 
     /// Scatters `source[indices[i]]` into `target[i]` for the output ranges of a
@@ -570,24 +415,6 @@ impl ClusterLayout {
     {
         assert_eq!(target.len(), indices.len());
         self.for_each_range((target, indices), ranges, |_, (chunk, idx)| {
-            for (slot, &src) in chunk.iter_mut().zip(idx.iter()) {
-                *slot = source[src];
-            }
-        });
-    }
-
-    /// Scoped-spawn reference twin of [`ClusterLayout::scatter_resample`].
-    pub fn scatter_resample_scoped<T>(
-        &self,
-        source: &[T],
-        target: &mut [T],
-        indices: &[usize],
-        ranges: &[(usize, usize)],
-    ) where
-        T: Copy + Send + Sync,
-    {
-        assert_eq!(target.len(), indices.len());
-        self.for_each_range_scoped((target, indices), ranges, |_, (chunk, idx)| {
             for (slot, &src) in chunk.iter_mut().zip(idx.iter()) {
                 *slot = source[src];
             }
@@ -632,16 +459,17 @@ mod tests {
             }
         };
         let mut sequential = base.clone();
-        ClusterLayout::SINGLE.for_each_chunk(&mut sequential, work);
+        ClusterLayout::SINGLE.for_each_split(sequential.as_mut_slice(), work);
         let mut parallel = base;
-        ClusterLayout::GAP9.for_each_chunk(&mut parallel, work);
+        ClusterLayout::GAP9.for_each_split(parallel.as_mut_slice(), work);
         assert_eq!(sequential, parallel);
     }
 
     #[test]
-    fn pool_and_scoped_backends_agree_on_every_entry_point() {
-        // Same inputs through the pool and the scoped-spawn reference: the
-        // outputs must be identical element for element.
+    fn pool_matches_the_serial_reference_on_every_entry_point() {
+        // Same inputs through the pool and the serial reference
+        // (`ClusterLayout::SINGLE`, which runs `work` inline): the outputs
+        // must be identical element for element.
         let base: Vec<u64> = (0..500).map(|i| i * 3).collect();
         let mutate = |start: usize, slice: &mut [u64]| {
             for (i, v) in slice.iter_mut().enumerate() {
@@ -650,21 +478,23 @@ mod tests {
         };
         let mut pooled = base.clone();
         ClusterLayout::GAP9.for_each_split(pooled.as_mut_slice(), mutate);
-        let mut scoped = base.clone();
-        ClusterLayout::GAP9.for_each_split_scoped(scoped.as_mut_slice(), mutate);
-        assert_eq!(pooled, scoped);
+        let mut serial = base.clone();
+        ClusterLayout::SINGLE.for_each_split(serial.as_mut_slice(), mutate);
+        assert_eq!(pooled, serial);
 
+        let layout = ClusterLayout::new(5);
+        let expected: Vec<u64> = layout
+            .chunks(base.len())
+            .map(|(s, e)| base[s..e].iter().sum::<u64>())
+            .collect();
         let sum = |_: usize, chunk: &[u64]| chunk.iter().sum::<u64>();
-        assert_eq!(
-            ClusterLayout::new(5).map_split(base.as_slice(), sum),
-            ClusterLayout::new(5).map_split_scoped(base.as_slice(), sum),
-        );
+        assert_eq!(layout.map_split(base.as_slice(), sum), expected);
 
         let reduce = |s: usize, e: usize| base[s..e].iter().map(|&v| v as f64).sum::<f64>();
         let pooled_blocks = ClusterLayout::GAP9.map_index_blocks(base.len(), 64, reduce);
-        let scoped_blocks = ClusterLayout::GAP9.map_index_blocks_scoped(base.len(), 64, reduce);
-        assert_eq!(pooled_blocks.len(), scoped_blocks.len());
-        for (a, b) in pooled_blocks.iter().zip(scoped_blocks.iter()) {
+        let serial_blocks = ClusterLayout::SINGLE.map_index_blocks(base.len(), 64, reduce);
+        assert_eq!(pooled_blocks.len(), serial_blocks.len());
+        for (a, b) in pooled_blocks.iter().zip(serial_blocks.iter()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
 
@@ -672,20 +502,16 @@ mod tests {
         let ranges = [(0usize, 100usize), (100, 100), (100, 350), (350, 500)];
         let mut pooled_scatter = vec![0u64; base.len()];
         ClusterLayout::new(4).scatter_resample(&base, &mut pooled_scatter, &indices, &ranges);
-        let mut scoped_scatter = vec![0u64; base.len()];
-        ClusterLayout::new(4).scatter_resample_scoped(
-            &base,
-            &mut scoped_scatter,
-            &indices,
-            &ranges,
-        );
-        assert_eq!(pooled_scatter, scoped_scatter);
+        let mut serial_scatter = vec![0u64; base.len()];
+        ClusterLayout::SINGLE.scatter_resample(&base, &mut serial_scatter, &indices, &ranges);
+        assert_eq!(pooled_scatter, serial_scatter);
     }
 
     #[test]
-    fn map_chunks_returns_results_in_chunk_order() {
+    fn map_split_returns_results_in_chunk_order() {
         let items: Vec<f32> = (0..100).map(|i| i as f32).collect();
-        let sums = ClusterLayout::new(4).map_chunks(&items, |_, chunk| chunk.iter().sum::<f32>());
+        let sums =
+            ClusterLayout::new(4).map_split(items.as_slice(), |_, c: &[f32]| c.iter().sum::<f32>());
         assert_eq!(sums.len(), 4);
         let total: f32 = sums.iter().sum();
         assert_eq!(total, items.iter().sum::<f32>());
@@ -763,8 +589,9 @@ mod tests {
     #[test]
     fn empty_input_is_a_no_op() {
         let mut empty: Vec<u8> = vec![];
-        ClusterLayout::GAP9.for_each_chunk(&mut empty, |_, _| panic!("must not be called"));
-        let results = ClusterLayout::GAP9.map_chunks(&empty, |_, _: &[u8]| 1u8);
+        ClusterLayout::GAP9
+            .for_each_split(empty.as_mut_slice(), |_, _| panic!("must not be called"));
+        let results = ClusterLayout::GAP9.map_split(empty.as_slice(), |_, _: &[u8]| 1u8);
         assert!(results.is_empty());
         assert!(ClusterLayout::GAP9
             .map_index_blocks(0, 16, |_, _| 1u8)

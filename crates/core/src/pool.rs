@@ -5,8 +5,8 @@
 //! and blocks on a hardware barrier — it never pays for starting or stopping
 //! them inside an update. The first persistent-pool incarnation of this module
 //! reproduced that shape with a **single dispatch slot**: one job at a time,
-//! every other dispatch either queued behind it (`dispatch_queued`) or
-//! degraded to inline execution on the calling thread. That was enough for
+//! every other dispatch either queued behind it or degraded to inline
+//! execution on the calling thread. That was enough for
 //! one filter, but the fleet direction (thousands of concurrent filter
 //! instances) needs independent top-level dispatches to *share* the worker
 //! threads instead of racing for a slot.
@@ -56,12 +56,11 @@
 //!
 //! The scheduler never influences *what* is computed — only *where*. Task
 //! bodies receive their global task index, the cluster dispatchers cut chunks
-//! at the same boundaries regardless of backend, and every random draw in the
-//! kernels is keyed on `(seed, update, particle index)`. Which OS thread (or
-//! how many, or in what steal order) executes a task is therefore
-//! unobservable in the results; `tests/pool_determinism.rs` pins scheduled
-//! execution bit-identical to the scoped-spawn reference and to sequential
-//! execution, and `tests/concurrent_dispatch.rs` pins simultaneous
+//! before execution, and every random draw in the kernels is keyed on
+//! `(seed, update, particle index)`. Which OS thread (or how many, or in what
+//! steal order) executes a task is therefore unobservable in the results;
+//! `tests/pool_determinism.rs` pins scheduled execution bit-identical to
+//! serial execution, and `tests/concurrent_dispatch.rs` pins simultaneous
 //! independent dispatches bit-identical to their serial executions.
 //!
 //! # Introspection
@@ -565,15 +564,6 @@ impl WorkerPool {
             resume_unwind(payload);
         }
     }
-
-    /// Alias of [`WorkerPool::dispatch_limited`], kept from the single-slot
-    /// scheduler's API. Under the work-stealing scheduler an independent
-    /// dispatch never has to wait for (or yield to) another one — every
-    /// dispatch runs concurrently with whatever else is in flight — so the
-    /// queued and the plain entry point coincide.
-    pub fn dispatch_queued(&self, tasks: usize, max_workers: usize, task: &(dyn Fn(usize) + Sync)) {
-        self.dispatch_limited(tasks, max_workers, task);
-    }
 }
 
 impl Drop for WorkerPool {
@@ -879,43 +869,6 @@ mod tests {
             peak.load(Ordering::SeqCst) >= 2,
             "independent dispatches never overlapped"
         );
-    }
-
-    #[test]
-    fn queued_dispatch_is_equivalent_and_completes_fully() {
-        // `dispatch_queued` survives as an alias: two concurrent callers both
-        // complete with full coverage (they now genuinely share the pool).
-        let pool = WorkerPool::new(4);
-        let first = AtomicUsize::new(0);
-        let second = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                pool.dispatch_queued(32, usize::MAX, &|_| {
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                    first.fetch_add(1, Ordering::Relaxed);
-                });
-            });
-            scope.spawn(|| {
-                pool.dispatch_queued(32, usize::MAX, &|_| {
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                    second.fetch_add(1, Ordering::Relaxed);
-                });
-            });
-        });
-        assert_eq!(first.load(Ordering::Relaxed), 32);
-        assert_eq!(second.load(Ordering::Relaxed), 32);
-    }
-
-    #[test]
-    fn queued_dispatch_from_inside_a_task_completes_without_deadlock() {
-        let pool = WorkerPool::new(4);
-        let inner_total = AtomicU64::new(0);
-        pool.dispatch(4, &|_| {
-            pool.dispatch_queued(8, usize::MAX, &|j| {
-                inner_total.fetch_add(j as u64, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(inner_total.load(Ordering::Relaxed), 4 * 28);
     }
 
     #[test]

@@ -31,23 +31,9 @@
 //!
 //! Handing a kernel to the workers is **not** the same as starting the
 //! workers: the paper's firmware keeps the cluster cores resident, so a
-//! dispatch costs only the fixed synchronization above. [`DispatchModel`]
-//! makes that explicit — [`DispatchModel::PersistentPool`] is the calibrated
-//! resident-cluster accounting (a single filter owning the dedicated
-//! hardware barrier, as the paper deploys it),
-//! [`DispatchModel::WorkStealing`] charges the small queue costs of the
-//! host pool's multi-queue scheduler (publish one advertisement, thieves
-//! CAS-claim it — [`CostModel::injector_publish_cycles`] and
-//! [`CostModel::steal_cycles_per_worker`]), and
-//! [`DispatchModel::SpawnPerDispatch`] charges the full
-//! [`CostModel::spawn_cycles_per_worker`] for every non-orchestrating worker
-//! of every kernel dispatch — the cost the host paid back when `ClusterLayout`
-//! spawned scoped threads per call, and what a firmware that powered the
-//! cluster up per update would pay. The three models are strictly ordered
-//! (resident ≤ work-stealing ≤ spawn) and their pairwise savings are
-//! additive, which `dispatch_savings_per_update_cycles` exposes. The `*_with`
-//! method variants take the dispatch model; the plain methods assume the
-//! resident pool, keeping the Table I calibration unchanged.
+//! dispatch costs only the fixed synchronization above — the accounting the
+//! Table I calibration assumes, and the shape of the host's persistent
+//! worker pool.
 //!
 //! The population is an *input* of the model, not a constant: a KLD-adaptive
 //! filter runs every update at a different particle count, so the model also
@@ -61,30 +47,6 @@
 //! 400 MHz; they are documented on each field so ablations can vary them.
 
 use serde::{Deserialize, Serialize};
-
-/// How kernel invocations reach the worker cores — resident workers (the
-/// paper's deployment and the host's persistent pool) or a thread/team spawn
-/// per dispatch (the pre-pool host behaviour).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum DispatchModel {
-    /// Workers are resident and parked; a dispatch only pays the fixed
-    /// per-step synchronization already charged by
-    /// [`CostModel::step_cycles_from_chunks`]. This is the calibrated
-    /// Table I behaviour.
-    #[default]
-    PersistentPool,
-    /// Workers are resident but shared through the work-stealing multi-queue
-    /// scheduler (`mcl_core::pool`): a dispatch publishes one advertisement
-    /// ([`CostModel::injector_publish_cycles`]) and each joining worker
-    /// CAS-claims work off it ([`CostModel::steal_cycles_per_worker`]) —
-    /// the price of letting many concurrent filter instances share one
-    /// cluster instead of owning a dedicated hardware barrier.
-    WorkStealing,
-    /// Every dispatch starts its workers anew, paying
-    /// [`CostModel::spawn_cycles_per_worker`] per non-orchestrating worker on
-    /// top of the fixed synchronization.
-    SpawnPerDispatch,
-}
 
 /// The four steps of one MCL update (plus bookkeeping in [`StepBreakdown`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -199,29 +161,6 @@ pub struct CostModel {
     pub resampling_parallel_efficiency: f64,
     /// Fixed synchronization cycles added to every parallelized step.
     pub parallel_sync_cycles: f64,
-    /// Extra cycles per non-orchestrating worker per kernel dispatch under
-    /// [`DispatchModel::SpawnPerDispatch`]: creating, scheduling and joining a
-    /// worker that a resident pool would simply unpark. Calibrated to the
-    /// ~20 µs a host OS thread spawn costs, expressed at 400 MHz; the
-    /// resident-cluster model never charges it.
-    pub spawn_cycles_per_worker: f64,
-    /// Fixed cycles to publish one dispatch advertisement into the
-    /// work-stealing scheduler under [`DispatchModel::WorkStealing`]: the
-    /// deque/injector push, the sequence bump and the wakeup of parked
-    /// workers. Calibrated against the host pool's `dispatch_overhead` bench
-    /// group (archived in `BENCH_kernels.json`): an 8-invocation pool
-    /// dispatch measures ≈10 µs over the inline baseline, i.e. ≈3960 cycles
-    /// at the 0.4 GHz scaling the spawn-model calibration uses, split here
-    /// as one publish plus seven per-worker claims.
-    pub injector_publish_cycles: f64,
-    /// Cycles each joining worker pays to discover and CAS-claim a published
-    /// job under [`DispatchModel::WorkStealing`] — the deque scan plus the
-    /// `top` compare-and-swap, charged once per non-orchestrating worker per
-    /// dispatch (same `dispatch_overhead` calibration as
-    /// [`CostModel::injector_publish_cycles`]). More than an order of
-    /// magnitude below [`CostModel::spawn_cycles_per_worker`]: stealing
-    /// shares residency, it does not re-create workers.
-    pub steal_cycles_per_worker: f64,
     /// Fraction of each step's per-item cycles the GAP9 SIMD datapath can
     /// issue lane-parallel when the kernel processes a lane group per op
     /// (the packed-fp16 loads, multiply-adds and stores of the inner loop);
@@ -250,9 +189,6 @@ impl Default for CostModel {
             parallel_efficiency: [0.83, 0.94, 0.88],
             resampling_parallel_efficiency: 0.26,
             parallel_sync_cycles: 1600.0,
-            spawn_cycles_per_worker: 8000.0,
-            injector_publish_cycles: 1440.0,
-            steal_cycles_per_worker: 360.0,
             // The observation loop (end-point rotation, Eq. 1 evaluation) is
             // the most SIMD-friendly; motion is RNG-bound, resampling is
             // copies (stores pack, the gather does not), pose is
@@ -469,54 +405,6 @@ impl CostModel {
         beams: usize,
         particles_in_l2: bool,
     ) -> u64 {
-        self.step_cycles_from_chunks_with(
-            DispatchModel::PersistentPool,
-            step,
-            chunks,
-            beams,
-            particles_in_l2,
-        )
-    }
-
-    /// Cycles the dispatch itself costs (on top of the fixed per-step
-    /// synchronization) when `invocations` kernel invocations are handed to
-    /// the workers under `dispatch`: zero for the resident pool and for any
-    /// single-invocation (sequential) step; one advertisement publish plus a
-    /// steal per non-orchestrating worker under the work-stealing scheduler;
-    /// one [`CostModel::spawn_cycles_per_worker`] per non-orchestrating
-    /// worker when every dispatch spawns.
-    pub fn dispatch_overhead_cycles(&self, dispatch: DispatchModel, invocations: usize) -> f64 {
-        if invocations <= 1 {
-            return 0.0;
-        }
-        match dispatch {
-            DispatchModel::PersistentPool => 0.0,
-            DispatchModel::WorkStealing => {
-                self.injector_publish_cycles
-                    + self.steal_cycles_per_worker * (invocations - 1) as f64
-            }
-            DispatchModel::SpawnPerDispatch => {
-                self.spawn_cycles_per_worker * (invocations - 1) as f64
-            }
-        }
-    }
-
-    /// [`CostModel::step_cycles_from_chunks`] under an explicit
-    /// [`DispatchModel`]: the resident pool reproduces the calibrated
-    /// accounting exactly, the spawn model adds
-    /// [`CostModel::dispatch_overhead_cycles`] to every multi-invocation step.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `chunks` is empty or `beams` is zero.
-    pub fn step_cycles_from_chunks_with(
-        &self,
-        dispatch: DispatchModel,
-        step: McStep,
-        chunks: &[usize],
-        beams: usize,
-        particles_in_l2: bool,
-    ) -> u64 {
         assert!(
             !chunks.is_empty(),
             "at least one kernel invocation required"
@@ -529,7 +417,7 @@ impl CostModel {
                 self.kernel_invocation_cycles(step, items, beams, particles_in_l2, multi_core)
             })
             .fold(0.0f64, f64::max);
-        let mut cycles = critical_path + self.dispatch_overhead_cycles(dispatch, chunks.len());
+        let mut cycles = critical_path;
         if multi_core {
             cycles += self.parallel_sync_cycles;
         }
@@ -567,30 +455,6 @@ impl CostModel {
         cores: usize,
         particles_in_l2: bool,
     ) -> u64 {
-        self.step_cycles_with(
-            DispatchModel::PersistentPool,
-            step,
-            particles,
-            beams,
-            cores,
-            particles_in_l2,
-        )
-    }
-
-    /// [`CostModel::step_cycles`] under an explicit [`DispatchModel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `particles`, `beams` or `cores` is zero.
-    pub fn step_cycles_with(
-        &self,
-        dispatch: DispatchModel,
-        step: McStep,
-        particles: usize,
-        beams: usize,
-        cores: usize,
-        particles_in_l2: bool,
-    ) -> u64 {
         assert!(particles > 0, "particle count must be positive");
         assert!(beams > 0, "beam count must be positive");
         assert!(cores > 0, "core count must be positive");
@@ -600,10 +464,10 @@ impl CostModel {
         let chunks: Vec<usize> = (0..particles.div_ceil(chunk))
             .map(|w| chunk.min(particles - w * chunk))
             .collect();
-        self.step_cycles_from_chunks_with(dispatch, step, &chunks, beams, particles_in_l2)
+        self.step_cycles_from_chunks(step, &chunks, beams, particles_in_l2)
     }
 
-    /// The full breakdown of one update (resident-pool dispatch).
+    /// The full breakdown of one update.
     pub fn update_breakdown(
         &self,
         particles: usize,
@@ -611,30 +475,7 @@ impl CostModel {
         cores: usize,
         particles_in_l2: bool,
     ) -> StepBreakdown {
-        self.update_breakdown_with(
-            DispatchModel::PersistentPool,
-            particles,
-            beams,
-            cores,
-            particles_in_l2,
-        )
-    }
-
-    /// The full breakdown of one update under an explicit [`DispatchModel`] —
-    /// comparing the two models quantifies what keeping the workers resident
-    /// saves per update (4 kernel dispatches at `cores − 1` spawned workers
-    /// each).
-    pub fn update_breakdown_with(
-        &self,
-        dispatch: DispatchModel,
-        particles: usize,
-        beams: usize,
-        cores: usize,
-        particles_in_l2: bool,
-    ) -> StepBreakdown {
-        let step = |step: McStep| {
-            self.step_cycles_with(dispatch, step, particles, beams, cores, particles_in_l2)
-        };
+        let step = |step: McStep| self.step_cycles(step, particles, beams, cores, particles_in_l2);
         let observation_cycles = step(McStep::Observation);
         let motion_cycles = step(McStep::Motion);
         let resampling_cycles = step(McStep::Resampling);
@@ -652,51 +493,6 @@ impl CostModel {
                 + pose_cycles
                 + overhead_cycles,
         }
-    }
-
-    /// Cycles one update saves by moving from dispatch model `from` to the
-    /// (cheaper) model `to` — e.g. `SpawnPerDispatch → WorkStealing`
-    /// quantifies what sharing resident workers buys over re-spawning, and
-    /// `WorkStealing → PersistentPool` what a dedicated hardware barrier
-    /// still saves over the shared scheduler. Saturates at zero when `from`
-    /// is not actually more expensive.
-    pub fn dispatch_savings_per_update_cycles(
-        &self,
-        from: DispatchModel,
-        to: DispatchModel,
-        particles: usize,
-        beams: usize,
-        cores: usize,
-        particles_in_l2: bool,
-    ) -> u64 {
-        let total = |dispatch| {
-            self.update_breakdown_with(dispatch, particles, beams, cores, particles_in_l2)
-                .total_cycles
-        };
-        total(from).saturating_sub(total(to))
-    }
-
-    /// Cycles one update saves by keeping the workers resident instead of
-    /// spawning them per dispatch — the quantity the persistent host pool
-    /// removes from the hot path
-    /// ([`CostModel::dispatch_savings_per_update_cycles`] from
-    /// [`DispatchModel::SpawnPerDispatch`] to
-    /// [`DispatchModel::PersistentPool`]).
-    pub fn pool_savings_per_update_cycles(
-        &self,
-        particles: usize,
-        beams: usize,
-        cores: usize,
-        particles_in_l2: bool,
-    ) -> u64 {
-        self.dispatch_savings_per_update_cycles(
-            DispatchModel::SpawnPerDispatch,
-            DispatchModel::PersistentPool,
-            particles,
-            beams,
-            cores,
-            particles_in_l2,
-        )
     }
 
     /// Speedup of one step when going from 1 to `cores` worker cores.
@@ -1025,199 +821,6 @@ mod tests {
         // Multi-core invocations pay the efficiency factor.
         let multi = model.kernel_invocation_cycles(McStep::Motion, 1000, BEAMS, false, true);
         assert!(multi > thousand);
-    }
-
-    #[test]
-    fn resident_pool_dispatch_is_the_calibrated_default() {
-        let model = CostModel::default();
-        for step in McStep::ALL {
-            for &(n, cores, in_l2) in &[(1024usize, 8usize, false), (4096, 8, true), (64, 1, false)]
-            {
-                assert_eq!(
-                    model.step_cycles_with(
-                        DispatchModel::PersistentPool,
-                        step,
-                        n,
-                        BEAMS,
-                        cores,
-                        in_l2
-                    ),
-                    model.step_cycles(step, n, BEAMS, cores, in_l2),
-                    "{step:?} n={n} cores={cores}"
-                );
-            }
-        }
-        assert_eq!(DispatchModel::default(), DispatchModel::PersistentPool);
-    }
-
-    #[test]
-    fn spawning_per_dispatch_costs_extra_on_every_parallel_step() {
-        let model = CostModel::default();
-        for step in McStep::ALL {
-            let pool =
-                model.step_cycles_with(DispatchModel::PersistentPool, step, 1024, BEAMS, 8, false);
-            let spawn = model.step_cycles_with(
-                DispatchModel::SpawnPerDispatch,
-                step,
-                1024,
-                BEAMS,
-                8,
-                false,
-            );
-            let expected_overhead = (model.spawn_cycles_per_worker * 7.0).round() as u64;
-            assert_eq!(spawn - pool, expected_overhead, "{step:?}");
-            // Sequential execution never dispatches, so both models agree.
-            assert_eq!(
-                model.step_cycles_with(
-                    DispatchModel::SpawnPerDispatch,
-                    step,
-                    1024,
-                    BEAMS,
-                    1,
-                    false
-                ),
-                model.step_cycles(step, 1024, BEAMS, 1, false),
-                "{step:?} single-core"
-            );
-        }
-    }
-
-    #[test]
-    fn pool_savings_cover_four_dispatches_per_update() {
-        let model = CostModel::default();
-        // 4 steps × 7 spawned workers each.
-        let expected = (model.spawn_cycles_per_worker * 7.0).round() as u64 * 4;
-        assert_eq!(
-            model.pool_savings_per_update_cycles(1024, BEAMS, 8, false),
-            expected
-        );
-        // A single core spawns nothing, so there is nothing to save.
-        assert_eq!(
-            model.pool_savings_per_update_cycles(1024, BEAMS, 1, false),
-            0
-        );
-        // The saving is fixed per update, so it matters most at small particle
-        // counts — the regime the paper's 1024-particle configuration runs in.
-        let small = model.update_breakdown(64, BEAMS, 8, false).total_cycles as f64;
-        let saving = model.pool_savings_per_update_cycles(64, BEAMS, 8, false) as f64;
-        assert!(
-            saving / small > 0.2,
-            "spawn overhead should be a large fraction of a small update ({})",
-            saving / small
-        );
-        assert_eq!(
-            model.dispatch_overhead_cycles(DispatchModel::PersistentPool, 8),
-            0.0
-        );
-        assert_eq!(
-            model.dispatch_overhead_cycles(DispatchModel::SpawnPerDispatch, 1),
-            0.0
-        );
-    }
-
-    #[test]
-    fn work_stealing_sits_strictly_between_resident_and_spawn() {
-        let model = CostModel::default();
-        // Pinned defaults: the `dispatch_overhead` bench calibration
-        // (BENCH_kernels.json) — one publish plus 7 claims ≈ 3960 cycles per
-        // 8-invocation dispatch, far below a thread spawn per worker.
-        assert_eq!(model.injector_publish_cycles, 1440.0);
-        assert_eq!(model.steal_cycles_per_worker, 360.0);
-        assert_eq!(
-            model.injector_publish_cycles + model.steal_cycles_per_worker * 7.0,
-            3960.0
-        );
-        for step in McStep::ALL {
-            let resident =
-                model.step_cycles_with(DispatchModel::PersistentPool, step, 1024, BEAMS, 8, false);
-            let stealing =
-                model.step_cycles_with(DispatchModel::WorkStealing, step, 1024, BEAMS, 8, false);
-            let spawn = model.step_cycles_with(
-                DispatchModel::SpawnPerDispatch,
-                step,
-                1024,
-                BEAMS,
-                8,
-                false,
-            );
-            assert!(resident < stealing, "{step:?}: resident must be cheapest");
-            assert!(stealing < spawn, "{step:?}: stealing must undercut spawn");
-            let expected = (model.injector_publish_cycles + model.steal_cycles_per_worker * 7.0)
-                .round() as u64;
-            assert_eq!(stealing - resident, expected, "{step:?}");
-            // Sequential execution never dispatches: all three models agree.
-            assert_eq!(
-                model.step_cycles_with(DispatchModel::WorkStealing, step, 1024, BEAMS, 1, false),
-                model.step_cycles(step, 1024, BEAMS, 1, false),
-                "{step:?} single-core"
-            );
-        }
-        assert_eq!(
-            model.dispatch_overhead_cycles(DispatchModel::WorkStealing, 1),
-            0.0
-        );
-    }
-
-    #[test]
-    fn dispatch_savings_are_consistent_across_the_three_models() {
-        let model = CostModel::default();
-        for &(particles, cores) in &[(1024usize, 8usize), (64, 8), (4096, 4), (1024, 1)] {
-            let spawn_to_pool =
-                model.pool_savings_per_update_cycles(particles, BEAMS, cores, false);
-            let spawn_to_steal = model.dispatch_savings_per_update_cycles(
-                DispatchModel::SpawnPerDispatch,
-                DispatchModel::WorkStealing,
-                particles,
-                BEAMS,
-                cores,
-                false,
-            );
-            let steal_to_pool = model.dispatch_savings_per_update_cycles(
-                DispatchModel::WorkStealing,
-                DispatchModel::PersistentPool,
-                particles,
-                BEAMS,
-                cores,
-                false,
-            );
-            // The three models are totals of the same breakdown with
-            // different per-dispatch surcharges, so the pairwise savings are
-            // additive — `pool_savings` stays consistent however the path is
-            // decomposed.
-            assert_eq!(
-                spawn_to_pool,
-                spawn_to_steal + steal_to_pool,
-                "particles={particles} cores={cores}"
-            );
-            // And a model never "saves" against a cheaper one.
-            assert_eq!(
-                model.dispatch_savings_per_update_cycles(
-                    DispatchModel::PersistentPool,
-                    DispatchModel::WorkStealing,
-                    particles,
-                    BEAMS,
-                    cores,
-                    false,
-                ),
-                0,
-                "particles={particles} cores={cores}"
-            );
-        }
-        // 4 steps × (publish + 7 claims) each at the paper's 8-core shape.
-        let expected_steal_overhead =
-            (model.injector_publish_cycles + model.steal_cycles_per_worker * 7.0).round() as u64
-                * 4;
-        assert_eq!(
-            model.dispatch_savings_per_update_cycles(
-                DispatchModel::WorkStealing,
-                DispatchModel::PersistentPool,
-                1024,
-                BEAMS,
-                8,
-                false,
-            ),
-            expected_steal_overhead
-        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod memory;
 pub mod power;
 pub mod spec;
 
-pub use cost::{CostModel, DispatchModel, McStep, StepBreakdown};
+pub use cost::{CostModel, McStep, StepBreakdown};
 pub use memory::{MemoryLevel, MemoryPlacement, MemoryPlanner};
 pub use power::{OperatingPoint, PowerModel, SystemPowerBudget};
 pub use spec::Gap9Spec;

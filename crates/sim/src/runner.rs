@@ -303,10 +303,6 @@ pub fn run_sequence<S: Scalar, D: DistanceField>(
 
 #[cfg(test)]
 mod tests {
-    // `traffic_replay_is_bit_identical_to_run_sequence` deliberately replays
-    // through the deprecated beam-only shim to pin its equivalence.
-    #![allow(deprecated)]
-
     use super::*;
     use crate::sequence::{SequenceConfig, SequenceGenerator};
     use crate::trajectory::TrajectoryConfig;
@@ -389,7 +385,9 @@ mod tests {
             let frame_limit = runner.sensor_count.min(step.frames.len());
             let mut batch = BeamBatch::from_frames(&step.frames[..frame_limit]);
             batch.partition_in_range(reference.config().r_max);
-            let outcome = reference.update_batch(&batch).unwrap();
+            let outcome = reference
+                .update_observations(&ObservationBatch::from_beam_batch(batch))
+                .unwrap();
             expected.push(match outcome.estimate() {
                 Some(estimate) => *estimate,
                 None => reference.estimate(),
@@ -405,7 +403,9 @@ mod tests {
             replica.predict(step.delta);
             let mut batch = BeamBatch::from_beams(&step.beams);
             batch.partition_in_range(replica.config().r_max);
-            let outcome = replica.update_batch(&batch).unwrap();
+            let outcome = replica
+                .update_observations(&ObservationBatch::from_beam_batch(batch))
+                .unwrap();
             let estimate = match outcome.estimate() {
                 Some(estimate) => *estimate,
                 None => replica.estimate(),
@@ -431,55 +431,6 @@ mod tests {
         assert!(!SensingMode::UwbOnly.uses_tof() && SensingMode::UwbOnly.uses_uwb());
         assert!(SensingMode::Fused.uses_tof() && SensingMode::Fused.uses_uwb());
         assert_eq!(SensingMode::default(), SensingMode::TofOnly);
-    }
-
-    #[test]
-    fn tof_only_replay_is_bit_identical_to_the_pre_fusion_path() {
-        // The default (ToF-only) runner must replay the exact floating-point
-        // sequence the pre-redesign runner produced — pinned here against an
-        // inline replica of the old update_batch loop.
-        let (maze, sequence) = scenario();
-        let config = MclConfig::default().with_particles(256).with_seed(9);
-        let runner = RunnerConfig::default();
-
-        let edt = EuclideanDistanceField::compute(maze.map(), 1.5);
-        let mut old_style = MonteCarloLocalization::<f32, _>::new(config, edt).unwrap();
-        old_style.initialize_uniform(maze.map(), 11).unwrap();
-        let mut expected = Vec::new();
-        for step in &sequence.steps {
-            old_style.predict(step.odometry);
-            let frame_limit = runner.sensor_count.min(step.frames.len());
-            let mut batch = BeamBatch::from_frames(&step.frames[..frame_limit]);
-            batch.partition_in_range(old_style.config().r_max);
-            let outcome = old_style.update_batch(&batch).unwrap();
-            expected.push(match outcome.estimate() {
-                Some(estimate) => *estimate,
-                None => old_style.estimate(),
-            });
-        }
-
-        let edt = EuclideanDistanceField::compute(maze.map(), 1.5);
-        let mut new_style = MonteCarloLocalization::<f32, _>::new(config, edt).unwrap();
-        new_style.initialize_uniform(maze.map(), 11).unwrap();
-        let mut tracker_feed = Vec::new();
-        for step in &sequence.steps {
-            new_style.predict(step.odometry);
-            let frame_limit = runner.sensor_count.min(step.frames.len());
-            let mut batch = BeamBatch::from_frames(&step.frames[..frame_limit]);
-            batch.partition_in_range(new_style.config().r_max);
-            let outcome = new_style
-                .update_observations(&ObservationBatch::from_beam_batch(batch))
-                .unwrap();
-            tracker_feed.push(match outcome.estimate() {
-                Some(estimate) => *estimate,
-                None => new_style.estimate(),
-            });
-        }
-        for (a, b) in tracker_feed.iter().zip(&expected) {
-            assert_eq!(a.pose.x.to_bits(), b.pose.x.to_bits());
-            assert_eq!(a.pose.y.to_bits(), b.pose.y.to_bits());
-            assert_eq!(a.pose.theta.to_bits(), b.pose.theta.to_bits());
-        }
     }
 
     #[test]

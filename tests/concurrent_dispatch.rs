@@ -115,8 +115,8 @@ proptest! {
     /// bit-identical to their serial executions — across the
     /// `MCL_TEST_WORKERS` matrix (which sizes the shared pool) and with both
     /// kernel backends in flight at once. Under the single-slot scheduler
-    /// the sweeps serialized behind `dispatch_queued`; now they interleave
-    /// across the workers, and the interleaving must stay unobservable.
+    /// the sweeps serialized behind one another; now they interleave across
+    /// the workers, and the interleaving must stay unobservable.
     #[test]
     fn simultaneous_run_batch_sweeps_match_their_serial_executions(
         scenario_seed in 1u64..50,

@@ -2,7 +2,7 @@
 //! pose estimates pinned as hex-encoded `f32` bit patterns.
 //!
 //! The determinism suites compare two live code paths against each other
-//! (SoA vs AoS, pool vs scoped, lanes vs scalar) — a numeric change that hits
+//! (SoA vs AoS, pool vs serial, lanes vs scalar) — a numeric change that hits
 //! *both* sides identically slips through all of them. This fixture is the
 //! absolute anchor: any future kernel change that silently shifts the
 //! filter's numerics (a re-associated sum, a "harmless" fused multiply-add, a
@@ -96,9 +96,9 @@ fn trace_range(truth: &Pose2, k: usize, step: usize) -> f32 {
 
 /// Replays the fixed corridor sequence under `backend` and returns the
 /// per-step estimate bits. With `fused`, every update also scores the
-/// [`TRACE_ANCHORS`] ranges through the anchor kernel; without it, the replay
-/// drives the deprecated beam-only `update` shim — pinning that the shim
-/// still reproduces the pre-redesign numerics bit for bit.
+/// [`TRACE_ANCHORS`] ranges through the anchor kernel; without it, every
+/// update is a beam-only batch, which runs no anchor dispatch — pinning the
+/// beam-only numerics bit for bit.
 fn trace(backend: KernelBackend, fused: bool) -> Vec<[u32; 3]> {
     // A 4 m × 1.6 m corridor with a mid pillar: walls near enough that most
     // beams land within r_max, far corridor axis beams beyond it.
@@ -128,19 +128,14 @@ fn trace(backend: KernelBackend, fused: bool) -> Vec<[u32; 3]> {
         truth = next;
         filter.predict(delta);
         let beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
-        let outcome = if fused {
-            let mut observations = ObservationBatch::from_beams(&beams);
-            observations.partition_in_range(filter.config().r_max);
+        let mut observations = ObservationBatch::from_beams(&beams);
+        observations.partition_in_range(filter.config().r_max);
+        if fused {
             for (k, [ax, ay]) in TRACE_ANCHORS.iter().enumerate() {
                 observations.push_anchor(AnchorRange::new(*ax, *ay, trace_range(&truth, k, step)));
             }
-            filter.update_observations(&observations).unwrap()
-        } else {
-            // The deprecated shim on purpose: this trace is the bit-exact
-            // anchor proving the beam-only path survived the API redesign.
-            #[allow(deprecated)]
-            filter.update(&beams).unwrap()
-        };
+        }
+        let outcome = filter.update_observations(&observations).unwrap();
         let estimate = outcome.estimate().expect("0.13 m step opens the gate");
         bits.push([
             estimate.pose.x.to_bits(),

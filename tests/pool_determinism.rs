@@ -7,8 +7,9 @@
 //! * filter particles **and** pose estimates are bit-identical across
 //!   `ClusterLayout::{SINGLE, new(3), GAP9}` (plus the `MCL_TEST_WORKERS`
 //!   layout the CI matrix injects) when running on the pool;
-//! * every pooled dispatch entry point produces outputs bit-identical to its
-//!   scoped-spawn reference twin on the same inputs;
+//! * every pooled dispatch entry point produces outputs bit-identical to the
+//!   serial reference — the same work run inline over the same chunks — on
+//!   the same inputs;
 //! * repeated dispatches on one warm pool leave no state behind — replaying
 //!   the same run yields the same bits, update after update.
 //!
@@ -178,10 +179,10 @@ proptest! {
         }
     }
 
-    /// The motion kernel dispatched on the pool matches the scoped-spawn
-    /// reference bit for bit, for every layout.
+    /// The motion kernel dispatched on the pool matches one serial kernel
+    /// call over the whole buffer bit for bit, for every layout.
     #[test]
-    fn pooled_motion_kernel_matches_the_scoped_reference(
+    fn pooled_motion_kernel_matches_the_serial_reference(
         seed in 0u64..500,
         n in 1usize..400,
     ) {
@@ -192,24 +193,22 @@ proptest! {
             layout.for_each_split(pooled.as_mut_slice(), |start, chunk| {
                 kernel::motion_predict(chunk, &model, &delta, seed, 2, start as u64);
             });
-            let mut scoped = particles(n);
-            layout.for_each_split_scoped(scoped.as_mut_slice(), |start, chunk| {
-                kernel::motion_predict(chunk, &model, &delta, seed, 2, start as u64);
-            });
+            let mut serial = particles(n);
+            kernel::motion_predict(serial.as_mut_slice(), &model, &delta, seed, 2, 0);
             prop_assert_eq!(
                 pooled.to_particles(),
-                scoped.to_particles(),
+                serial.to_particles(),
                 "workers={}", layout.workers()
             );
         }
     }
 
-    /// Every dispatch entry point agrees with its scoped twin on random data:
-    /// mutation (`for_each_split`), per-chunk results (`map_split`),
+    /// Every dispatch entry point agrees with its serial reference on random
+    /// data: mutation (`for_each_split`), per-chunk results (`map_split`),
     /// fixed-block reduction (`map_index_blocks`) and plan-shaped ranges
     /// (`for_each_range` via `scatter_resample`).
     #[test]
-    fn every_entry_point_matches_its_scoped_twin(
+    fn every_entry_point_matches_the_serial_reference(
         values in prop::collection::vec(0u64..u64::MAX, 1..300),
         range_sizes in prop::collection::vec(0usize..40, 1..12),
     ) {
@@ -223,16 +222,19 @@ proptest! {
             };
             let mut pooled = values.clone();
             layout.for_each_split(pooled.as_mut_slice(), mutate);
-            let mut scoped = values.clone();
-            layout.for_each_split_scoped(scoped.as_mut_slice(), mutate);
-            prop_assert_eq!(&pooled, &scoped);
+            let mut serial = values.clone();
+            mutate(0, serial.as_mut_slice());
+            prop_assert_eq!(&pooled, &serial);
 
             // map_split: per-chunk f64 sums, order-sensitive fold.
             let sum = |_: usize, chunk: &[u64]| {
                 chunk.iter().map(|&v| (v % 1024) as f64).sum::<f64>()
             };
             let a = layout.map_split(values.as_slice(), sum);
-            let b = layout.map_split_scoped(values.as_slice(), sum);
+            let b: Vec<f64> = layout
+                .chunks(values.len())
+                .map(|(s, e)| sum(s, &values[s..e]))
+                .collect();
             prop_assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b.iter()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
@@ -243,7 +245,7 @@ proptest! {
                 values[s..e].iter().map(|&v| (v % 4096) as f64).sum::<f64>()
             };
             let a = layout.map_index_blocks(values.len(), 32, reduce);
-            let b = layout.map_index_blocks_scoped(values.len(), 32, reduce);
+            let b = ClusterLayout::SINGLE.map_index_blocks(values.len(), 32, reduce);
             prop_assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b.iter()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
@@ -263,9 +265,8 @@ proptest! {
         for layout in layouts() {
             let mut pooled = vec![0u64; total];
             layout.scatter_resample(&source, &mut pooled, &indices, &ranges);
-            let mut scoped = vec![0u64; total];
-            layout.scatter_resample_scoped(&source, &mut scoped, &indices, &ranges);
-            prop_assert_eq!(&pooled, &scoped, "workers={}", layout.workers());
+            let serial: Vec<u64> = indices.iter().map(|&i| source[i]).collect();
+            prop_assert_eq!(&pooled, &serial, "workers={}", layout.workers());
         }
     }
 }
