@@ -1,8 +1,7 @@
 //! Host micro-benchmark of the motion (prediction) step: the SoA
-//! [`mcl_core::kernel::motion_predict`] kernel on 1 and 8 workers, the three
-//! kernel backends on one full-population call, plus the `motion_dispatch`
-//! group timing the persistent worker pool at one and at eight workers on
-//! identical chunk geometry.
+//! [`mcl_core::kernel::motion_predict`] kernel on 1 and 8 workers (the
+//! 8-worker leg dispatches on the persistent worker pool), plus the three
+//! kernel backends on one full-population call.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcl_core::kernel;
@@ -94,33 +93,6 @@ fn bench_motion(c: &mut Criterion) {
         });
     }
     backend_group.finish();
-
-    // Pool dispatch: the same motion kernel over the same chunks on the
-    // persistent shared pool. At one worker the kernel runs inline on the
-    // caller; at eight the chunks go to the resident workers.
-    let mut dispatch_group = c.benchmark_group("motion_dispatch");
-    dispatch_group.sample_size(30);
-    let soa: ParticleBuffer<f32> = particles(4096).into_iter().collect();
-    for workers in [1usize, 8] {
-        let cluster = ClusterLayout::new(workers);
-        dispatch_group.bench_with_input(
-            BenchmarkId::new(format!("pool_{workers}w"), 4096usize),
-            &soa,
-            |b, soa| {
-                b.iter_batched(
-                    || soa.clone(),
-                    |mut batch| {
-                        cluster.for_each_split(batch.as_mut_slice(), |start, chunk| {
-                            kernel::motion_predict(chunk, &model, &delta, 7, 3, start as u64);
-                        });
-                        batch
-                    },
-                    criterion::BatchSize::LargeInput,
-                )
-            },
-        );
-    }
-    dispatch_group.finish();
 }
 
 criterion_group!(benches, bench_motion);

@@ -1,7 +1,7 @@
 //! Host micro-benchmark of the observation (correction) step.
 //!
 //! Complements Table I: the GAP9 numbers come from the analytic cost model,
-//! this bench measures the same per-particle work on the host. Two families:
+//! this bench measures the same per-particle work on the host. Three families:
 //!
 //! * `observation_step` — the seed's array-of-structs path: per particle, score
 //!   a `&[Beam]` list with [`BeamEndPointModel::observation_log_likelihood`]
@@ -9,9 +9,10 @@
 //! * `observation_kernel` — the SoA path: particles in a [`ParticleBuffer`],
 //!   beams pre-flattened into a [`BeamBatch`] (partitioned for `r_max`, so the
 //!   per-particle loop body is branch-free), scored by
-//!   [`mcl_core::kernel::observation_log_likelihoods`] on 1 and 8 workers.
-//! * `observation_dispatch` — the same kernel over the same chunks on the
-//!   persistent worker pool at one and at eight workers.
+//!   [`mcl_core::kernel::observation_log_likelihoods`] on 1 and 8 workers
+//!   (the 8-worker leg dispatches on the persistent worker pool).
+//! * `observation_backend` — the three kernel backends on one
+//!   full-population call.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcl_core::kernel;
@@ -128,44 +129,6 @@ fn bench_observation(c: &mut Criterion) {
         }
     }
     kernel_group.finish();
-
-    // Pool dispatch of the dominating kernel of the update: identical chunk
-    // geometry, inline on the caller at one worker and on the resident pool
-    // workers at eight.
-    let mut dispatch_group = c.benchmark_group("observation_dispatch");
-    dispatch_group.sample_size(30);
-    {
-        let n = 4096usize;
-        let soa: ParticleBuffer<f32> = particles_aos(n).into_iter().collect();
-        let mut batch = BeamBatch::from_beams(&beams);
-        batch.partition_in_range(model.r_max());
-        for workers in [1usize, 8] {
-            let cluster = ClusterLayout::new(workers);
-            dispatch_group.bench_with_input(
-                BenchmarkId::new(format!("pool_{workers}w"), n),
-                &soa,
-                |b, soa| {
-                    b.iter(|| {
-                        let mut out = vec![0.0f32; soa.len()];
-                        cluster.for_each_split(
-                            (soa.as_slice(), out.as_mut_slice()),
-                            |_, (chunk, logs)| {
-                                kernel::observation_log_likelihoods(
-                                    chunk,
-                                    scenario.edt_fp32(),
-                                    &model,
-                                    &batch,
-                                    logs,
-                                );
-                            },
-                        );
-                        out
-                    })
-                },
-            );
-        }
-    }
-    dispatch_group.finish();
 
     // Scalar vs lane-batched kernel backend on one full-population invocation
     // (no dispatch, so the group isolates the loop shape): identical results

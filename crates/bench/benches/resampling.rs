@@ -174,24 +174,6 @@ fn bench_resampling(c: &mut Criterion) {
                 criterion::BatchSize::LargeInput,
             )
         });
-        // The avx2 entry documents the delegation (resample_scatter_avx2 runs
-        // the lanes body — the scatter is memory-bound copies of a generic
-        // scalar type): the archived table should show parity, not a win.
-        backend_group.bench_with_input(BenchmarkId::new("avx2", n), &soa, |b, soa| {
-            b.iter_batched(
-                || soa.clone(),
-                |mut scratch| {
-                    kernel::resample_scatter_avx2(
-                        soa.as_slice(),
-                        scratch.as_mut_slice(),
-                        &plan.indices,
-                        uniform,
-                    );
-                    scratch.get(0)
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
     }
     backend_group.finish();
 

@@ -25,7 +25,7 @@
 //!
 //! # Kernel backends and the lane-width contract
 //!
-//! Every kernel exists in three implementations selected by [`KernelBackend`]:
+//! [`KernelBackend`] selects one of three backends:
 //!
 //! * [`KernelBackend::Scalar`] — the per-particle reference loops above.
 //! * [`KernelBackend::Lanes`] — lane-batched (SIMD-shaped) loops: the body
@@ -33,17 +33,28 @@
 //!   straight-line array arithmetic the compiler can autovectorize (the shape
 //!   of the paper's GAP9 fp16-SIMD inner loops), followed by a
 //!   **scalar-reference tail** for the `len % LANES` leftover particles.
-//!   The prediction step has no lane body: its per-particle sampling gains
-//!   nothing from lane-shaped gathers, so `Lanes` runs [`motion_predict`].
 //! * [`KernelBackend::Avx2`] — explicit `core::arch::x86_64` intrinsics: the
 //!   same [`LANES`]-wide groups issued as 8×f32 register ops (including the
 //!   gather-based quantized/fp16 EDT lookups of
 //!   [`DistanceField::distances_at_world_lanes_avx2`]), runtime-gated behind
 //!   `is_x86_feature_detected!("avx2")`. On any host where the probe fails —
 //!   and on non-x86 builds, where the intrinsic bodies do not exist — every
-//!   `Avx2` dispatch falls back to the body `Lanes` runs (the scalar
-//!   [`motion_predict`] for prediction, the lane bodies elsewhere), so
-//!   selecting it is always safe and always bit-identical.
+//!   `Avx2` dispatch falls back to the body `Lanes` runs, so selecting it is
+//!   always safe and always bit-identical.
+//!
+//! A kernel keeps a separate body for a backend only where measurement shows
+//! it is faster than the body it would otherwise fall back to. The body each
+//! backend runs:
+//!
+//! | kernel | `Scalar` | `Lanes` | `Avx2` |
+//! |---|---|---|---|
+//! | motion | scalar | scalar | avx2 |
+//! | observation | scalar | lanes | avx2 |
+//! | reweight | scalar | lanes | avx2 |
+//! | pose ([`PosePartials`]) | scalar | lanes | avx2 |
+//! | anchor | scalar | lanes | lanes |
+//! | spread ([`SpreadPartials`]) | scalar | lanes | lanes |
+//! | resample | scalar | lanes | lanes |
 //!
 //! The lane-width contract: lane grouping is an *execution* detail, never a
 //! *numeric* one. Each lane performs exactly the per-particle op sequence of
@@ -70,8 +81,7 @@
 //! 8 lanes wide with the same bits. The angle wraps use the exact `%`-free
 //! fast path of [`normalize_angle`]. What stays scalar per lane inside the
 //! AVX2 kernels is only what has no equivalent vector op with the same edge
-//! semantics: the `f32::max` weight clamps and the branching angular
-//! difference.
+//! semantics: the `f32::max` weight clamps.
 //!
 //! All of this is pinned by `tests/kernel_backend_equivalence.rs` across tail
 //! lengths, cluster layouts and warm-pool reruns; the `MCL_KERNEL_BACKEND`
@@ -100,7 +110,7 @@ pub const LANES: usize = mcl_gridmap::DISTANCE_LANES;
 
 /// Selects which implementation of the four MCL kernels the filter dispatches.
 ///
-/// Both backends are numerically interchangeable — see the
+/// All three backends are numerically interchangeable — see the
 /// [lane-width contract](self#kernel-backends-and-the-lane-width-contract).
 /// The selection is threaded through
 /// [`MclConfig::kernel_backend`](crate::config::MclConfig::kernel_backend)
@@ -118,8 +128,10 @@ pub enum KernelBackend {
     /// `Scalar` body. Bit-identical to `Scalar`; the portable default.
     #[default]
     Lanes,
-    /// Explicit AVX2 intrinsic bodies (x86-64, runtime-detected): the lane
-    /// groups issued as 8×f32 register ops with gather-based EDT lookups.
+    /// Explicit AVX2 intrinsic bodies (x86-64, runtime-detected) for the
+    /// motion, observation, reweight and pose kernels: the lane groups issued
+    /// as 8×f32 register ops with gather-based EDT lookups. The anchor,
+    /// spread and resample kernels run their `Lanes` bodies.
     /// Bit-identical to `Scalar` (single-rounding ops only, no FMA); every
     /// dispatch falls back to `Lanes` when the host lacks AVX2, so selecting
     /// it is safe everywhere. [`KernelBackend::detect`] picks it by default
@@ -162,7 +174,10 @@ impl KernelBackend {
     /// x86-64 AVX2 CPU. Dispatching an unavailable backend is still valid —
     /// it runs what `Lanes` runs (the lane bodies, and the scalar
     /// [`motion_predict`] for prediction) — so this only reports whether
-    /// selecting it changes the instructions executed.
+    /// selecting it changes the instructions executed, and then only for the
+    /// motion, observation, reweight and pose kernels: the anchor, spread
+    /// and resample kernels run their lane bodies under `Avx2` on every
+    /// host.
     pub fn is_available(self) -> bool {
         match self {
             KernelBackend::Scalar | KernelBackend::Lanes => true,
@@ -498,7 +513,8 @@ pub fn anchor_log_likelihoods<S: Scalar>(
 /// Lane-batched twin of [`anchor_log_likelihoods`]: scores the chunk in
 /// [`LANES`]-wide position groups through
 /// [`AnchorRangeModel::batch_log_likelihood_lanes`], with a scalar-reference
-/// tail. Bit-identical to [`anchor_log_likelihoods`].
+/// tail. Bit-identical to [`anchor_log_likelihoods`]. It is also the
+/// [`KernelBackend::Avx2`] body: an intrinsic scorer measured no faster.
 ///
 /// # Panics
 ///
@@ -532,54 +548,8 @@ pub fn anchor_log_likelihoods_lanes<S: Scalar>(
     }
 }
 
-/// Explicit-SIMD twin of [`anchor_log_likelihoods`]: the
-/// [`KernelBackend::Avx2`] body scores each [`LANES`]-wide position group
-/// through [`AnchorRangeModel::batch_log_likelihood_avx2`] (8×f32 register
-/// residual arithmetic, `vsqrtps` for the anchor distance), with the same
-/// scalar-reference tail as the lane kernel. On hosts without AVX2 (checked
-/// at runtime) and on non-x86 builds this falls back to
-/// [`anchor_log_likelihoods_lanes`]. Bit-identical to
-/// [`anchor_log_likelihoods`] in every case.
-///
-/// # Panics
-///
-/// Panics when `out` is shorter than the particle chunk.
-pub fn anchor_log_likelihoods_avx2<S: Scalar>(
-    particles: ParticleSlice<'_, S>,
-    model: &AnchorRangeModel,
-    batch: &ObservationBatch,
-    out: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::available() {
-        let n = particles.len();
-        assert!(out.len() >= n, "output chunk too short");
-        let mut i = 0usize;
-        while i + LANES <= n {
-            let mut xs = [0.0f32; LANES];
-            let mut ys = [0.0f32; LANES];
-            for l in 0..LANES {
-                xs[l] = particles.x[i + l].to_f32();
-                ys[l] = particles.y[i + l].to_f32();
-            }
-            let mut lane_out = [0.0f32; LANES];
-            model.batch_log_likelihood_avx2(&xs, &ys, batch, &mut lane_out);
-            for l in 0..LANES {
-                out[i + l] += lane_out[l];
-            }
-            i += LANES;
-        }
-        for (j, slot) in out[..n].iter_mut().enumerate().skip(i) {
-            *slot +=
-                model.batch_log_likelihood(particles.x[j].to_f32(), particles.y[j].to_f32(), batch);
-        }
-        return;
-    }
-    anchor_log_likelihoods_lanes(particles, model, batch, out)
-}
-
 /// Dispatches the anchor-range correction kernel of the selected
-/// [`KernelBackend`].
+/// [`KernelBackend`] (`Avx2` runs the lane body).
 ///
 /// # Panics
 ///
@@ -593,8 +563,9 @@ pub fn anchor_log_likelihoods_with<S: Scalar>(
 ) {
     match backend {
         KernelBackend::Scalar => anchor_log_likelihoods(particles, model, batch, out),
-        KernelBackend::Lanes => anchor_log_likelihoods_lanes(particles, model, batch, out),
-        KernelBackend::Avx2 => anchor_log_likelihoods_avx2(particles, model, batch, out),
+        KernelBackend::Lanes | KernelBackend::Avx2 => {
+            anchor_log_likelihoods_lanes(particles, model, batch, out)
+        }
     }
 }
 
@@ -786,7 +757,9 @@ pub fn resample_scatter<S: Scalar>(
 /// [`LANES`]-wide index groups — each group loads its indices once and feeds
 /// all three component copies, instead of three full passes over the index
 /// array — with a scalar tail, then fills the uniform weights. Pure copies,
-/// so trivially bit-identical to [`resample_scatter`].
+/// so trivially bit-identical to [`resample_scatter`]. It is also the
+/// [`KernelBackend::Avx2`] body: the scatter is memory-bound copies of a
+/// generic scalar type, so an intrinsic gather buys nothing.
 ///
 /// # Panics
 ///
@@ -823,27 +796,8 @@ pub fn resample_scatter_lanes<S: Scalar>(
     target.weight.fill(uniform_weight);
 }
 
-/// The [`KernelBackend::Avx2`] resampling kernel. The scatter is pure
-/// index-driven copies of a generic scalar type `S` — memory-bound,
-/// arithmetic-free, and (for binary16 storage) not even an f32 element type —
-/// so an intrinsic gather buys nothing over the lane-grouped copy loop the
-/// `Lanes` backend already streams: this delegates to
-/// [`resample_scatter_lanes`], keeping the backend selection uniform across
-/// all four steps. Bit-identical to [`resample_scatter`] on every host.
-///
-/// # Panics
-///
-/// Panics when `indices` and the target chunk differ in length.
-pub fn resample_scatter_avx2<S: Scalar>(
-    source: ParticleSlice<'_, S>,
-    target: ParticleSliceMut<'_, S>,
-    indices: &[usize],
-    uniform_weight: S,
-) {
-    resample_scatter_lanes(source, target, indices, uniform_weight)
-}
-
-/// Dispatches the resampling kernel of the selected [`KernelBackend`].
+/// Dispatches the resampling kernel of the selected [`KernelBackend`]
+/// (`Avx2` runs the lane body).
 ///
 /// # Panics
 ///
@@ -857,8 +811,9 @@ pub fn resample_scatter_with<S: Scalar>(
 ) {
     match backend {
         KernelBackend::Scalar => resample_scatter(source, target, indices, uniform_weight),
-        KernelBackend::Lanes => resample_scatter_lanes(source, target, indices, uniform_weight),
-        KernelBackend::Avx2 => resample_scatter_avx2(source, target, indices, uniform_weight),
+        KernelBackend::Lanes | KernelBackend::Avx2 => {
+            resample_scatter_lanes(source, target, indices, uniform_weight)
+        }
     }
 }
 
@@ -1122,17 +1077,7 @@ impl SpreadPartials {
         unweighted: bool,
     ) -> Self {
         let mut p = SpreadPartials::default();
-        for i in 0..particles.len() {
-            let w = if unweighted {
-                1.0
-            } else {
-                f64::from(particles.weight[i].to_f32().max(0.0))
-            };
-            let dx = f64::from(particles.x[i].to_f32() - mean.x);
-            let dy = f64::from(particles.y[i].to_f32() - mean.y);
-            let dt = f64::from(angular_difference(particles.theta[i].to_f32(), mean.theta));
-            p.push(w, dx, dy, dt);
-        }
+        p.accumulate_from(particles, mean, unweighted, 0);
         p
     }
 
@@ -1140,7 +1085,9 @@ impl SpreadPartials {
     /// one [`LANES`]-wide group run as vectorizable array passes (the angular
     /// difference stays scalar per lane — it branches on the wrap-around),
     /// folded **in particle order** through the shared per-particle push.
-    /// Bit-identical to [`SpreadPartials::accumulate`].
+    /// Bit-identical to [`SpreadPartials::accumulate`]. It is also the
+    /// [`KernelBackend::Avx2`] body: an intrinsic subtract-and-widen measured
+    /// no faster.
     pub fn accumulate_lanes<S: Scalar>(
         particles: ParticleSlice<'_, S>,
         mean: &Pose2,
@@ -1171,7 +1118,21 @@ impl SpreadPartials {
             }
             i += LANES;
         }
-        for j in i..n {
+        p.accumulate_from(particles, mean, unweighted, i);
+        p
+    }
+
+    /// The scalar reference loop: accumulates particles `start..` one at a
+    /// time (the whole chunk for the scalar kernel, the tail for the
+    /// lane-batched one).
+    fn accumulate_from<S: Scalar>(
+        &mut self,
+        particles: ParticleSlice<'_, S>,
+        mean: &Pose2,
+        unweighted: bool,
+        start: usize,
+    ) {
+        for j in start..particles.len() {
             let w = if unweighted {
                 1.0
             } else {
@@ -1180,72 +1141,12 @@ impl SpreadPartials {
             let dx = f64::from(particles.x[j].to_f32() - mean.x);
             let dy = f64::from(particles.y[j].to_f32() - mean.y);
             let dt = f64::from(angular_difference(particles.theta[j].to_f32(), mean.theta));
-            p.push(w, dx, dy, dt);
+            self.push(w, dx, dy, dt);
         }
-        p
     }
 
-    /// Explicit-SIMD accumulation for [`KernelBackend::Avx2`]: each group's
-    /// position deviations subtract-and-widen as one `vsubps` + `vcvtps2pd`
-    /// pass (`crate::simd::widen_deviation` — the same single f32 rounding
-    /// as the scalar subtraction); the weight clamp and the branching angular
-    /// difference stay scalar per lane, and the fold goes through the shared
-    /// push **in particle order**. Falls back to
-    /// [`SpreadPartials::accumulate_lanes`] without AVX2 and on non-x86
-    /// builds; bit-identical to [`SpreadPartials::accumulate`] in every case.
-    pub fn accumulate_avx2<S: Scalar>(
-        particles: ParticleSlice<'_, S>,
-        mean: &Pose2,
-        unweighted: bool,
-    ) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::available() {
-            let mut p = SpreadPartials::default();
-            let n = particles.len();
-            let mut i = 0usize;
-            while i + LANES <= n {
-                let mut w = [1.0f64; LANES];
-                if !unweighted {
-                    for (slot, stored) in w.iter_mut().zip(&particles.weight[i..i + LANES]) {
-                        *slot = f64::from(stored.to_f32().max(0.0));
-                    }
-                }
-                let mut xf = [0.0f32; LANES];
-                let mut yf = [0.0f32; LANES];
-                for l in 0..LANES {
-                    xf[l] = particles.x[i + l].to_f32();
-                    yf[l] = particles.y[i + l].to_f32();
-                }
-                let mut dx = [0.0f64; LANES];
-                let mut dy = [0.0f64; LANES];
-                crate::simd::widen_deviation(&xf, mean.x, &mut dx);
-                crate::simd::widen_deviation(&yf, mean.y, &mut dy);
-                let mut dt = [0.0f64; LANES];
-                for (slot, stored) in dt.iter_mut().zip(&particles.theta[i..i + LANES]) {
-                    *slot = f64::from(angular_difference(stored.to_f32(), mean.theta));
-                }
-                for l in 0..LANES {
-                    p.push(w[l], dx[l], dy[l], dt[l]);
-                }
-                i += LANES;
-            }
-            for j in i..n {
-                let w = if unweighted {
-                    1.0
-                } else {
-                    f64::from(particles.weight[j].to_f32().max(0.0))
-                };
-                let dx = f64::from(particles.x[j].to_f32() - mean.x);
-                let dy = f64::from(particles.y[j].to_f32() - mean.y);
-                let dt = f64::from(angular_difference(particles.theta[j].to_f32(), mean.theta));
-                p.push(w, dx, dy, dt);
-            }
-            return p;
-        }
-        Self::accumulate_lanes(particles, mean, unweighted)
-    }
-
-    /// Accumulates with the implementation of the selected [`KernelBackend`].
+    /// Accumulates with the implementation of the selected [`KernelBackend`]
+    /// (`Avx2` runs the lane body).
     pub fn accumulate_with<S: Scalar>(
         backend: KernelBackend,
         particles: ParticleSlice<'_, S>,
@@ -1254,8 +1155,9 @@ impl SpreadPartials {
     ) -> Self {
         match backend {
             KernelBackend::Scalar => Self::accumulate(particles, mean, unweighted),
-            KernelBackend::Lanes => Self::accumulate_lanes(particles, mean, unweighted),
-            KernelBackend::Avx2 => Self::accumulate_avx2(particles, mean, unweighted),
+            KernelBackend::Lanes | KernelBackend::Avx2 => {
+                Self::accumulate_lanes(particles, mean, unweighted)
+            }
         }
     }
 
@@ -1775,7 +1677,8 @@ mod tests {
             0.125f32,
         );
         let mut avx2_target = buffer(n);
-        resample_scatter_avx2(
+        resample_scatter_with(
+            KernelBackend::Avx2,
             avx2.as_slice(),
             avx2_target.as_mut_slice(),
             &indices,
@@ -1818,7 +1721,13 @@ mod tests {
         let mut lanes_logs = seed.clone();
         anchor_log_likelihoods_lanes(particles.as_slice(), &model, &batch, &mut lanes_logs);
         let mut avx2_logs = seed.clone();
-        anchor_log_likelihoods_avx2(particles.as_slice(), &model, &batch, &mut avx2_logs);
+        anchor_log_likelihoods_with(
+            KernelBackend::Avx2,
+            particles.as_slice(),
+            &model,
+            &batch,
+            &mut avx2_logs,
+        );
         for i in 0..n {
             assert_eq!(
                 scalar_logs[i].to_bits(),
@@ -1906,6 +1815,49 @@ mod tests {
         let mean_x: f32 = particles.x().iter().sum::<f32>() / 10.0;
         assert!((estimate.pose.x - mean_x).abs() < 1e-5);
         assert!((estimate.neff - 10.0).abs() < 1e-3);
+
+        // The unweighted branch on every backend: 1003 = 125 × 8 + 3 runs
+        // both the lane groups and the scalar tail of each accumulator.
+        fn assert_backends_match_scalar<S: Scalar>() {
+            let particles: ParticleBuffer<S> = buffer(1003)
+                .iter()
+                .map(|p| Particle::from_pose(&p.pose(), 0.0))
+                .collect();
+            let reference =
+                pose_estimate_with(&particles, &ClusterLayout::GAP9, KernelBackend::Scalar);
+            assert_eq!(reference.neff, 1003.0, "weights must read as collapsed");
+            for backend in KernelBackend::ALL {
+                let e = pose_estimate_with(&particles, &ClusterLayout::GAP9, backend);
+                assert_eq!(
+                    e.pose.x.to_bits(),
+                    reference.pose.x.to_bits(),
+                    "{backend:?}"
+                );
+                assert_eq!(
+                    e.pose.y.to_bits(),
+                    reference.pose.y.to_bits(),
+                    "{backend:?}"
+                );
+                assert_eq!(
+                    e.pose.theta.to_bits(),
+                    reference.pose.theta.to_bits(),
+                    "{backend:?}"
+                );
+                assert_eq!(
+                    e.position_std_m.to_bits(),
+                    reference.position_std_m.to_bits(),
+                    "{backend:?}"
+                );
+                assert_eq!(
+                    e.yaw_std_rad.to_bits(),
+                    reference.yaw_std_rad.to_bits(),
+                    "{backend:?}"
+                );
+                assert_eq!(e.neff.to_bits(), reference.neff.to_bits(), "{backend:?}");
+            }
+        }
+        assert_backends_match_scalar::<f32>();
+        assert_backends_match_scalar::<mcl_num::F16>();
     }
 
     #[test]

@@ -385,11 +385,11 @@ impl BeamEndPointModel {
 /// observation whose anchors are all skipped contributes log-likelihood 0.0
 /// (likelihood 1), leaving the particle weight untouched.
 ///
-/// Like [`BeamEndPointModel`], the model exists in scalar, lane-batched and
-/// explicit-AVX2 forms, all **bit-identical**: the hot body is one subtract
-/// pair, two multiplies, one add, one square root (`sqrtps` is a
-/// correctly-rounded IEEE 754 op, so the vector form matches `f32::sqrt`
-/// exactly), one subtract, and the Eq. 1 log-term — no FMA, no `hypot`.
+/// The model exists in scalar and lane-batched forms, which are
+/// **bit-identical**: the hot body is one subtract pair, two multiplies, one
+/// add, one square root (correctly rounded, so a vectorized form matches
+/// `f32::sqrt` exactly), one subtract, and the Eq. 1 log-term — no FMA, no
+/// `hypot`. The `Avx2` kernel backend runs the lane-batched form.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnchorRangeModel {
     sigma_uwb: f32,
@@ -417,13 +417,6 @@ impl AnchorRangeModel {
     /// The UWB ranging standard deviation.
     pub fn sigma_uwb(&self) -> f32 {
         self.sigma_uwb
-    }
-
-    /// The precomputed `−ln(√(2π) σ_uwb)` term, shared with the
-    /// explicit-SIMD scorer so both paths use the identical constant.
-    #[cfg(target_arch = "x86_64")]
-    pub(crate) fn log_normalizer(&self) -> f32 {
-        self.log_normalizer
     }
 
     /// Log-likelihood of a single anchor range for a particle at `(x, y)`.
@@ -519,30 +512,6 @@ impl AnchorRangeModel {
             return;
         }
         *out = log_sum;
-    }
-
-    /// Explicit-AVX2 twin of
-    /// [`AnchorRangeModel::batch_log_likelihood_lanes`] (x86-64 only): the
-    /// residual arithmetic runs as 8×f32 `core::arch` register ops.
-    /// Restricted to single-rounding IEEE ops in the scalar order —
-    /// `vsqrtps` rounds exactly like `f32::sqrt`, and no FMA is emitted —
-    /// so every lane's score is **bit-identical** to
-    /// [`AnchorRangeModel::batch_log_likelihood`]. On a host without AVX2
-    /// this method falls back to the lane-batched twin, which upholds the
-    /// same contract.
-    #[cfg(target_arch = "x86_64")]
-    pub fn batch_log_likelihood_avx2(
-        &self,
-        x: &[f32; crate::kernel::LANES],
-        y: &[f32; crate::kernel::LANES],
-        batch: &ObservationBatch,
-        out: &mut [f32; crate::kernel::LANES],
-    ) {
-        if crate::simd::available() {
-            crate::simd::score_anchor_group(self, x, y, batch, out);
-        } else {
-            self.batch_log_likelihood_lanes(x, y, batch, out);
-        }
     }
 }
 
@@ -900,7 +869,7 @@ mod tests {
     }
 
     #[test]
-    fn anchor_lane_and_avx2_paths_match_scalar_bit_for_bit() {
+    fn anchor_lane_path_matches_scalar_bit_for_bit() {
         const LANES: usize = crate::kernel::LANES;
         let model = AnchorRangeModel::new(0.17);
         let mut obs = anchors_for((1.7, 2.9));
@@ -916,14 +885,6 @@ mod tests {
         for l in 0..LANES {
             let scalar = model.batch_log_likelihood(xs[l], ys[l], &obs);
             assert_eq!(lane_out[l].to_bits(), scalar.to_bits(), "lane {l}");
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            let mut avx_out = [0.0f32; LANES];
-            model.batch_log_likelihood_avx2(&xs, &ys, &obs, &mut avx_out);
-            for l in 0..LANES {
-                assert_eq!(avx_out[l].to_bits(), lane_out[l].to_bits(), "avx lane {l}");
-            }
         }
     }
 }

@@ -28,8 +28,11 @@
 //! motion noise's SplitMix64 streams run on 4×u64 registers
 //! ([`counter_uniforms`]). What stays scalar per lane is only what has no
 //! vector equivalent with the same edge semantics: the `f32::max` weight
-//! clamp of the pose reduction and the branching angular difference of the
-//! spread reduction.
+//! clamp of the pose reduction.
+//!
+//! Only the motion, observation, reweight and pose kernels have bodies here.
+//! The anchor, spread and resample kernels run their lane bodies under
+//! `Avx2`, because intrinsic versions of them measured no faster.
 // Intrinsics require `unsafe`; this is the one module in the crate allowed to
 // use it. Every unsafe block carries a SAFETY comment discharging the single
 // obligation: the AVX2 (and where noted F16C-independent) target features are
@@ -40,7 +43,7 @@ use core::arch::x86_64::*;
 
 use crate::kernel::LANES;
 use crate::motion::{MotionDelta, MotionModel};
-use crate::observation::{AnchorRangeModel, BeamEndPointModel};
+use crate::observation::BeamEndPointModel;
 use crate::rng::{CounterRng, GOLDEN_GAMMA, PARTICLE_MIX, SCRAMBLE};
 use core::f32::consts::TAU;
 use mcl_gridmap::DistanceField;
@@ -49,7 +52,7 @@ use mcl_num::math::{
     LN_LG, LN_SQRT_HALF_BITS, LN_SUBNORMAL_EXPONENT, LN_SUBNORMAL_SCALE, LOG2_E, PIO2, ROUND_MAGIC,
     SIN_P,
 };
-use mcl_sensor::{BeamBatch, ObservationBatch};
+use mcl_sensor::BeamBatch;
 
 // The lane kernels and the 256-bit registers must agree on the group width.
 const _: () = assert!(LANES == 8, "AVX2 bodies assume 8 f32 lanes");
@@ -204,92 +207,6 @@ unsafe fn score_beams<D: DistanceField + ?Sized>(
     used
 }
 
-/// Scores one [`LANES`]-wide group of particle positions against the anchor
-/// set of `batch` — the AVX2 body of `anchor_log_likelihoods_avx2`,
-/// bit-identical to [`AnchorRangeModel::batch_log_likelihood`] per lane.
-///
-/// The residual arithmetic (subtract pair, squared norm, square root,
-/// range residual, Eq. 1 log-term) runs as 8-wide register ops; `vsqrtps`
-/// is a correctly-rounded IEEE 754 op, so it matches `f32::sqrt` exactly,
-/// and no FMA is emitted.
-pub(crate) fn score_anchor_group(
-    model: &AnchorRangeModel,
-    x: &[f32; LANES],
-    y: &[f32; LANES],
-    batch: &ObservationBatch,
-    out: &mut [f32; LANES],
-) {
-    debug_assert!(available());
-    // Same constant expression the scalar body folds out of `2.0 · σ · σ`:
-    // identical expression, identical roundings.
-    let denom = 2.0 * model.sigma_uwb() * model.sigma_uwb();
-    // SAFETY: `available` was checked by the caller (debug-asserted above),
-    // so the AVX2 target feature is present.
-    let used = unsafe {
-        score_anchors(
-            batch.anchor_x_m(),
-            batch.anchor_y_m(),
-            batch.anchor_range_m(),
-            model.log_normalizer(),
-            denom,
-            x,
-            y,
-            out,
-        )
-    };
-    if used == 0 {
-        *out = [0.0; LANES];
-    }
-}
-
-/// The register-resident anchor loop of [`score_anchor_group`]. Non-finite
-/// ranges are skipped with the scalar predicate; returns the number of
-/// anchors scored.
-///
-/// # Safety
-///
-/// Callers must ensure the `avx2` target feature is available.
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)] // the full lane-group register set
-unsafe fn score_anchors(
-    anchor_x: &[f32],
-    anchor_y: &[f32],
-    ranges: &[f32],
-    log_normalizer: f32,
-    denom: f32,
-    x: &[f32; LANES],
-    y: &[f32; LANES],
-    out: &mut [f32; LANES],
-) -> usize {
-    let x_v = _mm256_loadu_ps(x.as_ptr());
-    let y_v = _mm256_loadu_ps(y.as_ptr());
-    let norm_v = _mm256_set1_ps(log_normalizer);
-    let denom_v = _mm256_set1_ps(denom);
-    let mut log_sum = _mm256_setzero_ps();
-    let mut used = 0usize;
-    for i in 0..ranges.len() {
-        // The scalar path's skipping predicate, verbatim.
-        let z = ranges[i];
-        if !z.is_finite() {
-            continue;
-        }
-        let ax = _mm256_set1_ps(anchor_x[i]);
-        let ay = _mm256_set1_ps(anchor_y[i]);
-        // dx = x − ax, dy = y − ay, dist = √(dx·dx + dy·dy), r = dist − z,
-        // with the scalar body's association and one rounding per op.
-        let dx = _mm256_sub_ps(x_v, ax);
-        let dy = _mm256_sub_ps(y_v, ay);
-        let dist = _mm256_sqrt_ps(_mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)));
-        let r = _mm256_sub_ps(dist, _mm256_set1_ps(z));
-        // log_normalizer − r² / denom, accumulated in anchor order per lane.
-        let term = _mm256_sub_ps(norm_v, _mm256_div_ps(_mm256_mul_ps(r, r), denom_v));
-        log_sum = _mm256_add_ps(log_sum, term);
-        used += 1;
-    }
-    _mm256_storeu_ps(out.as_mut_ptr(), log_sum);
-    used
-}
-
 /// The reweight body's likelihood factors of one lane group:
 /// `out[l] = exp(lg[l] − max_log)`, one 8-wide subtraction followed by
 /// [`exp_v`] — bit-identical to `mcl_num::math::exp(lg[l] - max_log)`.
@@ -316,24 +233,6 @@ pub(crate) fn widen(values: &[f32; LANES], out: &mut [f64; LANES]) {
 #[target_feature(enable = "avx2")]
 unsafe fn widen_impl(values: &[f32; LANES], out: &mut [f64; LANES]) {
     let v = _mm256_loadu_ps(values.as_ptr());
-    let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
-    let hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v));
-    _mm256_storeu_pd(out.as_mut_ptr(), lo);
-    _mm256_storeu_pd(out[4..].as_mut_ptr(), hi);
-}
-
-/// Deviation-and-widen pass of the spread reduction:
-/// `out[l] = f64::from(values[l] − mean)` — one single-rounding f32 subtract
-/// (matching the scalar body exactly) followed by the exact widening.
-pub(crate) fn widen_deviation(values: &[f32; LANES], mean: f32, out: &mut [f64; LANES]) {
-    debug_assert!(available());
-    // SAFETY: callers gate on `available`.
-    unsafe { widen_deviation_impl(values, mean, out) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn widen_deviation_impl(values: &[f32; LANES], mean: f32, out: &mut [f64; LANES]) {
-    let v = _mm256_sub_ps(_mm256_loadu_ps(values.as_ptr()), _mm256_set1_ps(mean));
     let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
     let hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v));
     _mm256_storeu_pd(out.as_mut_ptr(), lo);

@@ -35,14 +35,6 @@
 //! Table I calibration assumes, and the shape of the host's persistent
 //! worker pool.
 //!
-//! The population is an *input* of the model, not a constant: a KLD-adaptive
-//! filter runs every update at a different particle count, so the model also
-//! accounts whole population **traces** — [`CostModel::trace_cycles`] sums one
-//! full update per trace entry, [`CostModel::mean_trace_update_cycles`] is the
-//! per-update average to hold against a fixed-size breakdown, and
-//! [`CostModel::adaptive_savings_cycles`] quantifies what the adaptive
-//! trajectory saves (or costs) against running every update at a fixed count.
-//!
 //! The constants below were calibrated against the published Table I values at
 //! 400 MHz; they are documented on each field so ablations can vary them.
 
@@ -526,76 +518,6 @@ impl CostModel {
             .total_cycles as f64;
         single / multi
     }
-
-    /// Total cycles of a run whose per-update populations are `populations`
-    /// — the accounting a KLD-adaptive filter needs, where every update may
-    /// run at a different particle count. Each entry is charged as one full
-    /// update ([`CostModel::update_breakdown`] at that population), so the
-    /// sum reflects exactly the work the cluster would execute for the
-    /// population trajectory `mcl_core`'s adaptive resampler produced.
-    /// Distinct populations are costed once and reused, so long traces with
-    /// a settled population stay cheap to account. An empty trace costs 0.
-    pub fn trace_cycles(
-        &self,
-        populations: &[usize],
-        beams: usize,
-        cores: usize,
-        particles_in_l2: bool,
-    ) -> u64 {
-        let mut per_population = std::collections::HashMap::<usize, u64>::new();
-        populations
-            .iter()
-            .map(|&n| {
-                *per_population.entry(n).or_insert_with(|| {
-                    self.update_breakdown(n, beams, cores, particles_in_l2)
-                        .total_cycles
-                })
-            })
-            .sum()
-    }
-
-    /// Mean per-update cycles over a population trace
-    /// ([`CostModel::trace_cycles`] divided by the number of updates) — the
-    /// figure to compare against a fixed-population
-    /// [`StepBreakdown::total_cycles`] when judging what adaptive population
-    /// control buys. Returns `None` for an empty trace.
-    pub fn mean_trace_update_cycles(
-        &self,
-        populations: &[usize],
-        beams: usize,
-        cores: usize,
-        particles_in_l2: bool,
-    ) -> Option<f64> {
-        if populations.is_empty() {
-            return None;
-        }
-        let total = self.trace_cycles(populations, beams, cores, particles_in_l2);
-        Some(total as f64 / populations.len() as f64)
-    }
-
-    /// Cycles a population trace saves against running every one of its
-    /// updates at the fixed count `fixed_particles` — positive when the
-    /// adaptive trajectory is cheaper, negative when its recovery growth
-    /// outweighs the converged shrinkage. This is the on-board budget
-    /// argument for KLD-sampling: once the belief is unimodal the population
-    /// drops to the configured floor and the saved cycles translate directly
-    /// into latency and energy headroom at the paper's 400 MHz operating
-    /// point.
-    pub fn adaptive_savings_cycles(
-        &self,
-        populations: &[usize],
-        fixed_particles: usize,
-        beams: usize,
-        cores: usize,
-        particles_in_l2: bool,
-    ) -> i64 {
-        let fixed_per_update = self
-            .update_breakdown(fixed_particles, beams, cores, particles_in_l2)
-            .total_cycles;
-        let fixed_total = fixed_per_update.saturating_mul(populations.len() as u64);
-        let adaptive_total = self.trace_cycles(populations, beams, cores, particles_in_l2);
-        fixed_total as i64 - adaptive_total as i64
-    }
 }
 
 #[cfg(test)]
@@ -1018,61 +940,5 @@ mod tests {
     #[should_panic(expected = "at least one kernel invocation")]
     fn empty_chunks_panic() {
         CostModel::default().step_cycles_from_chunks(McStep::Motion, &[], 16, false);
-    }
-
-    #[test]
-    fn trace_cycles_sums_one_update_per_entry() {
-        let model = CostModel::default();
-        let trace = [512usize, 1024, 512, 256];
-        let expected: u64 = trace
-            .iter()
-            .map(|&n| model.update_breakdown(n, BEAMS, 8, false).total_cycles)
-            .sum();
-        assert_eq!(model.trace_cycles(&trace, BEAMS, 8, false), expected);
-        assert_eq!(model.trace_cycles(&[], BEAMS, 8, false), 0);
-    }
-
-    #[test]
-    fn mean_trace_update_cycles_matches_a_constant_trace() {
-        let model = CostModel::default();
-        let fixed = model.update_breakdown(1024, BEAMS, 8, false).total_cycles as f64;
-        let mean = model
-            .mean_trace_update_cycles(&[1024; 7], BEAMS, 8, false)
-            .unwrap();
-        assert!((mean - fixed).abs() < 1e-6);
-        assert_eq!(model.mean_trace_update_cycles(&[], BEAMS, 8, false), None);
-    }
-
-    #[test]
-    fn shrinking_adaptive_trace_beats_the_fixed_baseline() {
-        // A convergence-shaped trace: brief growth while the belief is
-        // multi-modal, then a drop to the floor — the KLD trajectory the
-        // adaptive scenario sweep produces. It must come out cheaper than
-        // running every update at the fixed 2048.
-        let model = CostModel::default();
-        let mut trace = vec![2048usize, 4096, 4096, 2048, 1024];
-        trace.extend(std::iter::repeat_n(256usize, 55));
-        let savings = model.adaptive_savings_cycles(&trace, 2048, BEAMS, 8, false);
-        assert!(savings > 0, "a converged trace must save cycles: {savings}");
-        // And a trace pinned above the baseline must cost extra.
-        let grown = [4096usize; 10];
-        assert!(model.adaptive_savings_cycles(&grown, 2048, BEAMS, 8, false) < 0);
-        // A trace equal to the baseline is exactly neutral.
-        assert_eq!(
-            model.adaptive_savings_cycles(&[2048; 10], 2048, BEAMS, 8, false),
-            0
-        );
-    }
-
-    #[test]
-    fn trace_update_cycles_grow_with_the_population() {
-        let model = CostModel::default();
-        let small = model
-            .mean_trace_update_cycles(&[256; 4], BEAMS, 8, false)
-            .unwrap();
-        let large = model
-            .mean_trace_update_cycles(&[4096; 4], BEAMS, 8, true)
-            .unwrap();
-        assert!(large > small);
     }
 }
