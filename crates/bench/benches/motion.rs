@@ -81,16 +81,22 @@ fn bench_motion(c: &mut Criterion) {
                 criterion::BatchSize::LargeInput,
             )
         });
-        backend_group.bench_with_input(BenchmarkId::new("avx2", n), &soa, |b, soa| {
-            b.iter_batched(
-                || soa.clone(),
-                |mut batch| {
-                    kernel::motion_predict_avx2(batch.as_mut_slice(), &model, &delta, 7, 3, 0);
-                    batch
-                },
-                criterion::BatchSize::LargeInput,
-            )
-        });
+        // Skipped (visibly) when the host cannot run the intrinsics: the
+        // avx2 entry would time the scalar fallback under the avx2 label.
+        if KernelBackend::Avx2.is_available() {
+            backend_group.bench_with_input(BenchmarkId::new("avx2", n), &soa, |b, soa| {
+                b.iter_batched(
+                    || soa.clone(),
+                    |mut batch| {
+                        kernel::motion_predict_avx2(batch.as_mut_slice(), &model, &delta, 7, 3, 0);
+                        batch
+                    },
+                    criterion::BatchSize::LargeInput,
+                )
+            });
+        } else {
+            eprintln!("motion_backend: host lacks AVX2 — skipping the avx2 entry");
+        }
     }
     backend_group.finish();
 }

@@ -68,7 +68,16 @@ fn bench_pose(c: &mut Criterion) {
     {
         let n = 4096usize;
         let soa: ParticleBuffer<f32> = particles(n).into_iter().collect();
+        // A backend the host cannot run is skipped (visibly) rather than
+        // timing its fallback body under its label.
         for backend in mcl_core::KernelBackend::ALL {
+            if !backend.is_available() {
+                eprintln!(
+                    "pose_backend: host lacks {} — skipping its entry",
+                    backend.name()
+                );
+                continue;
+            }
             backend_group.bench_with_input(BenchmarkId::new(backend.name(), n), &soa, |b, soa| {
                 b.iter(|| kernel::pose_estimate_with(soa, &ClusterLayout::SINGLE, backend))
             });

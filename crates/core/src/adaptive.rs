@@ -32,7 +32,7 @@
 
 use crate::config::MclError;
 use crate::kernel::ModeRefineScratch;
-use crate::particle::ParticleSlice;
+use crate::particle::{for_each_widened_block, ParticleSlice};
 use crate::rng::CounterRng;
 use mcl_num::Scalar;
 use serde::{Deserialize, Serialize};
@@ -417,16 +417,19 @@ impl KldSampler {
         self.bins.clear();
         let inv_xy = 1.0 / self.config.bin_xy_m;
         let inv_theta = 1.0 / self.config.bin_theta_rad;
-        for i in 0..particles.len() {
-            let x = particles.x[i].to_f32();
-            let y = particles.y[i].to_f32();
-            let theta = particles.theta[i].to_f32();
-            self.bins.insert([
-                (x * inv_xy).floor() as i32,
-                (y * inv_xy).floor() as i32,
-                (theta * inv_theta).floor() as i32,
-            ]);
-        }
+        let bins = &mut self.bins;
+        for_each_widened_block(
+            [particles.x, particles.y, particles.theta],
+            |[xs, ys, thetas]| {
+                for ((&x, &y), &theta) in xs.iter().zip(ys).zip(thetas) {
+                    bins.insert([
+                        (x * inv_xy).floor() as i32,
+                        (y * inv_xy).floor() as i32,
+                        (theta * inv_theta).floor() as i32,
+                    ]);
+                }
+            },
+        );
         self.bins.len()
     }
 

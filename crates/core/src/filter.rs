@@ -45,7 +45,7 @@ use crate::kernel;
 use crate::motion::{MotionDelta, MotionModel};
 use crate::observation::{AnchorRangeModel, BeamEndPointModel};
 use crate::parallel::ClusterLayout;
-use crate::particle::{Particle, ParticleSet};
+use crate::particle::{self, Particle, ParticleSet};
 use crate::resampling::{PartialSumResampler, ResamplePlan};
 use crate::rng::CounterRng;
 use mcl_gridmap::{DistanceField, OccupancyGrid, Pose2};
@@ -120,9 +120,10 @@ pub struct MonteCarloLocalization<S: Scalar, D: DistanceField> {
     counters: FilterCounters,
     /// Per-update scratch: one log-likelihood per particle (correction step).
     log_likelihoods: Vec<f32>,
-    /// Per-update scratch: weights widened to `f32` for the resampling plan
-    /// (unused at fp32 storage, where the weight array feeds the plan
-    /// directly).
+    /// Per-update scratch: weights widened to `f32` for the tempering solve,
+    /// then the normalized weights widened once for both the ESS gate and
+    /// the resampling plan (unused at fp32 storage, where the weight array
+    /// feeds them directly).
     weights_f32: Vec<f32>,
     /// Per-update scratch: the resampling plan, allocations reused.
     plan: ResamplePlan,
@@ -507,14 +508,13 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
                 temper *= 0.5;
             }
             let mean = if max_log.is_finite() {
-                self.weights_f32.clear();
-                self.weights_f32
-                    .extend(self.particles.current().weight().iter().map(|w| w.to_f32()));
+                let weights =
+                    weights_as_f32(self.particles.current().weight(), &mut self.weights_f32);
                 // The solve's β = 1 pass also sums the raw relative
                 // likelihoods for the monitor; a zero target (tempering
                 // off) stops after that pass with β = 1.
                 let tempering = adaptive::temper_beta(
-                    &self.weights_f32,
+                    weights,
                     &self.log_likelihoods,
                     max_log,
                     temper * n as f64,
@@ -553,10 +553,11 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
         );
 
         // 3. Weight normalization + systematic resampling over partial sums.
-        // The plan reads the weights as `f32`: fp32 storage hands the SoA
-        // weight array to the plan directly, other precisions widen into the
-        // reusable scratch. The plan itself reuses its allocations too, so the
-        // steady state allocates nothing here.
+        // The ESS gate and the plan read the normalized weights as `f32`:
+        // fp32 storage hands them the SoA weight array directly, other
+        // precisions widen once into the reusable scratch and both read that
+        // copy. The plan itself reuses its allocations too, so the steady
+        // state allocates nothing here.
         //
         // With adaptive population control enabled, this step additionally
         // (a) picks the next population from the KLD bin statistics of the
@@ -566,6 +567,7 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
         // functions of the filter state, so the population trajectory is
         // bit-identical for every worker count and kernel backend.
         self.particles.normalize_weights();
+        let weights = weights_as_f32(self.particles.current().weight(), &mut self.weights_f32);
         let mut offset_rng = CounterRng::for_update(seed, update_index);
         let offset = offset_rng.uniform();
         let resampler = self.resampler;
@@ -667,7 +669,7 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
                 // modes (symmetric aisles, repeated rooms) from being starved
                 // out by per-update resampling noise.
                 let ess_threshold = f64::from(self.config.adaptive.ess_threshold);
-                let ess = f64::from(self.particles.effective_sample_size());
+                let ess = f64::from(particle::effective_sample_size_of(weights.iter().copied()));
                 if state.recovery_updates_left == 0
                     && ess_threshold > 0.0
                     && ess >= ess_threshold * n as f64
@@ -689,14 +691,7 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
             return self.published_estimate(n);
         };
         let kept = target_n - injected;
-        if let Some(direct) = S::f32_slice(self.particles.current().weight()) {
-            resampler.plan_resize_into(direct, offset, kept, &mut self.plan);
-        } else {
-            self.weights_f32.clear();
-            self.weights_f32
-                .extend(self.particles.current().weight().iter().map(|w| w.to_f32()));
-            resampler.plan_resize_into(&self.weights_f32, offset, kept, &mut self.plan);
-        }
+        resampler.plan_resize_into(weights, offset, kept, &mut self.plan);
         let uniform_weight = S::from_f32(1.0 / target_n as f32);
         {
             let plan = &self.plan;
@@ -743,6 +738,20 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
         // 4. Pose computation (fixed-block reduction kernel), excluding the
         // injected suffix and mode-refined in adaptive mode.
         self.published_estimate(kept)
+    }
+}
+
+/// Stored weights read as `f32`: the array itself at fp32 storage, otherwise
+/// widened with [`Scalar::widen`] into `scratch` (whose allocation is reused).
+fn weights_as_f32<'a, S: Scalar>(stored: &'a [S], scratch: &'a mut Vec<f32>) -> &'a [f32] {
+    match S::f32_slice(stored) {
+        Some(direct) => direct,
+        None => {
+            scratch.clear();
+            scratch.resize(stored.len(), 0.0);
+            S::widen(stored, scratch);
+            scratch
+        }
     }
 }
 

@@ -65,6 +65,15 @@
 //! The reductions keep their serial per-accumulator fold order for the same
 //! reason.
 //!
+//! Storage conversion is exact in the widening direction and a single
+//! round-to-nearest-even in the narrowing one, so it is part of the per-lane
+//! op sequence too. The lane-group bodies widen each group's stored
+//! components with [`Scalar::widen`] and store results with
+//! [`Scalar::narrow`] — copies at `f32`, eight values per F16C instruction
+//! at binary16 where the host has it — while the scalar bodies and the lane
+//! tails convert per element with [`Scalar::to_f32`] / [`Scalar::from_f32`].
+//! Both return the same bits (`mcl_num` tests every binary16 pattern).
+//!
 //! For the intrinsic bodies the contract additionally pins the instruction
 //! selection: only single-rounding IEEE 754 ops (`vaddps`, `vsubps`,
 //! `vmulps`, `vdivps`, `vsqrtps`, `vminps`, compare-and-blend, exact
@@ -93,7 +102,7 @@ use crate::estimate::PoseEstimate;
 use crate::motion::{MotionDelta, MotionModel};
 use crate::observation::{AnchorRangeModel, BeamEndPointModel};
 use crate::parallel::ClusterLayout;
-use crate::particle::{ParticleBuffer, ParticleSlice, ParticleSliceMut};
+use crate::particle::{for_each_widened_block, ParticleBuffer, ParticleSlice, ParticleSliceMut};
 use mcl_gridmap::{DistanceField, Pose2};
 use mcl_num::math::{exp, sin_cos};
 use mcl_num::{angular_difference, normalize_angle, Scalar};
@@ -247,6 +256,15 @@ impl KernelBackend {
 /// the folded estimate — are bit-identical for every [`ClusterLayout`].
 pub const POSE_REDUCTION_BLOCK: usize = 256;
 
+/// The stored components `start..start + LANES` widened in bulk
+/// ([`Scalar::widen`]) — the gather every lane-group body starts with.
+#[inline]
+fn widen_group<S: Scalar>(stored: &[S], start: usize) -> [f32; LANES] {
+    let mut group = [0.0f32; LANES];
+    S::widen(&stored[start..start + LANES], &mut group);
+    group
+}
+
 /// Prediction kernel: samples every particle of the chunk through the odometry
 /// motion model. `first_index` is the chunk's global start index, which anchors
 /// the per-particle RNG streams `(seed, update_index, first_index + i)`.
@@ -269,11 +287,14 @@ pub fn motion_predict<S: Scalar>(
 
 /// The [`KernelBackend::Avx2`] prediction kernel. Per [`LANES`]-wide group
 /// the eight SplitMix64 streams draw their four uniforms in 4×u64 registers
-/// (`crate::simd::counter_uniforms`), then both Box–Muller pairs, the noise,
-/// the yaw `sin_cos`, the pose composition and the angle wrap run as 8-wide
-/// register ops (`crate::simd::motion_group`, the lane replay of
-/// [`MotionModel::sample`]), followed by a scalar-reference tail. Falls back
-/// to [`motion_predict`] without AVX2 and on non-x86 builds. Bit-identical to [`motion_predict`] in every case.
+/// (`crate::simd::counter_uniforms`), the group's stored pose is widened in
+/// bulk ([`Scalar::widen`]), then both Box–Muller pairs, the noise, the yaw
+/// `sin_cos`, the pose composition and the angle wrap run as 8-wide register
+/// ops (`crate::simd::motion_group`, the lane replay of
+/// [`MotionModel::sample`]) and the result is narrowed back in bulk
+/// ([`Scalar::narrow`]), followed by a scalar-reference tail. Falls back to
+/// [`motion_predict`] without AVX2 and on non-x86 builds. Bit-identical to
+/// [`motion_predict`] in every case.
 pub fn motion_predict_avx2<S: Scalar>(
     mut particles: ParticleSliceMut<'_, S>,
     model: &MotionModel,
@@ -289,15 +310,13 @@ pub fn motion_predict_avx2<S: Scalar>(
         while i + LANES <= n {
             let uniforms =
                 crate::simd::counter_uniforms(seed, update_index, first_index + i as u64);
-            let mut x: [f32; LANES] = core::array::from_fn(|l| particles.x[i + l].to_f32());
-            let mut y: [f32; LANES] = core::array::from_fn(|l| particles.y[i + l].to_f32());
-            let mut theta: [f32; LANES] = core::array::from_fn(|l| particles.theta[i + l].to_f32());
+            let mut x = widen_group(particles.x, i);
+            let mut y = widen_group(particles.y, i);
+            let mut theta = widen_group(particles.theta, i);
             crate::simd::motion_group(model, delta, &uniforms, &mut x, &mut y, &mut theta);
-            for l in 0..LANES {
-                particles.x[i + l] = S::from_f32(x[l]);
-                particles.y[i + l] = S::from_f32(y[l]);
-                particles.theta[i + l] = S::from_f32(theta[l]);
-            }
+            S::narrow(&x, &mut particles.x[i..i + LANES]);
+            S::narrow(&y, &mut particles.y[i..i + LANES]);
+            S::narrow(&theta, &mut particles.theta[i..i + LANES]);
             i += LANES;
         }
         for j in i..n {
@@ -379,14 +398,9 @@ pub fn observation_log_likelihoods_lanes<S: Scalar, D: DistanceField + ?Sized>(
     assert!(out.len() >= n, "output chunk too short");
     let mut i = 0usize;
     while i + LANES <= n {
-        let mut xs = [0.0f32; LANES];
-        let mut ys = [0.0f32; LANES];
-        let mut thetas = [0.0f32; LANES];
-        for l in 0..LANES {
-            xs[l] = particles.x[i + l].to_f32();
-            ys[l] = particles.y[i + l].to_f32();
-            thetas[l] = particles.theta[i + l].to_f32();
-        }
+        let xs = widen_group(particles.x, i);
+        let ys = widen_group(particles.y, i);
+        let thetas = widen_group(particles.theta, i);
         let mut lane_out = [0.0f32; LANES];
         model.batch_log_likelihood_lanes(field, &xs, &ys, &thetas, batch, &mut lane_out);
         out[i..i + LANES].copy_from_slice(&lane_out);
@@ -431,14 +445,9 @@ pub fn observation_log_likelihoods_avx2<S: Scalar, D: DistanceField + ?Sized>(
         assert!(out.len() >= n, "output chunk too short");
         let mut i = 0usize;
         while i + LANES <= n {
-            let mut xs = [0.0f32; LANES];
-            let mut ys = [0.0f32; LANES];
-            let mut thetas = [0.0f32; LANES];
-            for l in 0..LANES {
-                xs[l] = particles.x[i + l].to_f32();
-                ys[l] = particles.y[i + l].to_f32();
-                thetas[l] = particles.theta[i + l].to_f32();
-            }
+            let xs = widen_group(particles.x, i);
+            let ys = widen_group(particles.y, i);
+            let thetas = widen_group(particles.theta, i);
             let mut lane_out = [0.0f32; LANES];
             model.batch_log_likelihood_avx2(field, &xs, &ys, &thetas, batch, &mut lane_out);
             out[i..i + LANES].copy_from_slice(&lane_out);
@@ -529,12 +538,8 @@ pub fn anchor_log_likelihoods_lanes<S: Scalar>(
     assert!(out.len() >= n, "output chunk too short");
     let mut i = 0usize;
     while i + LANES <= n {
-        let mut xs = [0.0f32; LANES];
-        let mut ys = [0.0f32; LANES];
-        for l in 0..LANES {
-            xs[l] = particles.x[i + l].to_f32();
-            ys[l] = particles.y[i + l].to_f32();
-        }
+        let xs = widen_group(particles.x, i);
+        let ys = widen_group(particles.y, i);
         let mut lane_out = [0.0f32; LANES];
         model.batch_log_likelihood_lanes(&xs, &ys, batch, &mut lane_out);
         for l in 0..LANES {
@@ -618,9 +623,9 @@ pub fn reweight<S: Scalar>(weights: &mut [S], log_likelihoods: &[f32], max_log: 
 }
 
 /// Lane-batched correction kernel, part 2: [`LANES`]-wide groups of the
-/// rescale-and-store body (the subtraction, the owned `exp`, the multiply and
-/// the storage rounding run as straight-line array passes) with a
-/// scalar-reference tail. Bit-identical to [`reweight`], including the
+/// rescale-and-store body (the subtraction, the owned `exp` and the multiply
+/// run as straight-line array passes between one bulk widen and one bulk
+/// narrow of the group's weights) with a scalar-reference tail. Bit-identical to [`reweight`], including the
 /// collapsed-observation zeroing.
 ///
 /// # Panics
@@ -644,9 +649,12 @@ pub fn reweight_lanes<S: Scalar>(weights: &mut [S], log_likelihoods: &[f32], max
         for l in 0..LANES {
             scaled[l] = exp(lg[l] - max_log);
         }
+        let mut w = [0.0f32; LANES];
+        S::widen(wg, &mut w);
         for l in 0..LANES {
-            wg[l] = S::from_f32(wg[l].to_f32() * scaled[l]);
+            w[l] *= scaled[l];
         }
+        S::narrow(&w, wg);
     }
     for (w, &log_lik) in weight_groups
         .into_remainder()
@@ -661,7 +669,8 @@ pub fn reweight_lanes<S: Scalar>(weights: &mut [S], log_likelihoods: &[f32], max
 /// Explicit-SIMD correction kernel, part 2: the [`KernelBackend::Avx2`] body
 /// computes each group's likelihood factors `exp(log_lik − max_log)` as one
 /// 8-wide subtraction plus the lane replay of [`mcl_num::math::exp`]; the
-/// generic weight multiply-and-store stays per lane. Falls back to
+/// group's weights are widened in bulk, multiplied and narrowed back in
+/// bulk. Falls back to
 /// [`reweight_lanes`] without AVX2 and on non-x86 builds. Bit-identical to
 /// [`reweight`], including the collapsed-observation zeroing.
 ///
@@ -687,9 +696,12 @@ pub fn reweight_avx2<S: Scalar>(weights: &mut [S], log_likelihoods: &[f32], max_
             let lg: &[f32; LANES] = lg.try_into().expect("group is exactly LANES entries");
             let mut scaled = [0.0f32; LANES];
             crate::simd::exp_shifted(lg, max_log, &mut scaled);
+            let mut w = [0.0f32; LANES];
+            S::widen(wg, &mut w);
             for l in 0..LANES {
-                wg[l] = S::from_f32(wg[l].to_f32() * scaled[l]);
+                w[l] *= scaled[l];
             }
+            S::narrow(&w, wg);
         }
         for (w, &log_lik) in weight_groups
             .into_remainder()
@@ -863,8 +875,9 @@ impl PosePartials {
         p
     }
 
-    /// Lane-batched accumulation: widens and clamps one [`LANES`]-wide group
-    /// of components in vectorizable array passes (the owned heading
+    /// Lane-batched accumulation: widens one [`LANES`]-wide group of stored
+    /// components in bulk, then clamps and widens them to `f64` in
+    /// vectorizable array passes (the owned heading
     /// `sin_cos` runs per lane), then folds the group through the shared
     /// per-particle push **in particle order** — the f64 accumulator
     /// chains associate exactly as in the scalar loop, so the partials are
@@ -874,18 +887,22 @@ impl PosePartials {
         let n = particles.len();
         let mut i = 0usize;
         while i + LANES <= n {
+            let wf = widen_group(particles.weight, i);
+            let xf = widen_group(particles.x, i);
+            let yf = widen_group(particles.y, i);
+            let theta = widen_group(particles.theta, i);
             let mut w = [0.0f64; LANES];
             let mut x = [0.0f64; LANES];
             let mut y = [0.0f64; LANES];
             for l in 0..LANES {
-                w[l] = f64::from(particles.weight[i + l].to_f32().max(0.0));
-                x[l] = f64::from(particles.x[i + l].to_f32());
-                y[l] = f64::from(particles.y[i + l].to_f32());
+                w[l] = f64::from(wf[l].max(0.0));
+                x[l] = f64::from(xf[l]);
+                y[l] = f64::from(yf[l]);
             }
             let mut sin_t = [0.0f64; LANES];
             let mut cos_t = [0.0f64; LANES];
             for l in 0..LANES {
-                let (s, c) = sin_cos(particles.theta[i + l].to_f32());
+                let (s, c) = sin_cos(theta[l]);
                 sin_t[l] = f64::from(s);
                 cos_t[l] = f64::from(c);
             }
@@ -927,21 +944,14 @@ impl PosePartials {
             let n = particles.len();
             let mut i = 0usize;
             while i + LANES <= n {
-                let mut w = [0.0f64; LANES];
-                for (l, wl) in w.iter_mut().enumerate() {
-                    *wl = f64::from(particles.weight[i + l].to_f32().max(0.0));
-                }
-                let mut xf = [0.0f32; LANES];
-                let mut yf = [0.0f32; LANES];
-                for l in 0..LANES {
-                    xf[l] = particles.x[i + l].to_f32();
-                    yf[l] = particles.y[i + l].to_f32();
-                }
+                let w = widen_group(particles.weight, i).map(|wl| f64::from(wl.max(0.0)));
+                let xf = widen_group(particles.x, i);
+                let yf = widen_group(particles.y, i);
+                let theta = widen_group(particles.theta, i);
                 let mut x = [0.0f64; LANES];
                 let mut y = [0.0f64; LANES];
                 crate::simd::widen(&xf, &mut x);
                 crate::simd::widen(&yf, &mut y);
-                let theta: [f32; LANES] = core::array::from_fn(|l| particles.theta[i + l].to_f32());
                 let (sin_f, cos_f) = crate::simd::sin_cos_lanes(&theta);
                 let mut sin_t = [0.0f64; LANES];
                 let mut cos_t = [0.0f64; LANES];
@@ -1081,8 +1091,9 @@ impl SpreadPartials {
         p
     }
 
-    /// Lane-batched accumulation: the position deviations and weight clamps of
-    /// one [`LANES`]-wide group run as vectorizable array passes (the angular
+    /// Lane-batched accumulation: one [`LANES`]-wide group's stored
+    /// components are widened in bulk, then the position deviations and
+    /// weight clamps run as vectorizable array passes (the angular
     /// difference stays scalar per lane — it branches on the wrap-around),
     /// folded **in particle order** through the shared per-particle push.
     /// Bit-identical to [`SpreadPartials::accumulate`]. It is also the
@@ -1097,22 +1108,21 @@ impl SpreadPartials {
         let n = particles.len();
         let mut i = 0usize;
         while i + LANES <= n {
-            let mut w = [1.0f64; LANES];
-            if !unweighted {
-                for (slot, stored) in w.iter_mut().zip(&particles.weight[i..i + LANES]) {
-                    *slot = f64::from(stored.to_f32().max(0.0));
-                }
-            }
+            let w = if unweighted {
+                [1.0f64; LANES]
+            } else {
+                widen_group(particles.weight, i).map(|wl| f64::from(wl.max(0.0)))
+            };
+            let xf = widen_group(particles.x, i);
+            let yf = widen_group(particles.y, i);
+            let theta = widen_group(particles.theta, i);
             let mut dx = [0.0f64; LANES];
             let mut dy = [0.0f64; LANES];
             for l in 0..LANES {
-                dx[l] = f64::from(particles.x[i + l].to_f32() - mean.x);
-                dy[l] = f64::from(particles.y[i + l].to_f32() - mean.y);
+                dx[l] = f64::from(xf[l] - mean.x);
+                dy[l] = f64::from(yf[l] - mean.y);
             }
-            let mut dt = [0.0f64; LANES];
-            for (slot, stored) in dt.iter_mut().zip(&particles.theta[i..i + LANES]) {
-                *slot = f64::from(angular_difference(stored.to_f32(), mean.theta));
-            }
+            let dt = theta.map(|t| f64::from(angular_difference(t, mean.theta)));
             for l in 0..LANES {
                 p.push(w[l], dx[l], dy[l], dt[l]);
             }
@@ -1310,13 +1320,17 @@ pub fn refine_mode_estimate<S: Scalar>(
     let view = particles.as_slice();
     let r2 = f64::from(radius_m) * f64::from(radius_m);
     scratch.xyw.clear();
-    scratch.xyw.extend((0..n).map(|i| {
-        (
-            f64::from(view.x[i].to_f32()),
-            f64::from(view.y[i].to_f32()),
-            f64::from(view.weight[i].to_f32()),
-        )
-    }));
+    for_each_widened_block(
+        [&view.x[..n], &view.y[..n], &view.weight[..n]],
+        |[xs, ys, ws]| {
+            scratch.xyw.extend(
+                xs.iter()
+                    .zip(ys)
+                    .zip(ws)
+                    .map(|((&x, &y), &w)| (f64::from(x), f64::from(y), f64::from(w))),
+            );
+        },
+    );
     let total: f64 = scratch.xyw.iter().map(|&(_, _, w)| w).sum();
     if total <= 0.0 {
         return (start, 0.0);

@@ -27,6 +27,57 @@ use crate::rng::CounterRng;
 use mcl_gridmap::{CellState, OccupancyGrid, Pose2};
 use mcl_num::Scalar;
 
+/// Particles per stack block of the serial passes that read stored
+/// components as `f32` ([`for_each_widened_block`]): 1 KiB per component,
+/// whatever the population.
+const WIDEN_BLOCK: usize = 256;
+
+/// Hands equal-length stored component arrays to `f` as `f32`, in storage
+/// order: the arrays themselves at `f32` storage, otherwise widened with
+/// [`Scalar::widen`] one [`WIDEN_BLOCK`] at a time into stack buffers, so a
+/// serial pass converts in bulk without allocating. `f` sees every particle
+/// exactly once and in index order, so a fold through it associates exactly
+/// as a per-element loop.
+pub(crate) fn for_each_widened_block<S: Scalar, const N: usize>(
+    components: [&[S]; N],
+    mut f: impl FnMut([&[f32]; N]),
+) {
+    let len = components.first().map_or(0, |c| c.len());
+    debug_assert!(components.iter().all(|c| c.len() == len));
+    let direct = components.map(S::f32_slice);
+    if direct.iter().all(Option::is_some) {
+        f(direct.map(|d| d.expect("checked above")));
+        return;
+    }
+    let mut blocks = [[0.0f32; WIDEN_BLOCK]; N];
+    let mut start = 0;
+    while start < len {
+        let end = (start + WIDEN_BLOCK).min(len);
+        for (block, component) in blocks.iter_mut().zip(components) {
+            S::widen(&component[start..end], &mut block[..end - start]);
+        }
+        f(core::array::from_fn(|k| &blocks[k][..end - start]));
+        start = end;
+    }
+}
+
+/// Effective sample size `(Σ wᵢ)² / Σ wᵢ²` of weights read as `f32`, folded
+/// in index order: the one ESS fold behind
+/// [`ParticleSet::effective_sample_size`] and the filter's ESS gate. `0.0`
+/// for a collapsed or non-finite set.
+pub(crate) fn effective_sample_size_of(weights: impl IntoIterator<Item = f32>) -> f32 {
+    let (sum, sum_sq) = weights
+        .into_iter()
+        .fold((0.0f32, 0.0f32), |(sum, sum_sq), w| {
+            (sum + w, sum_sq + w * w)
+        });
+    if !(sum.is_finite() && sum_sq.is_finite()) || sum_sq <= f32::MIN_POSITIVE {
+        0.0
+    } else {
+        (sum * sum) / sum_sq
+    }
+}
+
 /// One pose hypothesis with an importance weight, stored at precision `S`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Particle<S: Scalar> {
@@ -520,17 +571,35 @@ impl<S: Scalar> ParticleSet<S> {
     /// (every particle is impossible under the observation) or is non-finite
     /// (a NaN/∞ weight slipped in — dividing by it would poison every weight),
     /// the weights are reset to uniform — the standard MCL recovery behaviour.
+    ///
+    /// Both passes read the weights as `f32` in storage order, so the sum has
+    /// the bits of [`ParticleSet::weight_sum`]: fp32 sums and divides in
+    /// place, other precisions go through stack blocks converted with
+    /// [`Scalar::widen`] / [`Scalar::narrow`].
     pub fn normalize_weights(&mut self) {
-        let sum = self.weight_sum();
+        let mut sum = -0.0f32;
+        for_each_widened_block([&self.current.weight], |[w]| {
+            sum = w.iter().fold(sum, |sum, &w| sum + w);
+        });
         if !sum.is_finite() || sum <= f32::MIN_POSITIVE {
             let uniform = S::from_f32(1.0 / self.current.len().max(1) as f32);
+            self.current.weight.fill(uniform);
+            return;
+        }
+        if S::f32_slice(&self.current.weight).is_some() {
             for w in &mut self.current.weight {
-                *w = uniform;
+                *w = S::from_f32(w.to_f32() / sum);
             }
             return;
         }
-        for w in &mut self.current.weight {
-            *w = S::from_f32(w.to_f32() / sum);
+        let mut block = [0.0f32; WIDEN_BLOCK];
+        for stored in self.current.weight.chunks_mut(WIDEN_BLOCK) {
+            let block = &mut block[..stored.len()];
+            S::widen(stored, block);
+            for w in block.iter_mut() {
+                *w /= sum;
+            }
+            S::narrow(block, stored);
         }
     }
 
@@ -541,15 +610,7 @@ impl<S: Scalar> ParticleSet<S> {
     /// on normalized weights it reduces to the textbook `1 / Σ wᵢ²`. Returns
     /// `0.0` for a fully collapsed (or non-finite) weight set.
     pub fn effective_sample_size(&self) -> f32 {
-        let (sum, sum_sq) = self.current.weight.iter().fold((0.0f32, 0.0f32), |acc, w| {
-            let w = w.to_f32();
-            (acc.0 + w, acc.1 + w * w)
-        });
-        if !(sum.is_finite() && sum_sq.is_finite()) || sum_sq <= f32::MIN_POSITIVE {
-            0.0
-        } else {
-            (sum * sum) / sum_sq
-        }
+        effective_sample_size_of(self.current.weight.iter().map(|w| w.to_f32()))
     }
 
     /// Memory used by the particle storage: both buffers, 4 scalars each, which
@@ -766,6 +827,46 @@ mod tests {
         assert!((set.effective_sample_size() - 16.0).abs() < 0.1);
         set.normalize_weights();
         assert!((set.effective_sample_size() - 16.0).abs() < 0.1);
+    }
+
+    #[test]
+    fn block_normalization_matches_a_per_element_reference() {
+        // 601 particles span three WIDEN_BLOCKs with a partial last one. The
+        // normalization must return the bits of the per-element loop
+        // `from_f32(to_f32(w) / weight_sum())`, and reset to uniform on a
+        // collapsed or NaN sum, at both precisions.
+        fn check<S: Scalar>(weights: impl Fn(usize) -> f32) {
+            let map = map();
+            let mut set = ParticleSet::<S>::with_capacity(601).unwrap();
+            set.initialize_uniform(601, &map, 4).unwrap();
+            for (i, w) in set.current_mut().weight_mut().iter_mut().enumerate() {
+                *w = S::from_f32(weights(i));
+            }
+            let sum = set.weight_sum();
+            let expect: Vec<u32> = if sum.is_finite() && sum > f32::MIN_POSITIVE {
+                set.current()
+                    .weight()
+                    .iter()
+                    .map(|w| S::from_f32(w.to_f32() / sum).to_f32().to_bits())
+                    .collect()
+            } else {
+                vec![S::from_f32(1.0 / 601.0).to_f32().to_bits(); 601]
+            };
+            set.normalize_weights();
+            let got: Vec<u32> = set
+                .current()
+                .weight()
+                .iter()
+                .map(|w| w.to_f32().to_bits())
+                .collect();
+            assert_eq!(got, expect);
+        }
+        let varied = |i: usize| 0.25 + (i % 37) as f32 * 0.013;
+        check::<f32>(varied);
+        check::<F16>(varied);
+        check::<f32>(|_| 0.0);
+        check::<F16>(|_| 0.0);
+        check::<F16>(|i| if i == 300 { f32::NAN } else { 0.5 });
     }
 
     #[test]

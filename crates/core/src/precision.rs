@@ -85,7 +85,13 @@ impl ParticlePrecision {
     /// there the compact storages win on the gather-and-widen lookup —
     /// byte cells for the quantized map, fp16 **pairs** for the binary16
     /// field — not on a wider FPU op; the arithmetic stays f32 either way
-    /// so the bit-identity contract holds.
+    /// so the bit-identity contract holds. Binary16 *particles* pay a
+    /// conversion on every load and store instead of gaining a lane: the
+    /// kernels convert a lane group at a time through
+    /// [`Scalar::widen`](mcl_num::Scalar::widen) /
+    /// [`Scalar::narrow`](mcl_num::Scalar::narrow), eight values per F16C
+    /// instruction, so on an F16C host the conversion is a small share of
+    /// a kernel rather than the per-value software converter's multiple.
     pub fn simd_lane_width(self) -> usize {
         match self {
             ParticlePrecision::Fp32 => 1,

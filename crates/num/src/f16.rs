@@ -1,4 +1,4 @@
-//! Software IEEE 754 binary16 ("half precision") floating point.
+//! IEEE 754 binary16 ("half precision") floating point.
 //!
 //! GAP9's FPU supports half-precision loads/stores; the paper stores a particle's
 //! pose and weight as binary16 in the `fp16qm` configuration to halve particle
@@ -6,6 +6,17 @@
 //! is the round-to-nearest-even truncation to a 10-bit mantissa every time a value
 //! is written back to particle storage. [`F16`] reproduces exactly that: values are
 //! stored as the 16-bit pattern and converted to `f32` for arithmetic.
+//!
+//! The per-value conversions ([`F16::to_f32`], [`F16::from_f32`]) are a
+//! table-free software converter that runs on every target and is the
+//! reference. The bulk conversions [`Scalar::widen`](crate::Scalar::widen) and
+//! [`Scalar::narrow`](crate::Scalar::narrow) convert eight values per
+//! `vcvtph2ps` / `vcvtps2ph` instruction on x86-64 hosts with F16C and fall
+//! back to the software converter elsewhere (and for a slice's last
+//! `len % 8` values). Both paths return the same bits for every input:
+//! software widening quiets signalling NaNs the way the hardware does. Tests
+//! compare the two on every binary16 pattern and on a 2¹⁹-input `f32` sweep
+//! of the narrowing rounding cases.
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -218,7 +229,10 @@ fn f16_bits_to_f32(bits: u16) -> f32 {
             sign | (exp32 << 23) | ((m & 0x03FF) << 13)
         }
     } else if exp == 0x1F {
-        sign | 0x7F80_0000 | (mantissa << 13)
+        // Infinity, or NaN with its payload carried over. A signalling NaN
+        // (quiet bit clear) comes out quiet, as `vcvtph2ps` returns it.
+        let quiet = if mantissa == 0 { 0 } else { 0x0040_0000 };
+        sign | 0x7F80_0000 | quiet | (mantissa << 13)
     } else {
         // Re-bias: f16 bias 15 → f32 bias 127 (adding before subtracting keeps
         // the arithmetic in range for small exponents).

@@ -11,11 +11,12 @@
 //! This crate provides the numeric building blocks for that design space without
 //! pulling in external dependencies:
 //!
-//! * [`F16`] — a software IEEE 754 binary16 type with round-to-nearest-even
+//! * [`F16`] — an IEEE 754 binary16 type with round-to-nearest-even
 //!   conversions, reproducing the rounding behaviour of the GAP9 FPU's half
 //!   precision stores.
 //! * [`Scalar`] — a small trait abstracting over `f32` and [`F16`] so the particle
-//!   filter can be instantiated at either precision.
+//!   filter can be instantiated at either precision, with bulk slice
+//!   conversions that run on F16C where the host has it.
 //! * [`quant`] — linear 8-bit quantization used for the quantized EDT map
 //!   (`fp32qm` / `fp16qm` configurations in the paper).
 //! * [`stats`] — running statistics, histograms and percentiles used by the
@@ -47,6 +48,8 @@
 
 pub mod angle;
 pub mod f16;
+#[cfg(target_arch = "x86_64")]
+mod f16c;
 pub mod math;
 pub mod quant;
 pub mod scalar;

@@ -41,12 +41,21 @@
 //! MCL_BLESS=1 cargo test -q --test golden_trace -- --nocapture
 //! ```
 //!
-//! and paste the printed tables over `GOLDEN_POSE_BITS` and
-//! `GOLDEN_FUSED_POSE_BITS`.
+//! and paste the printed tables over `GOLDEN_POSE_BITS`,
+//! `GOLDEN_FUSED_POSE_BITS` and `GOLDEN_FP16QM_POSE_BITS`.
+//!
+//! The first two tables store particles as `f32` on the `f32` distance
+//! field. The third pins the paper's `fp16qm` configuration: binary16
+//! particles on the 8-bit quantized field with adaptive population control
+//! on, so every fp16 store of the kernels, the weight normalization, the
+//! effective-sample-size gate, the KLD bins, likelihood tempering and the
+//! mode refinement run on half-precision storage — the path a change to the
+//! f16 converter (software or F16C) would move.
 
 use tof_mcl::core::kernel::KernelBackend;
-use tof_mcl::core::{MclConfig, MonteCarloLocalization, MotionDelta};
-use tof_mcl::gridmap::{EuclideanDistanceField, MapBuilder, Pose2};
+use tof_mcl::core::{AdaptiveConfig, MclConfig, MonteCarloLocalization, MotionDelta};
+use tof_mcl::gridmap::{DistanceField, EuclideanDistanceField, MapBuilder, Pose2};
+use tof_mcl::num::{Scalar, F16};
 use tof_mcl::sensor::{AnchorRange, ObservationBatch, SensorConfig, SensorRig};
 
 use rand::SeedableRng;
@@ -77,6 +86,20 @@ const GOLDEN_FUSED_POSE_BITS: [[u32; 3]; 8] = [
     [0x3FC74008, 0x3F572DD0, 0x3E881009],
 ];
 
+/// `(x, y, theta)` estimate bits of the fused replay at `fp16qm`: binary16
+/// particles on the quantized distance field, adaptive population on
+/// ([`fp16qm_adaptive`]).
+const GOLDEN_FP16QM_POSE_BITS: [[u32; 3]; 8] = [
+    [0x3F28EB66, 0x3F12D23F, 0x3E031FAB],
+    [0x3F4D8AED, 0x3F1EFD0E, 0x3E094307],
+    [0x3F7B4366, 0x3F270774, 0x3DF624D2],
+    [0x3F89EB9D, 0x3F3ABB3A, 0x3E2F301B],
+    [0x3F99AFAF, 0x3F492B17, 0x3E5B0512],
+    [0x3FACCA6A, 0x3F4414A4, 0x3E52D4C5],
+    [0x3FBE245B, 0x3F535596, 0x3E51A194],
+    [0x3FC6E75E, 0x3F5B31AF, 0x3E864F74],
+];
+
 /// The fixed UWB anchors of the fused replay: two corridor corners plus one
 /// permanently denied anchor (its measured range is always NaN).
 const TRACE_ANCHORS: [[f32; 2]; 3] = [[0.2, 0.2], [3.8, 1.4], [2.0, 0.2]];
@@ -94,25 +117,44 @@ fn trace_range(truth: &Pose2, k: usize, step: usize) -> f32 {
     (dx * dx + dy * dy).sqrt() + ripple
 }
 
-/// Replays the fixed corridor sequence under `backend` and returns the
-/// per-step estimate bits. With `fused`, every update also scores the
-/// [`TRACE_ANCHORS`] ranges through the anchor kernel; without it, every
-/// update is a beam-only batch, which runs no anchor dispatch — pinning the
-/// beam-only numerics bit for bit.
-fn trace(backend: KernelBackend, fused: bool) -> Vec<[u32; 3]> {
+/// The adaptive settings of the `fp16qm` replay: a population range around
+/// the initial 197 particles, so the KLD bound resizes the set (and with it
+/// every lane tail), and an ESS gate low enough that one of the eight
+/// updates skips resampling and carries its fp16 weights over, while five
+/// are tempered.
+fn fp16qm_adaptive() -> AdaptiveConfig {
+    AdaptiveConfig {
+        ess_threshold: 0.2,
+        ..AdaptiveConfig::enabled().with_population_range(64, 400)
+    }
+}
+
+/// Replays the fixed corridor sequence under `backend` with particles stored
+/// as `S` on the distance field `storage` derives from the exact EDT, and
+/// returns the per-step estimate bits. With `fused`, every update also
+/// scores the [`TRACE_ANCHORS`] ranges through the anchor kernel; without
+/// it, every update is a beam-only batch, which runs no anchor dispatch —
+/// pinning the beam-only numerics bit for bit.
+fn trace<S: Scalar, D: DistanceField>(
+    backend: KernelBackend,
+    fused: bool,
+    storage: impl FnOnce(&EuclideanDistanceField) -> D,
+    adaptive: AdaptiveConfig,
+) -> Vec<[u32; 3]> {
     // A 4 m × 1.6 m corridor with a mid pillar: walls near enough that most
     // beams land within r_max, far corridor axis beams beyond it.
     let map = MapBuilder::new(4.0, 1.6, 0.05)
         .border_walls()
         .filled_rect((2.4, 0.6), (2.6, 1.0))
         .build();
-    let edt = EuclideanDistanceField::compute(&map, 1.5);
+    let field = storage(&EuclideanDistanceField::compute(&map, 1.5));
     let config = MclConfig::default()
         .with_particles(197)
         .with_seed(42)
         .with_workers(3)
-        .with_kernel_backend(backend);
-    let mut filter = MonteCarloLocalization::<f32, _>::new(config, edt).unwrap();
+        .with_kernel_backend(backend)
+        .with_adaptive(adaptive);
+    let mut filter = MonteCarloLocalization::<S, _>::new(config, field).unwrap();
     let mut truth = Pose2::new(0.5, 0.6, 0.1);
     filter.initialize_gaussian(&truth, 0.15, 0.2, 7).unwrap();
     let rig = SensorRig::front_and_rear(
@@ -146,15 +188,17 @@ fn trace(backend: KernelBackend, fused: bool) -> Vec<[u32; 3]> {
     bits
 }
 
-fn check_trace(fused: bool, golden: &[[u32; 3]; 8]) {
+/// Runs `replay` under every backend and compares its bits with `golden`
+/// (or prints them, labelled `label`, under `MCL_BLESS`).
+fn check_trace(
+    label: &str,
+    golden: &[[u32; 3]; 8],
+    replay: impl Fn(KernelBackend) -> Vec<[u32; 3]>,
+) {
     for backend in KernelBackend::ALL {
-        let got = trace(backend, fused);
+        let got = replay(backend);
         if std::env::var("MCL_BLESS").is_ok_and(|v| !v.is_empty()) {
-            println!(
-                "// {} backend ({}):",
-                backend.name(),
-                if fused { "fused" } else { "beam-only" }
-            );
+            println!("// {} backend ({label}):", backend.name());
             for step in &got {
                 println!(
                     "    [0x{:08X}, 0x{:08X}, 0x{:08X}],",
@@ -183,12 +227,32 @@ fn check_trace(fused: bool, golden: &[[u32; 3]; 8]) {
 
 #[test]
 fn corridor_trace_matches_the_pinned_estimates_under_both_backends() {
-    check_trace(false, &GOLDEN_POSE_BITS);
+    check_trace("beam-only", &GOLDEN_POSE_BITS, |backend| {
+        trace::<f32, _>(backend, false, Clone::clone, AdaptiveConfig::default())
+    });
 }
 
 #[test]
 fn fused_corridor_trace_matches_the_pinned_estimates_under_both_backends() {
-    check_trace(true, &GOLDEN_FUSED_POSE_BITS);
+    check_trace("fused", &GOLDEN_FUSED_POSE_BITS, |backend| {
+        trace::<f32, _>(backend, true, Clone::clone, AdaptiveConfig::default())
+    });
+}
+
+#[test]
+fn fp16qm_adaptive_trace_matches_the_pinned_estimates_under_every_backend() {
+    check_trace(
+        "fused fp16qm adaptive",
+        &GOLDEN_FP16QM_POSE_BITS,
+        |backend| {
+            trace::<F16, _>(
+                backend,
+                true,
+                EuclideanDistanceField::quantize,
+                fp16qm_adaptive(),
+            )
+        },
+    );
 }
 
 #[test]
