@@ -6,13 +6,12 @@
 //!
 //! * **KLD-sampling** (Fox, *Adapting the sample size in particle filters
 //!   through KLD-sampling*, IJRR 2003): the pose space is divided into a
-//!   regular grid of bins ([`AdaptiveConfig::bin_xy_m`] ×
-//!   [`AdaptiveConfig::bin_theta_rad`]); the number `k` of bins the current
+//!   regular grid of 0.5 m × 30° bins; the number `k` of bins the current
 //!   cloud occupies measures how complex the posterior still is, and the
 //!   chi-square bound (via the Wilson–Hilferty transform, [`kld_bound`])
 //!   gives the population needed to keep the KL divergence between the
-//!   sampled and the true posterior below `epsilon` with probability
-//!   `1 − delta`. A converged cloud occupies a handful of bins and shrinks
+//!   sampled and the true posterior below `ε = 0.05` with probability
+//!   `1 − δ = 0.99`. A converged cloud occupies a handful of bins and shrinks
 //!   to [`AdaptiveConfig::min_particles`]; an ambiguous (multi-hypothesis)
 //!   cloud occupies hundreds and grows to [`AdaptiveConfig::max_particles`].
 //! * **Recovery injection** (Augmented MCL, Thrun/Burgard/Fox, *Probabilistic
@@ -24,16 +23,22 @@
 //!   space instead of resampled, re-seeding hypotheses where the wheel alone
 //!   would need unbounded time to recover.
 //!
-//! Both pieces are deterministic pure functions of the filter state, so the
-//! population trajectory is bit-identical for every worker count and kernel
-//! backend — the dynamic size threads through the same schedule-independent
-//! chunk geometry as the fixed-size filter (see
+//! The filter consults one `AdaptiveState` per instance at three points of
+//! an applied update: it tempers the raw log-likelihoods (and feeds the
+//! monitor), decides the next population, the injected count and whether to
+//! resample at all, and injects the recovery particles. Every decision is a
+//! deterministic pure function of the filter state, so the population
+//! trajectory is bit-identical for every worker count and kernel backend —
+//! the dynamic size threads through the same schedule-independent chunk
+//! geometry as the fixed-size filter (see
 //! [`crate::resampling::PartialSumResampler::plan_resize_into`]).
 
 use crate::config::MclError;
-use crate::kernel::ModeRefineScratch;
-use crate::particle::{for_each_widened_block, ParticleSlice};
+use crate::estimate::PoseEstimate;
+use crate::kernel::{self, ModeRefineScratch};
+use crate::particle::{self, for_each_widened_block, Particle, ParticleBuffer, ParticleSlice};
 use crate::rng::CounterRng;
+use mcl_gridmap::{CellState, OccupancyGrid, Pose2};
 use mcl_num::Scalar;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -44,20 +49,76 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// streams (which key on the unsalted seed and the same update index).
 const INJECTION_STREAM_SALT: u64 = 0xA5A5_5A5A_C3C3_3C3C;
 
-/// Configuration of the adaptive (KLD + recovery) population control.
-///
-/// Defaults follow the widely used AMCL parameterization for the KLD bound —
-/// `ε = 0.05`, `δ = 0.01` (the 99 % chi-square quantile), 0.5 m × 30° bins —
-/// but the likelihood averaging rates are retuned for the paper's short
-/// (≤ 60 s, 15 Hz) flights: `α_fast = 0.5` reacts to a kidnap within a few
-/// updates, and `α_slow = 0.02` (a ~3 s horizon) both anchors the long-term
-/// reference to the *converged* likelihood level — the textbook 0.001 never
-/// leaves the poor global-initialization level on a 300-update sequence — and
-/// lets an injection episode self-terminate: injected particles drag the mean
+/// KLD error bound `ε` between the sampled and the true posterior: the
+/// widely used AMCL value.
+const EPSILON: f32 = 0.05;
+
+/// KLD confidence parameter `δ`: the bound holds with probability `1 − δ`
+/// (the 99 % chi-square quantile, as in AMCL).
+const DELTA: f32 = 0.01;
+
+/// Side length of the square x/y occupancy bins of the KLD count, metres
+/// (the AMCL default).
+const BIN_XY_M: f32 = 0.5;
+
+/// Angular size of the KLD occupancy bins, radians (30°, the AMCL default).
+const BIN_THETA_RAD: f32 = core::f32::consts::PI / 6.0;
+
+/// Short-term likelihood averaging rate `α_fast` of the Augmented-MCL
+/// monitor. Retuned for the paper's short (≤ 60 s, 15 Hz) flights: 0.5
+/// reacts to a kidnap within a few updates.
+const ALPHA_FAST: f32 = 0.5;
+
+/// Long-term likelihood averaging rate `α_slow` of the Augmented-MCL
+/// monitor. A ~3 s horizon both anchors the long-term reference to the
+/// *converged* likelihood level — the textbook 0.001 never leaves the poor
+/// global-initialization level on a 300-update sequence — and lets an
+/// injection episode self-terminate: injected particles drag the mean
 /// likelihood down, and a slow average that tracks within ~50 updates closes
-/// the feedback loop instead of injecting forever. The injection cap is 5 %
-/// per generation for the same reason. Disabled by default — the fixed-size
-/// filter stays bit-identical to the seed behaviour.
+/// the feedback loop instead of injecting forever.
+const ALPHA_SLOW: f32 = 0.02;
+
+/// Cap on the fraction of one generation drawn by recovery injection,
+/// keeping the filter from discarding its whole belief in a single bad
+/// update (5 %, for the same self-termination reason as [`ALPHA_SLOW`]).
+const MAX_INJECTION_FRACTION: f32 = 0.05;
+
+/// Likelihood-tempering ESS floor, as a fraction of the population. When a
+/// single observation would crash the effective sample size below
+/// `TEMPER_ESS × population`, the log-likelihoods are annealed by the
+/// exponent `β ∈ [0, 1]` that lands the post-update ESS on the floor
+/// (adaptive annealing, as in sequential Monte Carlo samplers). This is the
+/// weight-degeneracy fix for sharp multi-beam models: a 128-beam product is
+/// so peaked that during global localization one aliased particle can take
+/// essentially all the mass in a single update, and the very first resample
+/// then discards the true mode forever. Tempering bounds how much of the
+/// cloud one update may kill, letting evidence accumulate over several
+/// updates instead. [`AdaptiveConfig::validate`] keeps it below a non-zero
+/// [`AdaptiveConfig::ess_threshold`], otherwise every tempered update would
+/// also skip resampling and the population could never adapt.
+const TEMPER_ESS: f32 = 0.15;
+
+/// Dead-band on the raw Augmented-MCL fraction `1 − w_fast/w_slow`:
+/// recovery (injection and the population growth that accompanies it) fires
+/// only when the collapse exceeds this threshold. Ordinary likelihood
+/// fluctuations during a healthy flight produce small positive fractions
+/// every few seconds; without a dead-band each one would grow the population
+/// and seed random hypotheses for nothing.
+///
+/// The monitor is fed the *per-beam* likelihood (see [`LikelihoodMonitor`]),
+/// which compresses the collapse relative to the raw multi-beam product: a
+/// kidnap that would crash the raw ratio to nearly zero moves the per-beam
+/// fraction to only ~0.1–0.15, while healthy-tracking jitter stays under
+/// ~0.04. 0.06 sits between the two.
+const INJECTION_TRIGGER: f32 = 0.06;
+
+/// Configuration of the adaptive (KLD + recovery) population control: the
+/// master switch, the population clamps and the ESS resampling gate. The
+/// KLD bound, the monitor rates, the injection cap and dead-band and the
+/// tempering floor are fixed by the module (AMCL's KLD parameterization,
+/// with the likelihood averaging retuned for the paper's short flights).
+/// Disabled by default — the fixed-size filter stays bit-identical to the
+/// seed behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveConfig {
     /// Master switch. When `false` every other field is ignored and the
@@ -67,22 +128,6 @@ pub struct AdaptiveConfig {
     pub min_particles: usize,
     /// Upper population clamp (the filter never grows beyond this).
     pub max_particles: usize,
-    /// KLD error bound `ε` between the sampled and true posterior.
-    pub epsilon: f32,
-    /// KLD confidence parameter `δ`: the bound holds with probability `1−δ`.
-    pub delta: f32,
-    /// Side length of the square x/y occupancy bins, metres.
-    pub bin_xy_m: f32,
-    /// Angular bin size, radians.
-    pub bin_theta_rad: f32,
-    /// Short-term likelihood averaging rate `α_fast` (Augmented MCL).
-    pub alpha_fast: f32,
-    /// Long-term likelihood averaging rate `α_slow` (Augmented MCL).
-    pub alpha_slow: f32,
-    /// Cap on the fraction of one generation drawn by recovery injection,
-    /// keeping the filter from discarding its whole belief in a single bad
-    /// update. `0.0` disables injection entirely.
-    pub max_injection_fraction: f32,
     /// ESS resampling gate: while the effective sample size stays at or above
     /// `ess_threshold × population` (and no recovery episode is running), the
     /// update skips resampling entirely — weights keep accumulating
@@ -92,53 +137,6 @@ pub struct AdaptiveConfig {
     /// before the sensor can disambiguate. `0.0` disables the gate
     /// (resample every update, the fixed-pipeline behaviour).
     pub ess_threshold: f32,
-    /// Likelihood-tempering ESS floor, as a fraction of the population. When
-    /// a single observation would crash the effective sample size below
-    /// `temper_ess × population`, the log-likelihoods are annealed by the
-    /// exponent `β ∈ (0, 1]` that lands the post-update ESS exactly on the
-    /// floor (adaptive annealing, as in sequential Monte Carlo samplers).
-    /// This is the weight-degeneracy fix for sharp multi-beam models: a
-    /// 128-beam product is so peaked that during global localization one
-    /// aliased particle can take essentially all the mass in a single
-    /// update, and the very first resample then discards the true mode
-    /// forever. Tempering bounds how much of the cloud one update may kill,
-    /// letting evidence accumulate over several updates instead. Must stay
-    /// below [`AdaptiveConfig::ess_threshold`], otherwise every tempered
-    /// update would also skip resampling and the population could never
-    /// adapt. `0.0` disables tempering.
-    pub temper_ess: f32,
-    /// Lower clamp on the tempering exponent `β` solved by [`temper_beta`].
-    ///
-    /// Unbounded tempering has a failure mode during global localization on
-    /// aliased worlds (the paper maze): while many look-alike hypotheses are
-    /// live, *every* update ESS-crashes and gets annealed hard (`β` in the
-    /// 0.05–0.2 range), so almost no evidence flows per update. The wheel's
-    /// noise then thins the cloud faster than the sensor can separate the
-    /// modes — the filter drifts into a commitment the observations never
-    /// voted for, and the adaptive leg trails the fixed baseline exactly on
-    /// global init. A floor bounds how much of an observation tempering may
-    /// discard: `β = max(β_solved, floor)` keeps at least this fraction of
-    /// every observation's log-evidence flowing, accepting a post-update ESS
-    /// below the [`AdaptiveConfig::temper_ess`] target in exchange.
-    ///
-    /// `0.0` (the default) preserves the pure ESS-targeted annealing
-    /// bit-for-bit; `1.0` disables tempering relief entirely. Values around
-    /// `0.25–0.5` are the useful range.
-    pub temper_beta_floor: f32,
-    /// Dead-band on the raw Augmented-MCL fraction `1 − w_fast/w_slow`:
-    /// recovery (injection and the population growth that accompanies it)
-    /// fires only when the collapse exceeds this threshold. Ordinary
-    /// likelihood fluctuations during a healthy flight produce small positive
-    /// fractions every few seconds; without a dead-band each one would grow
-    /// the population and seed random hypotheses for nothing.
-    ///
-    /// The monitor is fed the *per-beam* likelihood (see
-    /// [`LikelihoodMonitor`]), which compresses the collapse relative to the
-    /// raw multi-beam product: a kidnap that would crash the raw ratio to
-    /// nearly zero moves the per-beam fraction to only ~0.1–0.15, while
-    /// healthy-tracking jitter stays under ~0.04. The default dead-band of
-    /// 0.06 sits between the two.
-    pub injection_trigger: f32,
 }
 
 impl Default for AdaptiveConfig {
@@ -147,17 +145,7 @@ impl Default for AdaptiveConfig {
             enabled: false,
             min_particles: 256,
             max_particles: 4096,
-            epsilon: 0.05,
-            delta: 0.01,
-            bin_xy_m: 0.5,
-            bin_theta_rad: core::f32::consts::PI / 6.0,
-            alpha_fast: 0.5,
-            alpha_slow: 0.02,
-            max_injection_fraction: 0.05,
             ess_threshold: 0.5,
-            temper_ess: 0.15,
-            temper_beta_floor: 0.0,
-            injection_trigger: 0.06,
         }
     }
 }
@@ -175,13 +163,6 @@ impl AdaptiveConfig {
     pub fn with_population_range(mut self, min: usize, max: usize) -> Self {
         self.min_particles = min;
         self.max_particles = max;
-        self
-    }
-
-    /// Returns a copy with a different tempering-exponent floor
-    /// (see [`AdaptiveConfig::temper_beta_floor`]).
-    pub fn with_temper_beta_floor(mut self, floor: f32) -> Self {
-        self.temper_beta_floor = floor;
         self
     }
 
@@ -228,61 +209,14 @@ impl AdaptiveConfig {
                 "adaptive max_particles must be >= min_particles",
             ));
         }
-        if !(self.epsilon.is_finite() && self.epsilon > 0.0) {
-            return Err(MclError::InvalidConfig("adaptive epsilon must be positive"));
-        }
-        if !(self.delta > 0.0 && self.delta < 1.0) {
-            return Err(MclError::InvalidConfig("adaptive delta must be in (0, 1)"));
-        }
-        if !(self.bin_xy_m.is_finite() && self.bin_xy_m > 0.0) {
-            return Err(MclError::InvalidConfig(
-                "adaptive bin_xy_m must be positive",
-            ));
-        }
-        if !(self.bin_theta_rad.is_finite() && self.bin_theta_rad > 0.0) {
-            return Err(MclError::InvalidConfig(
-                "adaptive bin_theta_rad must be positive",
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.alpha_slow)
-            || !(0.0..=1.0).contains(&self.alpha_fast)
-            || self.alpha_slow >= self.alpha_fast
-        {
-            return Err(MclError::InvalidConfig(
-                "adaptive averaging rates must satisfy 0 <= alpha_slow < alpha_fast <= 1",
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.max_injection_fraction) {
-            return Err(MclError::InvalidConfig(
-                "adaptive max_injection_fraction must be in [0, 1]",
-            ));
-        }
         if !(0.0..=1.0).contains(&self.ess_threshold) {
             return Err(MclError::InvalidConfig(
                 "adaptive ess_threshold must be in [0, 1]",
             ));
         }
-        if !(0.0..=1.0).contains(&self.temper_ess) {
+        if self.ess_threshold > 0.0 && self.ess_threshold <= TEMPER_ESS {
             return Err(MclError::InvalidConfig(
-                "adaptive temper_ess must be in [0, 1]",
-            ));
-        }
-        if self.temper_ess > 0.0
-            && self.ess_threshold > 0.0
-            && self.temper_ess >= self.ess_threshold
-        {
-            return Err(MclError::InvalidConfig(
-                "adaptive temper_ess must be below ess_threshold",
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.temper_beta_floor) {
-            return Err(MclError::InvalidConfig(
-                "adaptive temper_beta_floor must be in [0, 1]",
-            ));
-        }
-        if !(0.0..1.0).contains(&self.injection_trigger) {
-            return Err(MclError::InvalidConfig(
-                "adaptive injection_trigger must be in [0, 1)",
+                "adaptive ess_threshold must be 0 or above the tempering floor (0.15)",
             ));
         }
         Ok(())
@@ -415,8 +349,8 @@ impl KldSampler {
     /// Counts the pose-space bins occupied by `particles`.
     pub fn occupied_bins<S: Scalar>(&mut self, particles: ParticleSlice<'_, S>) -> usize {
         self.bins.clear();
-        let inv_xy = 1.0 / self.config.bin_xy_m;
-        let inv_theta = 1.0 / self.config.bin_theta_rad;
+        let inv_xy = 1.0 / BIN_XY_M;
+        let inv_theta = 1.0 / BIN_THETA_RAD;
         let bins = &mut self.bins;
         for_each_widened_block(
             [particles.x, particles.y, particles.theta],
@@ -441,7 +375,7 @@ impl KldSampler {
     /// perturbed.
     pub fn population_bound<S: Scalar>(&mut self, particles: ParticleSlice<'_, S>) -> usize {
         let k = self.occupied_bins(particles);
-        kld_bound(k, self.config.epsilon, self.config.delta)
+        kld_bound(k, EPSILON, DELTA)
     }
 
     /// The population the next generation should have: the
@@ -466,29 +400,16 @@ impl KldSampler {
 /// exponentially with the number of in-range beams and the clutter of the
 /// viewpoint, which makes the short/long-term ratio track scene hardness
 /// instead of filter health. The filter therefore feeds the per-beam
-/// (geometric-mean) likelihood — see the correction step of
-/// `MonteCarloLocalization`.
-#[derive(Debug, Clone, Copy)]
+/// (geometric-mean) likelihood — see the temper stage of the adaptive state.
+/// The averaging rates are fixed: `α_fast = 0.5` and `α_slow = 0.02`.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct LikelihoodMonitor {
-    alpha_fast: f64,
-    alpha_slow: f64,
     w_fast: f64,
     w_slow: f64,
     primed: bool,
 }
 
 impl LikelihoodMonitor {
-    /// Creates a monitor with the configured averaging rates.
-    pub fn new(config: AdaptiveConfig) -> Self {
-        LikelihoodMonitor {
-            alpha_fast: f64::from(config.alpha_fast),
-            alpha_slow: f64::from(config.alpha_slow),
-            w_fast: 0.0,
-            w_slow: 0.0,
-            primed: false,
-        }
-    }
-
     /// Feeds the mean observation likelihood of one applied update.
     pub fn observe(&mut self, mean_likelihood: f64) {
         let w = mean_likelihood.max(0.0);
@@ -498,8 +419,8 @@ impl LikelihoodMonitor {
             self.primed = true;
             return;
         }
-        self.w_fast += self.alpha_fast * (w - self.w_fast);
-        self.w_slow += self.alpha_slow * (w - self.w_slow);
+        self.w_fast += f64::from(ALPHA_FAST) * (w - self.w_fast);
+        self.w_slow += f64::from(ALPHA_SLOW) * (w - self.w_slow);
     }
 
     /// The raw Augmented-MCL injection fraction `max(0, 1 − w_fast/w_slow)`,
@@ -732,18 +653,18 @@ pub fn temper_beta(weights: &[f32], logs: &[f32], max_log: f32, target_ess: f64)
 /// is expected to disambiguate (the suite's warehouse racks repeat every
 /// 1.2–1.6 m), so the window can shed the losing mode instead of averaging
 /// across both.
-pub const MODE_REFINE_RADIUS_M: f32 = 0.6;
+const MODE_REFINE_RADIUS_M: f32 = 0.6;
 
 /// Maximum mean-shift iterations for the mode-refined estimate (each pass
 /// recenters once; the walk converges in a few steps and exits early).
-pub const MODE_REFINE_ITERATIONS: usize = 8;
+const MODE_REFINE_ITERATIONS: usize = 8;
 
 /// Minimum fraction of the total particle mass the refined window must hold
 /// before the mode-refined pose is published. Below a majority the belief is
 /// still genuinely multi-modal and the refined pose would just be one live
 /// hypothesis among several; the conservative full-cloud mean is published
 /// instead.
-pub const MODE_REFINE_MIN_MASS: f64 = 0.5;
+const MODE_REFINE_MIN_MASS: f64 = 0.5;
 
 /// Concentration gate for recovery episodes: a collapse may latch an episode
 /// only while the unclamped KLD population bound is at most this multiple of
@@ -754,7 +675,7 @@ pub const MODE_REFINE_MIN_MASS: f64 = 0.5;
 /// admits the slightly-diffuse wrong-mode clouds cluttered worlds produce —
 /// requiring the exact floor misses them, while no gate at all re-seeds the
 /// filter mid-convergence.
-pub const RECOVERY_CONCENTRATION_FACTOR: usize = 2;
+const RECOVERY_CONCENTRATION_FACTOR: usize = 2;
 
 /// Length of one recovery episode, in applied updates (2 s at the paper's
 /// 15 Hz): once a collapse latches recovery on, injection and the
@@ -762,14 +683,14 @@ pub const RECOVERY_CONCENTRATION_FACTOR: usize = 2;
 /// useless (a single 5 % draw rarely lands a hypothesis near the true pose),
 /// and injecting forever destroys the belief. The episode ends early the
 /// moment the short-term likelihood recovers ([`RECOVERY_END_FRACTION`]).
-pub const RECOVERY_EPISODE_UPDATES: u32 = 30;
+const RECOVERY_EPISODE_UPDATES: u32 = 30;
 
 /// Raw fraction below which a running recovery episode ends early: the
 /// short-term likelihood has caught back up with the long-term reference, so
 /// a re-seeded hypothesis took over and further injection would only erode
 /// it. On the per-beam scale a recovered filter drops straight to ~0, while
-/// an unresolved collapse holds above the 0.08 dead-band.
-pub const RECOVERY_END_FRACTION: f64 = 0.02;
+/// an unresolved collapse holds above the 0.06 dead-band.
+const RECOVERY_END_FRACTION: f64 = 0.02;
 
 /// Per-beam collapse fraction treated as a *total* collapse when sizing the
 /// recovery response. The monitor's per-beam normalization compresses even a
@@ -777,31 +698,271 @@ pub const RECOVERY_END_FRACTION: f64 = 0.02;
 /// the population only marginally and inject almost nothing; dividing by
 /// this saturation point (and clamping to 1) restores full-strength recovery
 /// for genuine collapses while keeping the response proportional below it.
-pub const RECOVERY_COLLAPSE_SATURATION: f64 = 0.25;
+const RECOVERY_COLLAPSE_SATURATION: f64 = 0.25;
 
-/// The per-filter adaptive state: bin statistics, the likelihood monitor,
-/// the recovery-episode latch and the mode-refinement scratch.
+/// The per-filter adaptive state and policy: bin statistics, the likelihood
+/// monitor, the recovery-episode latch, the free space recovery injects into
+/// and the mode-refinement scratch. The filter calls [`AdaptiveState::temper`],
+/// [`AdaptiveState::decide`], [`AdaptiveState::inject`] and
+/// [`AdaptiveState::refine`] in that order on every applied update.
 #[derive(Debug, Clone)]
-pub struct AdaptiveState {
-    /// KLD bin-occupancy sampler.
-    pub kld: KldSampler,
-    /// Augmented-MCL likelihood monitor.
-    pub monitor: LikelihoodMonitor,
+pub(crate) struct AdaptiveState {
+    config: AdaptiveConfig,
+    kld: KldSampler,
+    monitor: LikelihoodMonitor,
     /// Applied updates remaining in the current recovery episode
     /// (0 = not recovering). See [`RECOVERY_EPISODE_UPDATES`].
-    pub recovery_updates_left: u32,
-    /// Scratch of the published estimate's mode refinement.
-    pub(crate) mode_refine: ModeRefineScratch,
+    recovery_updates_left: u32,
+    /// World coordinates of the map's free-cell centres, captured by
+    /// [`AdaptiveState::capture_free_space`] for recovery injection. Empty
+    /// when unknown (e.g. Gaussian initialization), in which case the
+    /// population neither grows for recovery nor receives injected particles.
+    free_space: Vec<(f32, f32)>,
+    /// Half the map resolution: injected poses jitter inside their cell
+    /// exactly like the uniform initialization.
+    free_space_jitter: f32,
+    mode_refine: ModeRefineScratch,
 }
 
 impl AdaptiveState {
     /// Creates the state for one filter instance.
-    pub fn new(config: AdaptiveConfig) -> Self {
+    pub(crate) fn new(config: AdaptiveConfig) -> Self {
         AdaptiveState {
+            config,
             kld: KldSampler::new(config),
-            monitor: LikelihoodMonitor::new(config),
+            monitor: LikelihoodMonitor::default(),
             recovery_updates_left: 0,
+            free_space: Vec::new(),
+            free_space_jitter: 0.0,
             mode_refine: ModeRefineScratch::default(),
+        }
+    }
+
+    /// Captures the free space of `map` for recovery injection: the filter
+    /// only holds the distance field afterwards, which has no notion of
+    /// "free", so the table is built once at uniform initialization.
+    pub(crate) fn capture_free_space(&mut self, map: &OccupancyGrid) {
+        self.free_space = map
+            .indices()
+            .filter(|&i| map.state(i) == CellState::Free)
+            .map(|i| {
+                let centre = map.cell_to_world(i);
+                (centre.x, centre.y)
+            })
+            .collect();
+        self.free_space_jitter = map.resolution() * 0.5;
+    }
+
+    /// The temper stage, on the raw log-likelihoods of one update before the
+    /// reweight kernels consume them. `weights` are the incoming stored
+    /// weights (widened into `scratch` below fp32) and `evidence` the number
+    /// of in-range beams plus usable anchor ranges that scored `logs`.
+    ///
+    /// * It feeds the Augmented-MCL monitor the **per-beam** mean likelihood
+    ///   of the *raw* logs, `exp(ln(mean_i exp(l_i)) / evidence)`: the raw
+    ///   multi-beam product scales exponentially with how many beams are in
+    ///   range and how cluttered the viewpoint is, so an unnormalized
+    ///   short/long-term ratio tracks observation hardness instead of
+    ///   localization quality (and its `exp(l)` terms underflow outright for
+    ///   harsh scenes). The per-beam root makes the signal comparable across
+    ///   viewpoints; the shift by `max_log` keeps the sum finite.
+    /// * When this observation alone would collapse the effective sample
+    ///   size below `TEMPER_ESS × n`, it anneals `logs` in place by the `β`
+    ///   of [`temper_beta`] that lands the post-update ESS on that floor, and
+    ///   returns the annealed `max_log`. The floor is halved while a
+    ///   recovery episode runs: the episode exists to let freshly injected
+    ///   hypotheses seize mass from a wrong mode quickly, which is exactly
+    ///   the weight concentration tempering suppresses. Keeping half the
+    ///   floor still bounds how much of the cloud a single garbage
+    ///   observation — a noise burst that itself triggered the episode — can
+    ///   hand to one lucky particle.
+    ///
+    /// Returns `None` when the logs were left untouched. Serial and a pure
+    /// function of the weights and logs, so the outcome is schedule- and
+    /// backend-independent.
+    pub(crate) fn temper<S: Scalar>(
+        &mut self,
+        weights: &[S],
+        scratch: &mut Vec<f32>,
+        logs: &mut [f32],
+        max_log: f32,
+        evidence: usize,
+    ) -> Option<f32> {
+        if !max_log.is_finite() {
+            self.monitor.observe(0.0);
+            return None;
+        }
+        let n = logs.len() as f64;
+        let mut floor = f64::from(TEMPER_ESS);
+        if self.recovery_updates_left > 0 {
+            floor *= 0.5;
+        }
+        let weights = particle::weights_as_f32(weights, scratch);
+        // The solve's β = 1 pass also sums the raw relative likelihoods for
+        // the monitor.
+        let tempering = temper_beta(weights, logs, max_log, floor * n);
+        let mean_rel = tempering.raw_likelihood_sum / n;
+        let beams = evidence.max(1) as f64;
+        self.monitor
+            .observe(((f64::from(max_log) + mean_rel.ln()) / beams).exp());
+        let beta = tempering.beta;
+        if beta >= 1.0 {
+            return None;
+        }
+        for l in logs {
+            *l = (f64::from(*l) * beta) as f32;
+        }
+        Some((f64::from(max_log) * beta) as f32)
+    }
+
+    /// The decide stage, on the normalized `weights` of the predicted cloud
+    /// `particles`: picks the next population from the KLD bin statistics,
+    /// runs the recovery latch on the monitor's collapse fraction, and sizes
+    /// the recovery growth and injection. Returns `Some((target, injected))`
+    /// — resample `target − injected` particles and inject `injected` — or
+    /// `None` when the ESS gate skips resampling.
+    pub(crate) fn decide<S: Scalar>(
+        &mut self,
+        particles: ParticleSlice<'_, S>,
+        weights: &[f32],
+    ) -> Option<(usize, usize)> {
+        let (min, max) = (self.config.min_particles, self.config.max_particles);
+        let bound = self.kld.population_bound(particles);
+        let kld_target = bound.clamp(min, max);
+        // Recovery latches on only when the belief is concentrated (the
+        // unclamped bound sits near the population floor) AND the likelihood
+        // collapse clears the dead-band. A kidnapped or aliased-but-committed
+        // filter is exactly that: tight and suddenly unlikely. A
+        // still-localizing cloud is spread — injecting into it would only
+        // perturb global convergence — and small fractions are ordinary
+        // likelihood noise. Once latched, the episode persists for up to
+        // RECOVERY_EPISODE_UPDATES (the first injection spreads the cloud, so
+        // the concentration gate alone would make recovery a useless single
+        // shot), ending early as soon as the short-term likelihood catches
+        // back up.
+        let concentrated = bound <= min * RECOVERY_CONCENTRATION_FACTOR;
+        let trigger = f64::from(INJECTION_TRIGGER);
+        let raw_fraction = self.monitor.injection_fraction();
+        if self.recovery_updates_left > 0 {
+            self.recovery_updates_left -= 1;
+            // Ending early needs more than a recovered likelihood: right
+            // after injection the cloud holds several competing hypotheses,
+            // and an aliased competitor can score well for a few updates.
+            // Only a likelihood that has caught up *and* a belief that has
+            // re-concentrated onto a single mode mean the episode did its
+            // job; stopping before consolidation lets the next resample hand
+            // the cloud to whichever mode happened to win that round.
+            if raw_fraction < RECOVERY_END_FRACTION && concentrated {
+                self.recovery_updates_left = 0;
+            }
+        } else if concentrated && raw_fraction >= trigger {
+            self.recovery_updates_left = RECOVERY_EPISODE_UPDATES;
+        }
+        let recovering = self.recovery_updates_left > 0;
+        let can_inject = !self.free_space.is_empty();
+        // A likelihood collapse means the belief is concentrated on a wrong
+        // mode — a situation the bin statistics cannot see (a confidently
+        // wrong cloud occupies as few bins as a correct one). Grow toward the
+        // population ceiling in proportion to the collapse so the re-seeded
+        // hypotheses get the resolution global re-localization needs. The
+        // collapse is held at the trigger floor while latched, so the
+        // population stays grown for the whole episode even as the slow
+        // average decays toward the collapsed level; the per-beam fraction
+        // is compressed relative to the underlying likelihood collapse, so
+        // it is rescaled by the saturation point first.
+        let target = if recovering && can_inject {
+            let collapse = (raw_fraction.max(trigger) / RECOVERY_COLLAPSE_SATURATION).min(1.0);
+            (kld_target as f64 + collapse * (max - kld_target) as f64).round() as usize
+        } else {
+            kld_target
+        };
+        // Injection follows the *current* mismatch (the classic
+        // Augmented-MCL `1 − w_fast/w_slow` rule), not the latched collapse:
+        // the latch keeps the population grown for the whole episode, but
+        // pouring uniform poses into a cloud whose observations already
+        // match again only dilutes the surviving hypotheses and stalls
+        // re-convergence. Fractions under the trigger dead-band are
+        // likelihood noise, not evidence of a bad hypothesis set. At least
+        // one slot always comes from the wheel, so the surviving belief is
+        // never discarded outright.
+        let injected = if recovering && can_inject && raw_fraction >= trigger {
+            let fraction = raw_fraction.min(f64::from(MAX_INJECTION_FRACTION));
+            ((target as f64 * fraction).round() as usize).min(target - 1)
+        } else {
+            0
+        };
+        // ESS resampling gate: while the weights are still healthy and no
+        // recovery episode is running, skip resampling entirely. The reweight
+        // kernels multiply new likelihoods into the surviving weights, so
+        // skipped updates accumulate the Bayesian product instead of being
+        // thrown away — which is what keeps low-weight-but-alive competitor
+        // modes (symmetric aisles, repeated rooms) from being starved out by
+        // per-update resampling noise.
+        let ess_threshold = f64::from(self.config.ess_threshold);
+        let healthy = || {
+            let ess = f64::from(particle::effective_sample_size_of(weights.iter().copied()));
+            ess >= ess_threshold * weights.len() as f64
+        };
+        if !recovering && ess_threshold > 0.0 && healthy() {
+            None
+        } else {
+            Some((target, injected))
+        }
+    }
+
+    /// The inject stage: fills slots `kept..` of the freshly resampled
+    /// `particles` (whose length is the new population) with uniform poses
+    /// over the captured free space, drawn from a salted per-slot RNG stream
+    /// (independent of worker count and of the motion kernel's streams).
+    pub(crate) fn inject<S: Scalar>(
+        &self,
+        particles: &mut ParticleBuffer<S>,
+        kept: usize,
+        seed: u64,
+        update_index: u64,
+    ) {
+        let target = particles.len();
+        let jitter = self.free_space_jitter;
+        let weight = 1.0 / target as f32;
+        let cells = self.free_space.len() as u64;
+        for slot in kept..target {
+            let mut rng = injection_rng(seed, update_index, slot as u64);
+            let (cx, cy) = self.free_space[(rng.next_u64() % cells) as usize];
+            let pose = Pose2::new(
+                cx + rng.uniform_range(-jitter, jitter),
+                cy + rng.uniform_range(-jitter, jitter),
+                rng.uniform_range(0.0, core::f32::consts::TAU),
+            );
+            particles.set(slot, Particle::from_pose(&pose, weight));
+        }
+    }
+
+    /// Refines the published `estimate` of the first `kept` particles onto
+    /// the dominant mode. A multi-modal belief — exactly what the ESS gate
+    /// is designed to preserve in symmetric worlds — puts the plain weighted
+    /// average *between* the modes; the mean-shift pass reports the heaviest
+    /// one instead, the convention of deployed MCL stacks. The refined pose
+    /// is published only once the dominant mode holds a majority of the
+    /// mass: while several hypotheses are still live, confidently reporting
+    /// one of them makes the estimate jump between modes (false convergence,
+    /// lost-tracking flags); the conservative full-cloud mean stays far from
+    /// every mode and honestly signals "not converged yet".
+    pub(crate) fn refine<S: Scalar>(
+        &mut self,
+        particles: &ParticleBuffer<S>,
+        kept: usize,
+        estimate: &mut PoseEstimate,
+    ) {
+        let (pose, mass) = kernel::refine_mode_estimate(
+            particles,
+            kept,
+            estimate.pose,
+            MODE_REFINE_RADIUS_M,
+            MODE_REFINE_ITERATIONS,
+            &mut self.mode_refine,
+        );
+        if mass >= MODE_REFINE_MIN_MASS {
+            estimate.pose = pose;
         }
     }
 }
@@ -810,7 +971,7 @@ impl AdaptiveState {
 /// update `update_index` — salted so it cannot collide with the motion
 /// kernel's per-particle streams of the same update, and keyed on the slot so
 /// the draw is independent of worker count and dispatch schedule.
-pub fn injection_rng(seed: u64, update_index: u64, slot: u64) -> CounterRng {
+fn injection_rng(seed: u64, update_index: u64, slot: u64) -> CounterRng {
     CounterRng::for_particle(seed ^ INJECTION_STREAM_SALT, update_index, slot)
 }
 
@@ -823,9 +984,9 @@ mod tests {
 
     /// The bin count as a SipHash set of bin tuples computes it: the
     /// reference the sampler's cheaply hashed set must match.
-    fn reference_bins(config: &AdaptiveConfig, particles: &ParticleBuffer<f32>) -> usize {
-        let inv_xy = 1.0 / config.bin_xy_m;
-        let inv_theta = 1.0 / config.bin_theta_rad;
+    fn reference_bins(particles: &ParticleBuffer<f32>) -> usize {
+        let inv_xy = 1.0 / BIN_XY_M;
+        let inv_theta = 1.0 / BIN_THETA_RAD;
         particles
             .iter()
             .map(|p| {
@@ -887,7 +1048,7 @@ mod tests {
                 let particles = cloud(raw);
                 prop_assert_eq!(
                     sampler.occupied_bins(particles.as_slice()),
-                    reference_bins(&config, &particles)
+                    reference_bins(&particles)
                 );
             }
         }
@@ -915,7 +1076,7 @@ mod tests {
         for cloud in [&b, &a, &b, &c, &a] {
             assert_eq!(
                 sampler.occupied_bins(cloud.as_slice()),
-                reference_bins(&config, cloud)
+                reference_bins(cloud)
             );
         }
     }
@@ -970,7 +1131,7 @@ mod tests {
 
     #[test]
     fn likelihood_collapse_triggers_injection() {
-        let mut monitor = LikelihoodMonitor::new(AdaptiveConfig::default());
+        let mut monitor = LikelihoodMonitor::default();
         assert_eq!(monitor.injection_fraction(), 0.0);
         // Stable tracking: short-term equals long-term, no injection.
         for _ in 0..50 {
@@ -1018,44 +1179,18 @@ mod tests {
         c.max_particles = c.min_particles - 1;
         assert!(c.validate().is_err());
         let mut c = ok;
-        c.epsilon = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = ok;
-        c.delta = 1.0;
-        assert!(c.validate().is_err());
-        let mut c = ok;
-        c.bin_xy_m = f32::NAN;
-        assert!(c.validate().is_err());
-        let mut c = ok;
-        c.bin_theta_rad = -0.1;
-        assert!(c.validate().is_err());
-        let mut c = ok;
-        c.alpha_slow = 0.5;
-        c.alpha_fast = 0.1;
-        assert!(c.validate().is_err());
-        let mut c = ok;
-        c.max_injection_fraction = 1.5;
-        assert!(c.validate().is_err());
-        let mut c = ok;
-        c.injection_trigger = 1.0;
-        assert!(c.validate().is_err());
-        let mut c = ok;
         c.ess_threshold = -0.1;
         assert!(c.validate().is_err());
         let mut c = ok;
-        c.temper_ess = 1.5;
+        c.ess_threshold = f32::NAN;
         assert!(c.validate().is_err());
-        // The temper floor must sit below the resampling gate, otherwise
-        // every tempered update would skip resampling.
+        // A non-zero resampling gate must sit above the tempering floor,
+        // otherwise every tempered update would skip resampling.
         let mut c = ok;
-        c.temper_ess = c.ess_threshold;
+        c.ess_threshold = TEMPER_ESS;
         assert!(c.validate().is_err());
-        let mut c = ok;
-        c.temper_beta_floor = 1.5;
-        assert!(c.validate().is_err());
-        let mut c = ok;
-        c.temper_beta_floor = -0.1;
-        assert!(c.validate().is_err());
+        c.ess_threshold = 0.0;
+        assert!(c.validate().is_ok());
     }
 
     /// The effective sample size of `weights · exp(β·(logs − max_log))`,
@@ -1272,11 +1407,147 @@ mod tests {
         assert_eq!(c.max_particles, 2048);
     }
 
+    /// A cloud of `n` particles in one KLD bin (concentrated) or spread one
+    /// per bin over the plane.
+    fn decide_cloud(n: usize, concentrated: bool) -> ParticleBuffer<f32> {
+        (0..n)
+            .map(|i| {
+                let pose = if concentrated {
+                    Pose2::new(1.01 + 1e-4 * i as f32, 1.01, 0.1)
+                } else {
+                    Pose2::new(i as f32, 10.0 + i as f32, 0.0)
+                };
+                Particle::from_pose(&pose, 1.0 / n as f32)
+            })
+            .collect()
+    }
+
+    /// Scripts the monitor so its collapse fraction reads `fraction` (up to
+    /// the rounding of `1 − (1 − fraction)`).
+    fn script(state: &mut AdaptiveState, fraction: f64) {
+        state.monitor = LikelihoodMonitor {
+            w_fast: 1.0 - fraction,
+            w_slow: 1.0,
+            primed: true,
+        };
+    }
+
+    /// An enabled state over the default population range `[256, 4096]`
+    /// with one free cell to inject into.
+    fn decide_state() -> AdaptiveState {
+        let mut state = AdaptiveState::new(AdaptiveConfig::enabled());
+        state.free_space = vec![(1.0, 1.0)];
+        state
+    }
+
+    const N: usize = 256;
+
+    /// Runs one decide on the tight or spread cloud with uniform weights
+    /// (healthy ESS) or one-hot weights (collapsed ESS).
+    fn decide_on(
+        state: &mut AdaptiveState,
+        concentrated: bool,
+        healthy: bool,
+    ) -> Option<(usize, usize)> {
+        let cloud = decide_cloud(N, concentrated);
+        let weights: Vec<f32> = (0..N)
+            .map(|i| match (healthy, i) {
+                (true, _) => 1.0 / N as f32,
+                (false, 0) => 1.0,
+                (false, _) => 0.0,
+            })
+            .collect();
+        state.decide(cloud.as_slice(), &weights)
+    }
+
     #[test]
-    fn temper_beta_floor_builder_defaults_off() {
-        assert_eq!(AdaptiveConfig::default().temper_beta_floor, 0.0);
-        let c = AdaptiveConfig::enabled().with_temper_beta_floor(0.5);
-        assert_eq!(c.temper_beta_floor, 0.5);
-        assert!(c.validate().is_ok());
+    fn decide_latches_only_on_a_concentrated_cloud_at_the_trigger() {
+        let trigger = f64::from(INJECTION_TRIGGER);
+        // Below the dead-band: likelihood noise, no episode.
+        let mut state = decide_state();
+        script(&mut state, 0.05);
+        assert_eq!(decide_on(&mut state, true, false), Some((256, 0)));
+        assert_eq!(state.recovery_updates_left, 0);
+        // A spread (still-localizing) cloud is never perturbed, however hard
+        // the collapse.
+        script(&mut state, 0.2);
+        let spread = kld_bound(N, EPSILON, DELTA).clamp(256, 4096);
+        assert_eq!(decide_on(&mut state, false, false), Some((spread, 0)));
+        assert_eq!(state.recovery_updates_left, 0);
+        // Concentrated and exactly at the trigger: the episode latches.
+        script(&mut state, trigger);
+        assert_eq!(state.monitor.injection_fraction(), trigger);
+        let (target, injected) = decide_on(&mut state, true, true).expect("recovering");
+        assert_eq!(state.recovery_updates_left, RECOVERY_EPISODE_UPDATES);
+        assert!(target > 256 && injected > 0, "{target} {injected}");
+    }
+
+    #[test]
+    fn decide_runs_a_thirty_update_episode() {
+        let mut state = decide_state();
+        script(&mut state, 0.2);
+        assert!(decide_on(&mut state, true, true).is_some());
+        // Above the end fraction but under the trigger: the episode holds the
+        // population grown (and the ESS gate open) without injecting.
+        script(&mut state, 0.05);
+        let mut recovering = 1;
+        while let Some((target, injected)) = decide_on(&mut state, true, true) {
+            assert!(target > 256, "update {recovering}: target {target}");
+            assert_eq!(injected, 0, "update {recovering}");
+            recovering += 1;
+        }
+        assert_eq!(recovering, RECOVERY_EPISODE_UPDATES);
+        assert_eq!(state.recovery_updates_left, 0);
+    }
+
+    #[test]
+    fn decide_ends_an_episode_early_only_when_recovered_and_concentrated() {
+        let mut state = decide_state();
+        script(&mut state, 0.2);
+        assert!(decide_on(&mut state, true, true).is_some());
+        // Recovered likelihood, but the cloud is still spread over the
+        // competing hypotheses: keep going.
+        script(&mut state, 0.0);
+        assert!(decide_on(&mut state, false, true).is_some());
+        assert_eq!(state.recovery_updates_left, RECOVERY_EPISODE_UPDATES - 1);
+        // Concentrated again, but the likelihood has not caught up.
+        script(&mut state, 0.03);
+        assert!(decide_on(&mut state, true, true).is_some());
+        assert_eq!(state.recovery_updates_left, RECOVERY_EPISODE_UPDATES - 2);
+        // Both: the episode ends and the ESS gate skips this resample.
+        script(&mut state, 0.0);
+        assert_eq!(decide_on(&mut state, true, true), None);
+        assert_eq!(state.recovery_updates_left, 0);
+    }
+
+    #[test]
+    fn decide_neither_grows_nor_injects_without_free_space() {
+        let mut with_space = decide_state();
+        script(&mut with_space, 0.2);
+        // collapse 0.8: 256 + 0.8 · (4096 − 256) = 3328, 5 % of it injected.
+        assert_eq!(decide_on(&mut with_space, true, false), Some((3328, 166)));
+        let mut without = AdaptiveState::new(AdaptiveConfig::enabled());
+        script(&mut without, 0.2);
+        assert_eq!(decide_on(&mut without, true, false), Some((256, 0)));
+        // The episode still latches, so the ESS gate stays open.
+        assert_eq!(without.recovery_updates_left, RECOVERY_EPISODE_UPDATES);
+        assert_eq!(decide_on(&mut without, true, true), Some((256, 0)));
+    }
+
+    #[test]
+    fn decide_skips_resampling_only_outside_an_episode() {
+        let mut state = decide_state();
+        script(&mut state, 0.0);
+        assert_eq!(decide_on(&mut state, true, true), None);
+        assert_eq!(decide_on(&mut state, true, false), Some((256, 0)));
+        script(&mut state, 0.2);
+        assert!(decide_on(&mut state, true, true).is_some());
+        // A disabled gate resamples healthy weights too.
+        let mut ungated = AdaptiveState::new(AdaptiveConfig {
+            ess_threshold: 0.0,
+            ..AdaptiveConfig::enabled()
+        });
+        script(&mut ungated, 0.0);
+        assert_eq!(decide_on(&mut ungated, true, true), Some((256, 0)));
     }
 }

@@ -258,7 +258,7 @@ mod tests {
         assert!(c.validate().is_err());
         // Adaptive constraints are only enforced when the switch is on.
         let mut c = ok;
-        c.adaptive.epsilon = -1.0;
+        c.adaptive.min_particles = 0;
         assert!(c.validate().is_ok());
         c.adaptive.enabled = true;
         assert!(c.validate().is_err());

@@ -14,7 +14,13 @@
 //!   observation is skipped (the paper's strategy for not wasting compute
 //!   while hovering).
 //!
-//! An applied update dispatches the [`crate::kernel`] functions over the
+//! An applied update runs seven named stages in order: predict, score,
+//! temper, reweight, normalize + decide, resample + inject, publish. They
+//! are the paper's four steps (prediction, correction, resampling, pose
+//! computation); with adaptive population control enabled, the policy of
+//! [`crate::adaptive`] is consulted at temper, decide, inject and publish.
+//!
+//! The stages dispatch the [`crate::kernel`] functions over the
 //! [`ClusterLayout`] workers: each worker runs the same kernel on its contiguous
 //! slice of the structure-of-arrays [`ParticleSet`], executing on the
 //! persistent shared [`crate::pool::WorkerPool`] (resident threads, no spawn
@@ -27,10 +33,12 @@
 //! ranges, the anchor-range kernel *adds* its per-sensor log-likelihoods
 //! into the same per-particle accumulator the beam kernel fills, so the
 //! correct step stays one reweight pass regardless of how many
-//! sensor modalities contributed. Per-update scratch buffers
-//! (log-likelihoods, f32 weights) are reused across updates, so the
-//! steady-state hot path performs no heap allocation beyond the resampling
-//! plan.
+//! sensor modalities contributed. The per-update scratch buffers
+//! (log-likelihoods, f32 weights) and the resampling plan reuse their
+//! allocations across updates; the pose reduction still allocates its two
+//! vectors of per-block partials every update
+//! ([`kernel::pose_estimate_prefix_with`] collects them through
+//! [`ClusterLayout::map_index_blocks`]).
 //!
 //! A beam-only observation is an [`ObservationBatch`] without an anchor
 //! block ([`ObservationBatch::from_beams`] /
@@ -38,14 +46,14 @@
 //! [`ObservationBatch::has_anchors`], so such an update executes the exact
 //! beam-only instruction sequence the golden trace test pins.
 
-use crate::adaptive::{self, AdaptiveState};
+use crate::adaptive::AdaptiveState;
 use crate::config::{MclConfig, MclError};
 use crate::estimate::PoseEstimate;
 use crate::kernel;
 use crate::motion::{MotionDelta, MotionModel};
 use crate::observation::{AnchorRangeModel, BeamEndPointModel};
 use crate::parallel::ClusterLayout;
-use crate::particle::{self, Particle, ParticleSet};
+use crate::particle::{self, ParticleSet};
 use crate::resampling::{PartialSumResampler, ResamplePlan};
 use crate::rng::CounterRng;
 use mcl_gridmap::{DistanceField, OccupancyGrid, Pose2};
@@ -127,18 +135,11 @@ pub struct MonteCarloLocalization<S: Scalar, D: DistanceField> {
     weights_f32: Vec<f32>,
     /// Per-update scratch: the resampling plan, allocations reused.
     plan: ResamplePlan,
-    /// Adaptive population state (KLD bins + likelihood monitor); `None`
-    /// when `config.adaptive.enabled` is false, keeping the fixed-size path
-    /// byte-identical to the seed behaviour.
+    /// Adaptive population state and policy (KLD bins, likelihood monitor,
+    /// recovery latch and free space); `None` when `config.adaptive.enabled`
+    /// is false, keeping the fixed-size path byte-identical to the seed
+    /// behaviour.
     adaptive: Option<AdaptiveState>,
-    /// World coordinates of the map's free-cell centres, captured by
-    /// [`MonteCarloLocalization::initialize_uniform`] for recovery
-    /// injection. Empty when unknown (e.g. Gaussian initialization), in
-    /// which case injection is skipped.
-    free_space: Vec<(f32, f32)>,
-    /// Half the map resolution: injected poses jitter inside their cell
-    /// exactly like the uniform initialization.
-    free_space_jitter: f32,
 }
 
 impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
@@ -170,8 +171,6 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
                 .adaptive
                 .enabled
                 .then(|| AdaptiveState::new(config.adaptive)),
-            free_space: Vec::new(),
-            free_space_jitter: 0.0,
             config,
         })
     }
@@ -196,13 +195,6 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
         self.counters
     }
 
-    /// The adaptive-control state (KLD sampler, likelihood monitor and
-    /// recovery latch) when adaptive population control is enabled. Exposed
-    /// for diagnostics and tests.
-    pub fn adaptive_state(&self) -> Option<&adaptive::AdaptiveState> {
-        self.adaptive.as_ref()
-    }
-
     /// Spreads the particles uniformly over the free space of `map` — global
     /// localization with no prior, as in the paper's kidnapped start (Fig. 1).
     ///
@@ -212,19 +204,8 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
     pub fn initialize_uniform(&mut self, map: &OccupancyGrid, seed: u64) -> Result<(), MclError> {
         self.particles
             .initialize_uniform(self.config.num_particles, map, seed)?;
-        if self.config.adaptive.enabled {
-            // Capture the free space for recovery injection: the filter only
-            // holds the distance field afterwards, which has no notion of
-            // "free", so the table is built once here.
-            self.free_space = map
-                .indices()
-                .filter(|&i| map.state(i) == mcl_gridmap::CellState::Free)
-                .map(|i| {
-                    let centre = map.cell_to_world(i);
-                    (centre.x, centre.y)
-                })
-                .collect();
-            self.free_space_jitter = map.resolution() * 0.5;
+        if let Some(state) = self.adaptive.as_mut() {
+            state.capture_free_space(map);
         }
         Ok(())
     }
@@ -338,83 +319,70 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
         )
     }
 
-    /// The estimate an applied update publishes: reduced over the first
-    /// `kept` particles (freshly injected recovery particles are excluded —
-    /// they carry no posterior support yet), and, in adaptive mode, with the
-    /// pose refined onto the dominant mode. A multi-modal belief — exactly
-    /// what the ESS gate is designed to preserve in symmetric worlds — puts
-    /// the plain weighted average *between* the modes; the mean-shift pass
-    /// reports the heaviest one instead, the convention of deployed MCL
-    /// stacks.
-    fn published_estimate(&mut self, kept: usize) -> PoseEstimate {
-        let mut estimate = kernel::pose_estimate_prefix_with(
-            self.particles.current(),
-            kept,
-            &self.cluster,
-            self.config.kernel_backend,
-        );
-        if let Some(state) = self.adaptive.as_mut() {
-            let (pose, mass) = kernel::refine_mode_estimate(
-                self.particles.current(),
-                kept,
-                estimate.pose,
-                adaptive::MODE_REFINE_RADIUS_M,
-                adaptive::MODE_REFINE_ITERATIONS,
-                &mut state.mode_refine,
-            );
-            // Publish the refined pose only once the dominant mode holds a
-            // majority of the mass: while several hypotheses are still live,
-            // confidently reporting one of them makes the estimate jump
-            // between modes (false convergence, lost-tracking flags); the
-            // conservative full-cloud mean stays far from every mode and
-            // honestly signals "not converged yet".
-            if mass >= adaptive::MODE_REFINE_MIN_MASS {
-                estimate.pose = pose;
-            }
-        }
-        estimate
+    /// One full prediction–correction–resampling–pose sequence, as its named
+    /// stages: predict, score, temper, reweight, normalize + decide,
+    /// resample + inject, publish.
+    fn apply_iteration(&mut self, observations: &ObservationBatch) -> PoseEstimate {
+        let delta = core::mem::take(&mut self.pending);
+        self.update_counter += 1;
+        self.predict_particles(&delta);
+        let max_log = self.score(observations);
+        let max_log = self.temper(observations, max_log);
+        self.reweight(max_log);
+        self.counters.updates_applied += 1;
+        let Some((target, injected)) = self.normalize_and_decide() else {
+            // Skipped resample: the normalized, likelihood-multiplied weights
+            // carry over to the next update untouched. The population is
+            // unchanged, so the cycle accounting still charges a full update.
+            let n = self.particles.len();
+            self.counters.resampled_particles += n as u64;
+            self.counters.resamples_skipped += 1;
+            return self.publish(n);
+        };
+        let kept = self.resample_and_inject(target, injected);
+        self.counters.resampled_particles += target as u64;
+        self.publish(kept)
     }
 
-    /// One full prediction–correction–resampling–pose sequence.
-    fn apply_iteration(&mut self, observations: &ObservationBatch) -> PoseEstimate {
-        let batch = observations.beams();
-        let delta = self.pending;
-        self.pending = MotionDelta::default();
-        self.update_counter += 1;
-        let update_index = self.update_counter;
-        let seed = self.config.seed;
-        let n = self.particles.len();
-        let cluster = self.cluster;
-        // Which kernel implementations the dispatches below hand the workers;
-        // numerically unobservable (the backends are bit-identical).
-        let backend = self.config.kernel_backend;
-
-        // 1. Prediction: the motion kernel samples every particle through the
-        // odometry model; per-particle RNG streams make chunking irrelevant.
+    /// Prediction: the motion kernel samples every particle through the
+    /// odometry model; per-particle RNG streams make chunking irrelevant.
+    fn predict_particles(&mut self, delta: &MotionDelta) {
         let motion = self.motion;
-        cluster.for_each_split(
+        let seed = self.config.seed;
+        let update_index = self.update_counter;
+        let backend = self.config.kernel_backend;
+        self.cluster.for_each_split(
             self.particles.current_mut().as_mut_slice(),
             |start, chunk| {
                 kernel::motion_predict_with(
                     backend,
                     chunk,
                     &motion,
-                    &delta,
+                    delta,
                     seed,
                     update_index,
                     start as u64,
                 );
             },
         );
+    }
 
-        // 2. Correction: beam-end-point re-weighting. Log-likelihoods are
-        // computed per particle and exponentiated relative to the maximum over
-        // the whole set, so a sharp observation model cannot underflow f32.
+    /// Correction, first half: one log-likelihood per particle from the beam
+    /// kernel, plus — when the observation carries UWB anchor ranges — the
+    /// anchor-range kernel's, *added* into the same accumulator (per-sensor
+    /// log-likelihoods sum: the independent-sensor fusion rule). The anchor
+    /// dispatch is strictly gated on the anchor block being non-empty, so
+    /// beam-only updates execute the exact beam-only floating-point sequence
+    /// (golden-trace pinned). Returns the maximum log-likelihood.
+    fn score(&mut self, observations: &ObservationBatch) -> f32 {
+        let backend = self.config.kernel_backend;
         let observation = self.observation;
+        let anchor_model = self.anchor_model;
         let field = &self.field;
+        let batch = observations.beams();
         self.log_likelihoods.clear();
-        self.log_likelihoods.resize(n, 0.0);
-        cluster.for_each_split(
+        self.log_likelihoods.resize(self.particles.len(), 0.0);
+        self.cluster.for_each_split(
             (
                 self.particles.current().as_slice(),
                 self.log_likelihoods.as_mut_slice(),
@@ -430,16 +398,8 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
                 );
             },
         );
-        // Sensor fusion: when the observation carries UWB anchor ranges, the
-        // anchor-range kernel *adds* its per-particle log-likelihoods into
-        // the accumulator the beam kernel just filled — per-sensor
-        // log-likelihoods sum, which is the independent-sensor fusion rule.
-        // The dispatch is strictly gated on the anchor block being non-empty
-        // so beam-only updates execute the exact beam-only floating-point
-        // sequence (golden-trace pinned).
         if observations.has_anchors() {
-            let anchor_model = self.anchor_model;
-            cluster.for_each_split(
+            self.cluster.for_each_split(
                 (
                     self.particles.current().as_slice(),
                     self.log_likelihoods.as_mut_slice(),
@@ -455,303 +415,131 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
                 },
             );
         }
-        let mut max_log = self
-            .log_likelihoods
+        self.log_likelihoods
             .iter()
-            .fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        // Adaptive pre-processing of the raw log-likelihoods, before the
-        // reweight kernels consume them:
-        //
-        // * the Augmented-MCL monitor input must be taken from the *raw*
-        //   logs, so it is computed here and stashed for step 3. The value
-        //   fed is the **per-beam** mean likelihood,
-        //   `exp(ln(mean_i exp(l_i)) / beams)`: the raw multi-beam product
-        //   scales exponentially with how many beams are in range and how
-        //   cluttered the viewpoint is, so an unnormalized short/long-term
-        //   ratio tracks observation hardness instead of localization
-        //   quality (and its `exp(l)` terms underflow outright for harsh
-        //   scenes). The per-beam root makes the signal comparable across
-        //   viewpoints; the shift by `max_log` keeps the sum finite.
-        // * likelihood tempering: when this observation alone would collapse
-        //   the effective sample size below `temper_ess × n`, anneal the logs
-        //   by the `β` that lands the post-update ESS on that floor. This is
-        //   the weight-degeneracy guard for sharp multi-beam models — without
-        //   it the very first resample of a global init can hand the whole
-        //   cloud to one aliased particle. Serial and a pure function of the
-        //   weights and logs, so the outcome is schedule- and
-        //   backend-independent.
-        let raw_mean_likelihood = if self.adaptive.is_some() {
-            // Per-observation normalization count: in-range beams plus the
-            // usable (finite) anchor ranges that also contributed
-            // log-likelihood mass. An unpartitioned batch counts its in-range
-            // beams with the partition's own `r < r_max` predicate, so
-            // partitioning stays an execution detail here too.
-            let r_max = self.config.r_max;
-            let in_range = batch
-                .in_range_prefix(r_max)
-                .unwrap_or_else(|| batch.beams_within(r_max));
-            let beams = (in_range + observations.usable_anchor_count()).max(1);
-            // Halve the tempering floor while a recovery episode runs: the
-            // episode exists to let freshly injected hypotheses seize mass
-            // from a wrong mode quickly, which is exactly the weight
-            // concentration tempering suppresses. Keeping half the floor
-            // (instead of disabling tempering outright) still bounds how
-            // much of the cloud a single garbage observation — a noise
-            // burst that itself triggered the episode — can hand to one
-            // lucky particle.
-            let mut temper = f64::from(self.config.adaptive.temper_ess);
-            if self
-                .adaptive
-                .as_ref()
-                .is_some_and(|s| s.recovery_updates_left > 0)
-            {
-                temper *= 0.5;
-            }
-            let mean = if max_log.is_finite() {
-                let weights =
-                    weights_as_f32(self.particles.current().weight(), &mut self.weights_f32);
-                // The solve's β = 1 pass also sums the raw relative
-                // likelihoods for the monitor; a zero target (tempering
-                // off) stops after that pass with β = 1.
-                let tempering = adaptive::temper_beta(
-                    weights,
-                    &self.log_likelihoods,
-                    max_log,
-                    temper * n as f64,
-                );
-                let mean_rel = tempering.raw_likelihood_sum / n as f64;
-                let mean = ((f64::from(max_log) + mean_rel.ln()) / beams as f64).exp();
-                // The β floor bounds how much of the observation annealing
-                // may discard (see `AdaptiveConfig::temper_beta_floor`):
-                // during aliased global init every update ESS-crashes, and
-                // unfloored annealing starves the filter of evidence until
-                // the wheel commits it to an arbitrary mode.
-                let beta = tempering
-                    .beta
-                    .max(f64::from(self.config.adaptive.temper_beta_floor));
-                if beta < 1.0 {
-                    for l in &mut self.log_likelihoods {
-                        *l = (f64::from(*l) * beta) as f32;
-                    }
-                    max_log = (f64::from(max_log) * beta) as f32;
-                    self.counters.updates_tempered += 1;
-                }
-                mean
-            } else {
-                0.0
-            };
-            Some(mean)
-        } else {
-            None
+            .fold(f32::NEG_INFINITY, |a, &b| a.max(b))
+    }
+
+    /// Adaptive tempering of the raw log-likelihoods (`AdaptiveState::temper`,
+    /// which also feeds the likelihood monitor); returns the `max_log` the
+    /// reweight kernels shift by. The monitor input is normalized per unit
+    /// of evidence: the in-range beams plus the usable (finite) anchor
+    /// ranges. An unpartitioned batch counts its in-range beams with the
+    /// partition's own `r < r_max` predicate, so partitioning stays an
+    /// execution detail here too. Leaves a fixed-population filter's logs
+    /// untouched.
+    fn temper(&mut self, observations: &ObservationBatch, max_log: f32) -> f32 {
+        let Some(state) = self.adaptive.as_mut() else {
+            return max_log;
         };
-        cluster.for_each_split(
+        let batch = observations.beams();
+        let r_max = self.config.r_max;
+        let in_range = batch
+            .in_range_prefix(r_max)
+            .unwrap_or_else(|| batch.beams_within(r_max));
+        let evidence = in_range + observations.usable_anchor_count();
+        let tempered = state.temper(
+            self.particles.current().weight(),
+            &mut self.weights_f32,
+            &mut self.log_likelihoods,
+            max_log,
+            evidence,
+        );
+        match tempered {
+            Some(tempered_max) => {
+                self.counters.updates_tempered += 1;
+                tempered_max
+            }
+            None => max_log,
+        }
+    }
+
+    /// Correction, second half: the reweight kernels multiply each particle's
+    /// likelihood, exponentiated relative to `max_log` so a sharp observation
+    /// model cannot underflow `f32`, into its stored weight.
+    fn reweight(&mut self, max_log: f32) {
+        let backend = self.config.kernel_backend;
+        self.cluster.for_each_split(
             (
                 self.particles.current_mut().weight_mut(),
                 self.log_likelihoods.as_slice(),
             ),
             |_, (weights, logs)| kernel::reweight_with(backend, weights, logs, max_log),
         );
-
-        // 3. Weight normalization + systematic resampling over partial sums.
-        // The ESS gate and the plan read the normalized weights as `f32`:
-        // fp32 storage hands them the SoA weight array directly, other
-        // precisions widen once into the reusable scratch and both read that
-        // copy. The plan itself reuses its allocations too, so the steady
-        // state allocates nothing here.
-        //
-        // With adaptive population control enabled, this step additionally
-        // (a) picks the next population from the KLD bin statistics of the
-        // predicted cloud and (b) replaces the tail of the new generation
-        // with recovery particles when the likelihood monitor reports a
-        // short-term collapse (Augmented MCL). Both decisions are pure
-        // functions of the filter state, so the population trajectory is
-        // bit-identical for every worker count and kernel backend.
-        self.particles.normalize_weights();
-        let weights = weights_as_f32(self.particles.current().weight(), &mut self.weights_f32);
-        let mut offset_rng = CounterRng::for_update(seed, update_index);
-        let offset = offset_rng.uniform();
-        let resampler = self.resampler;
-        let decision = match self.adaptive.as_mut() {
-            Some(state) => {
-                // Per-beam mean observation likelihood of this update, fed
-                // to the short/long-term monitor. Stashed by step 2 from the
-                // raw (pre-tempering) log-likelihoods, in f64 so the scale
-                // is storage-independent.
-                let mean_likelihood =
-                    raw_mean_likelihood.expect("computed in step 2 when adaptive is on");
-                state.monitor.observe(mean_likelihood);
-                let min = self.config.adaptive.min_particles;
-                let bound = state
-                    .kld
-                    .population_bound(self.particles.current().as_slice());
-                let kld_target = bound.clamp(min, self.config.adaptive.max_particles);
-                // Recovery latches on only when the belief is concentrated
-                // (the unclamped bound sits near the population floor) AND
-                // the likelihood collapse clears the dead-band. A kidnapped
-                // or aliased-but-committed filter is exactly that: tight and
-                // suddenly unlikely. A still-localizing cloud is spread —
-                // injecting into it would only perturb global convergence —
-                // and small fractions are ordinary likelihood noise. Once
-                // latched, the episode persists for up to
-                // RECOVERY_EPISODE_UPDATES (the first injection spreads the
-                // cloud, so the concentration gate alone would make recovery
-                // a useless single shot), ending early as soon as the
-                // short-term likelihood catches back up.
-                let concentrated = bound <= min * adaptive::RECOVERY_CONCENTRATION_FACTOR;
-                let trigger = f64::from(self.config.adaptive.injection_trigger);
-                let raw_fraction = state.monitor.injection_fraction();
-                if state.recovery_updates_left > 0 {
-                    state.recovery_updates_left -= 1;
-                    // Ending early needs more than a recovered likelihood:
-                    // right after injection the cloud holds several competing
-                    // hypotheses, and an aliased competitor can score well
-                    // for a few updates. Only a likelihood that has caught up
-                    // *and* a belief that has re-concentrated onto a single
-                    // mode mean the episode did its job; stopping before
-                    // consolidation lets the next resample hand the cloud to
-                    // whichever mode happened to win that round.
-                    if raw_fraction < adaptive::RECOVERY_END_FRACTION && concentrated {
-                        state.recovery_updates_left = 0;
-                    }
-                } else if concentrated && raw_fraction >= trigger {
-                    state.recovery_updates_left = adaptive::RECOVERY_EPISODE_UPDATES;
-                }
-                // Hold the collapse at the trigger floor while latched so the
-                // population stays grown for the whole episode even as the
-                // slow average decays toward the collapsed level. The
-                // per-beam fraction is compressed relative to the underlying
-                // likelihood collapse, so it is rescaled by the saturation
-                // point before sizing the growth and injection response.
-                let collapse = if state.recovery_updates_left > 0 {
-                    (raw_fraction.max(trigger) / adaptive::RECOVERY_COLLAPSE_SATURATION).min(1.0)
-                } else {
-                    0.0
-                };
-                // A likelihood collapse means the belief is concentrated on a
-                // wrong mode — a situation the bin statistics cannot see (a
-                // confidently wrong cloud occupies as few bins as a correct
-                // one). Grow toward the population ceiling in proportion to
-                // the collapse so the re-seeded hypotheses get the
-                // resolution global re-localization needs.
-                let max = self.config.adaptive.max_particles;
-                let target = if collapse > 0.0 && !self.free_space.is_empty() {
-                    (kld_target as f64 + collapse * (max - kld_target) as f64).round() as usize
-                } else {
-                    kld_target
-                };
-                // Injection follows the *current* mismatch (the classic
-                // Augmented-MCL `1 - w_fast/w_slow` rule), not the latched
-                // collapse: the latch keeps the population grown for the
-                // whole episode, but pouring uniform poses into a cloud whose
-                // observations already match again only dilutes the surviving
-                // hypotheses and stalls re-convergence.
-                // fractions under the trigger dead-band are likelihood noise,
-                // not evidence of a bad hypothesis set.
-                let fraction = if state.recovery_updates_left > 0 && raw_fraction >= trigger {
-                    raw_fraction.min(f64::from(self.config.adaptive.max_injection_fraction))
-                } else {
-                    0.0
-                };
-                let injected = if self.free_space.is_empty() {
-                    0
-                } else {
-                    // At least one slot always comes from the wheel, so the
-                    // surviving belief is never discarded outright.
-                    ((target as f64 * fraction).round() as usize).min(target - 1)
-                };
-                // ESS resampling gate: while the weights are still healthy
-                // (effective sample size at or above the configured fraction
-                // of the population) and no recovery episode is running, skip
-                // resampling entirely. The reweight kernels multiply new
-                // likelihoods into the surviving weights, so skipped updates
-                // accumulate the Bayesian product instead of being thrown
-                // away — which is what keeps low-weight-but-alive competitor
-                // modes (symmetric aisles, repeated rooms) from being starved
-                // out by per-update resampling noise.
-                let ess_threshold = f64::from(self.config.adaptive.ess_threshold);
-                let ess = f64::from(particle::effective_sample_size_of(weights.iter().copied()));
-                if state.recovery_updates_left == 0
-                    && ess_threshold > 0.0
-                    && ess >= ess_threshold * n as f64
-                {
-                    None
-                } else {
-                    Some((target, injected))
-                }
-            }
-            None => Some((n, 0)),
-        };
-        let Some((target_n, injected)) = decision else {
-            // Skipped resample: the normalized, likelihood-multiplied weights
-            // carry over to the next update untouched. The population is
-            // unchanged, so the cycle accounting still charges a full update.
-            self.counters.updates_applied += 1;
-            self.counters.resampled_particles += n as u64;
-            self.counters.resamples_skipped += 1;
-            return self.published_estimate(n);
-        };
-        let kept = target_n - injected;
-        resampler.plan_resize_into(weights, offset, kept, &mut self.plan);
-        let uniform_weight = S::from_f32(1.0 / target_n as f32);
-        {
-            let plan = &self.plan;
-            let (current, scratch) = self.particles.buffers_mut();
-            scratch.resize(target_n);
-            let source = current.as_slice();
-            // The scatter covers the resampled prefix; injected slots (the
-            // suffix) are filled below. The plan's worker ranges tile the
-            // prefix exactly, so `for_each_range`'s coverage check still
-            // guards the dispatch.
-            let (kept_slots, _) = scratch.as_mut_slice().split_at_mut(kept);
-            cluster.for_each_range(
-                (kept_slots, plan.indices.as_slice()),
-                &plan.worker_output_ranges,
-                |_, (target, indices)| {
-                    kernel::resample_scatter_with(backend, source, target, indices, uniform_weight);
-                },
-            );
-        }
-        if injected > 0 {
-            // Recovery injection: uniform poses over the captured free space,
-            // drawn from a salted per-slot RNG stream (independent of worker
-            // count and of the motion kernel's streams).
-            let jitter = self.free_space_jitter;
-            let weight = 1.0 / target_n as f32;
-            let cells = self.free_space.len() as u64;
-            let (_, scratch) = self.particles.buffers_mut();
-            for slot in kept..target_n {
-                let mut rng = adaptive::injection_rng(seed, update_index, slot as u64);
-                let (cx, cy) = self.free_space[(rng.next_u64() % cells) as usize];
-                let pose = Pose2::new(
-                    cx + rng.uniform_range(-jitter, jitter),
-                    cy + rng.uniform_range(-jitter, jitter),
-                    rng.uniform_range(0.0, core::f32::consts::TAU),
-                );
-                scratch.set(slot, Particle::from_pose(&pose, weight));
-            }
-            self.counters.particles_injected += injected as u64;
-        }
-        self.particles.swap_buffers();
-        self.counters.updates_applied += 1;
-        self.counters.resampled_particles += target_n as u64;
-
-        // 4. Pose computation (fixed-block reduction kernel), excluding the
-        // injected suffix and mode-refined in adaptive mode.
-        self.published_estimate(kept)
     }
-}
 
-/// Stored weights read as `f32`: the array itself at fp32 storage, otherwise
-/// widened with [`Scalar::widen`] into `scratch` (whose allocation is reused).
-fn weights_as_f32<'a, S: Scalar>(stored: &'a [S], scratch: &'a mut Vec<f32>) -> &'a [f32] {
-    match S::f32_slice(stored) {
-        Some(direct) => direct,
-        None => {
-            scratch.clear();
-            scratch.resize(stored.len(), 0.0);
-            S::widen(stored, scratch);
-            scratch
+    /// Weight normalization and the population decision. The decision and
+    /// the resampling plan read the normalized weights as `f32`: fp32
+    /// storage hands them the SoA weight array directly, other precisions
+    /// widen once here into the reusable scratch and both read that copy.
+    /// Returns the next population and how many of its slots recovery
+    /// injection fills, or `None` when the adaptive ESS gate skips
+    /// resampling (`AdaptiveState::decide`). A fixed population resamples
+    /// all `n` particles and injects none.
+    fn normalize_and_decide(&mut self) -> Option<(usize, usize)> {
+        self.particles.normalize_weights();
+        let current = self.particles.current();
+        let weights = particle::weights_as_f32(current.weight(), &mut self.weights_f32);
+        match self.adaptive.as_mut() {
+            Some(state) => state.decide(current.as_slice(), weights),
+            None => Some((current.len(), 0)),
         }
+    }
+
+    /// Systematic resampling over partial sums into the first
+    /// `target − injected` slots of the new generation, then recovery
+    /// injection (`AdaptiveState::inject`) into the rest. Returns the number
+    /// of resampled particles.
+    fn resample_and_inject(&mut self, target: usize, injected: usize) -> usize {
+        let seed = self.config.seed;
+        let update_index = self.update_counter;
+        let backend = self.config.kernel_backend;
+        let kept = target - injected;
+        let offset = CounterRng::for_update(seed, update_index).uniform();
+        // The normalized weights as `f32`, as the decide stage read them.
+        let weights = S::f32_slice(self.particles.current().weight()).unwrap_or(&self.weights_f32);
+        self.resampler
+            .plan_resize_into(weights, offset, kept, &mut self.plan);
+        let uniform_weight = S::from_f32(1.0 / target as f32);
+        let plan = &self.plan;
+        let (current, scratch) = self.particles.buffers_mut();
+        scratch.resize(target);
+        let source = current.as_slice();
+        // The scatter covers the resampled prefix; injected slots (the
+        // suffix) are filled below. The plan's worker ranges tile the prefix
+        // exactly, so `for_each_range`'s coverage check still guards the
+        // dispatch.
+        let (kept_slots, _) = scratch.as_mut_slice().split_at_mut(kept);
+        self.cluster.for_each_range(
+            (kept_slots, plan.indices.as_slice()),
+            &plan.worker_output_ranges,
+            |_, (out, indices)| {
+                kernel::resample_scatter_with(backend, source, out, indices, uniform_weight);
+            },
+        );
+        if let Some(state) = self.adaptive.as_ref() {
+            state.inject(scratch, kept, seed, update_index);
+        }
+        self.counters.particles_injected += injected as u64;
+        self.particles.swap_buffers();
+        kept
+    }
+
+    /// Pose computation: the fixed-block reduction kernel over the first
+    /// `kept` particles (freshly injected recovery particles are excluded —
+    /// they carry no posterior support yet), refined onto the dominant mode
+    /// in adaptive mode (`AdaptiveState::refine`).
+    fn publish(&mut self, kept: usize) -> PoseEstimate {
+        let mut estimate = kernel::pose_estimate_prefix_with(
+            self.particles.current(),
+            kept,
+            &self.cluster,
+            self.config.kernel_backend,
+        );
+        if let Some(state) = self.adaptive.as_mut() {
+            state.refine(self.particles.current(), kept, &mut estimate);
+        }
+        estimate
     }
 }
 

@@ -78,6 +78,23 @@ pub(crate) fn effective_sample_size_of(weights: impl IntoIterator<Item = f32>) -
     }
 }
 
+/// Stored weights read as `f32`: the array itself at fp32 storage, otherwise
+/// widened with [`Scalar::widen`] into `scratch` (whose allocation is reused).
+pub(crate) fn weights_as_f32<'a, S: Scalar>(
+    stored: &'a [S],
+    scratch: &'a mut Vec<f32>,
+) -> &'a [f32] {
+    match S::f32_slice(stored) {
+        Some(direct) => direct,
+        None => {
+            scratch.clear();
+            scratch.resize(stored.len(), 0.0);
+            S::widen(stored, scratch);
+            scratch
+        }
+    }
+}
+
 /// One pose hypothesis with an importance weight, stored at precision `S`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Particle<S: Scalar> {

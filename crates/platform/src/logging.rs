@@ -3,14 +3,13 @@
 //! The pipeline writes one [`LogRecord`] per 15 Hz step: the fused pose, the raw
 //! MCL estimate (when one was produced), and the modelled on-board latency.
 //! [`FlightLog`] is shared between the pipeline and any consumer (ground-station
-//! plotting, the examples) behind a `parking_lot` mutex, mirroring how the real
-//! firmware's logging task reads state produced by the estimation task. Records
-//! can be exported as CSV for offline analysis.
+//! plotting, the examples) behind a `std::sync::Mutex`, mirroring how the
+//! real firmware's logging task reads state produced by the estimation task.
+//! Records can be exported as CSV for offline analysis.
 
 use mcl_gridmap::Pose2;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One logged step.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -39,24 +38,30 @@ impl FlightLog {
         Self::default()
     }
 
+    /// The records, locked. A writer that panicked mid-push leaves the
+    /// vector intact, so a poisoned lock is recovered rather than spread.
+    fn records(&self) -> MutexGuard<'_, Vec<LogRecord>> {
+        self.records.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Appends one record.
     pub fn push(&self, record: LogRecord) {
-        self.records.lock().push(record);
+        self.records().push(record);
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        self.records().len()
     }
 
     /// `true` when nothing has been logged yet.
     pub fn is_empty(&self) -> bool {
-        self.records.lock().is_empty()
+        self.records().is_empty()
     }
 
     /// A snapshot of all records.
     pub fn snapshot(&self) -> Vec<LogRecord> {
-        self.records.lock().clone()
+        self.records().clone()
     }
 
     /// Exports the log as CSV (one line per record).
@@ -64,7 +69,7 @@ impl FlightLog {
         let mut out = String::from(
             "t_s,x_m,y_m,yaw_rad,mcl_x_m,mcl_y_m,mcl_yaw_rad,latency_s,deadline_met\n",
         );
-        for r in self.records.lock().iter() {
+        for r in self.records().iter() {
             let (mx, my, myaw) = match r.mcl_pose {
                 Some(p) => (p.x.to_string(), p.y.to_string(), p.theta.to_string()),
                 None => (String::new(), String::new(), String::new()),

@@ -178,8 +178,10 @@ impl PaperScenario {
 
     /// Evaluates one pipeline configuration on one sequence with global
     /// (uniform) initialization — the paper's main experiment. Runs under the
-    /// default kernel backend (honouring the `MCL_KERNEL_BACKEND` override);
-    /// see [`PaperScenario::evaluate_with_backend`] for an explicit choice.
+    /// `MCL_KERNEL_BACKEND` override when set, otherwise under the backend
+    /// [`KernelBackend::detect`] picks for this host (the rule
+    /// `MclConfig::default` follows too); see
+    /// [`PaperScenario::evaluate_with_backend`] for an explicit choice.
     pub fn evaluate(
         &self,
         sequence: &Sequence,
@@ -192,7 +194,7 @@ impl PaperScenario {
             pipeline,
             particles,
             seed,
-            KernelBackend::from_env().unwrap_or_default(),
+            KernelBackend::from_env().unwrap_or_else(KernelBackend::detect),
         )
     }
 
