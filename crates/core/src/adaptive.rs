@@ -15,7 +15,7 @@
 //!   to [`AdaptiveConfig::min_particles`]; an ambiguous (multi-hypothesis)
 //!   cloud occupies hundreds and grows to [`AdaptiveConfig::max_particles`].
 //! * **Recovery injection** (Augmented MCL, Thrun/Burgard/Fox, *Probabilistic
-//!   Robotics* §8.3): [`LikelihoodMonitor`] tracks short- and long-term
+//!   Robotics* §8.3): a likelihood monitor tracks short- and long-term
 //!   exponential averages of the mean observation likelihood. When the
 //!   short-term average collapses below the long-term one — the sensor-model
 //!   signature of a kidnapped robot or a diverged filter — a proportional
@@ -35,10 +35,11 @@
 
 use crate::config::MclError;
 use crate::estimate::PoseEstimate;
-use crate::kernel::{self, ModeRefineScratch};
+use crate::kernel::{self, KernelBackend, ModeRefineScratch};
 use crate::particle::{self, for_each_widened_block, Particle, ParticleBuffer, ParticleSlice};
 use crate::rng::CounterRng;
 use mcl_gridmap::{CellState, OccupancyGrid, Pose2};
+use mcl_num::math::exp_f64;
 use mcl_num::Scalar;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -322,68 +323,131 @@ impl Hasher for BinHasher {
     }
 }
 
+/// `v.floor() as i32` without libm: truncate toward zero, then step down
+/// once when the truncation went up (negative non-integers). Equal to the
+/// std expression for every `f32`, NaN (→ 0), the infinities and the
+/// saturating range included; on baseline x86-64, where `f32::floor` is a
+/// libm call (SSE4.1 `roundss` is not assumed), this is a convert, a
+/// compare and a select.
+#[inline]
+fn floor_to_i32(v: f32) -> i32 {
+    let t = v as i32;
+    if (t as f32) > v {
+        t.saturating_sub(1)
+    } else {
+        t
+    }
+}
+
+/// Largest bounding box of a cloud's bin keys, in bins, that
+/// [`KldSampler`] counts in a dense bitmap (8 KiB); larger boxes go through
+/// the hash set.
+const DENSE_BINS: u64 = 1 << 16;
+
 /// Bin-occupancy statistics over the pose-space grid, feeding [`kld_bound`].
 ///
-/// The sampler keeps its bin set across updates: it allocates on the first
-/// count and keeps its capacity across clears, so the steady-state
-/// per-update cost is one clear plus one cheaply hashed insert per particle.
-/// Keys are exact `(x, y, θ)` bin triples, so negative, saturated and
-/// NaN-pose bins all stay distinct. The occupied *count* is independent of
-/// iteration and hash order, so the resulting population target is
-/// deterministic.
-#[derive(Debug, Clone)]
-pub struct KldSampler {
-    config: AdaptiveConfig,
+/// A count first computes every particle's bin key, the `(x, y, θ)` triple
+/// `floor(v / bin) as i32`. Negative bins stay distinct from positive ones,
+/// but the cast's saturation merges the rest: every coordinate past the
+/// `i32` range (the infinities included) shares the saturated bin of its
+/// sign, and a NaN coordinate maps to bin 0 together with `[0, bin)`. When
+/// the keys' bounding box holds at most [`DENSE_BINS`] bins — any cloud
+/// inside a map of a few hundred square metres — the count tests and sets
+/// one bit per particle in a bitmap over the box; otherwise it inserts into
+/// a cheaply hashed set. Both keep their storage across updates. The
+/// occupied *count* is independent of the path, of iteration and of hash
+/// order, so the resulting population target is deterministic.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct KldSampler {
+    /// The bin key of every particle of the current count.
+    keys: Vec<[i32; 3]>,
+    /// Occupancy bits over the keys' bounding box (dense count).
+    occupied: Vec<u64>,
+    /// Occupied keys (sparse count).
     bins: HashSet<[i32; 3], BuildHasherDefault<BinHasher>>,
 }
 
 impl KldSampler {
-    /// Creates a sampler for the given configuration.
-    pub fn new(config: AdaptiveConfig) -> Self {
-        KldSampler {
-            config,
-            bins: HashSet::default(),
-        }
-    }
-
-    /// Counts the pose-space bins occupied by `particles`.
-    pub fn occupied_bins<S: Scalar>(&mut self, particles: ParticleSlice<'_, S>) -> usize {
-        self.bins.clear();
+    /// Counts the pose-space bins occupied by `particles`, stopping once the
+    /// count reaches `limit` (which it then returns): callers that only
+    /// compare the count's [`kld_bound`] against fixed thresholds need no
+    /// more than the first count that clears them all.
+    pub(crate) fn occupied_bins<S: Scalar>(
+        &mut self,
+        particles: ParticleSlice<'_, S>,
+        limit: usize,
+    ) -> usize {
         let inv_xy = 1.0 / BIN_XY_M;
         let inv_theta = 1.0 / BIN_THETA_RAD;
-        let bins = &mut self.bins;
+        let keys = &mut self.keys;
+        keys.clear();
         for_each_widened_block(
             [particles.x, particles.y, particles.theta],
             |[xs, ys, thetas]| {
-                for ((&x, &y), &theta) in xs.iter().zip(ys).zip(thetas) {
-                    bins.insert([
-                        (x * inv_xy).floor() as i32,
-                        (y * inv_xy).floor() as i32,
-                        (theta * inv_theta).floor() as i32,
-                    ]);
-                }
+                keys.extend(xs.iter().zip(ys).zip(thetas).map(|((&x, &y), &theta)| {
+                    [
+                        floor_to_i32(x * inv_xy),
+                        floor_to_i32(y * inv_xy),
+                        floor_to_i32(theta * inv_theta),
+                    ]
+                }));
             },
         );
-        self.bins.len()
+        let Some(&first) = self.keys.first() else {
+            return 0;
+        };
+        let (lo, hi) = self.keys.iter().fold((first, first), |(lo, hi), key| {
+            (
+                core::array::from_fn(|c| lo[c].min(key[c])),
+                core::array::from_fn(|c| hi[c].max(key[c])),
+            )
+        });
+        let extent: [u64; 3] =
+            core::array::from_fn(|c| (i64::from(hi[c]) - i64::from(lo[c]) + 1) as u64);
+        let volume = extent[0]
+            .saturating_mul(extent[1])
+            .saturating_mul(extent[2]);
+        let mut count = 0;
+        if volume <= DENSE_BINS {
+            self.occupied.clear();
+            self.occupied.resize(volume.div_ceil(64) as usize, 0);
+            let offset = |key: &[i32; 3], c: usize| (i64::from(key[c]) - i64::from(lo[c])) as u64;
+            for key in &self.keys {
+                if count >= limit {
+                    break;
+                }
+                let bin =
+                    (offset(key, 0) * extent[1] + offset(key, 1)) * extent[2] + offset(key, 2);
+                let (word, bit) = (&mut self.occupied[(bin / 64) as usize], 1u64 << (bin % 64));
+                count += usize::from(*word & bit == 0);
+                *word |= bit;
+            }
+        } else {
+            self.bins.clear();
+            for key in &self.keys {
+                if count >= limit {
+                    break;
+                }
+                self.bins.insert(*key);
+                count = self.bins.len();
+            }
+        }
+        count.min(limit)
     }
 
-    /// The unclamped [`kld_bound`] for the bins `particles` occupies. A bound
-    /// at or below `min_particles` means the cloud is *concentrated* — the
-    /// belief fits in a handful of bins — which is the precondition for
+    /// The unclamped [`kld_bound`] for the bins `particles` occupies, with
+    /// the count capped at `limit` (see [`KldSampler::occupied_bins`]). A
+    /// bound at or below `min_particles` means the cloud is *concentrated* —
+    /// the belief fits in a handful of bins — which is the precondition for
     /// recovery injection: a kidnapped converged filter is tight and
     /// unlikely, while a still-localizing cloud is spread and must not be
     /// perturbed.
-    pub fn population_bound<S: Scalar>(&mut self, particles: ParticleSlice<'_, S>) -> usize {
-        let k = self.occupied_bins(particles);
-        kld_bound(k, EPSILON, DELTA)
-    }
-
-    /// The population the next generation should have: the
-    /// [`KldSampler::population_bound`], clamped to the configured
-    /// `[min_particles, max_particles]` range.
-    pub fn target_population<S: Scalar>(&mut self, particles: ParticleSlice<'_, S>) -> usize {
-        self.population_bound(particles)
-            .clamp(self.config.min_particles, self.config.max_particles)
+    pub(crate) fn population_bound<S: Scalar>(
+        &mut self,
+        particles: ParticleSlice<'_, S>,
+        limit: usize,
+    ) -> usize {
+        kld_bound(self.occupied_bins(particles, limit), EPSILON, DELTA)
     }
 }
 
@@ -403,7 +467,7 @@ impl KldSampler {
 /// (geometric-mean) likelihood — see the temper stage of the adaptive state.
 /// The averaging rates are fixed: `α_fast = 0.5` and `α_slow = 0.02`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LikelihoodMonitor {
+pub(crate) struct LikelihoodMonitor {
     w_fast: f64,
     w_slow: f64,
     primed: bool,
@@ -411,7 +475,7 @@ pub struct LikelihoodMonitor {
 
 impl LikelihoodMonitor {
     /// Feeds the mean observation likelihood of one applied update.
-    pub fn observe(&mut self, mean_likelihood: f64) {
+    pub(crate) fn observe(&mut self, mean_likelihood: f64) {
         let w = mean_likelihood.max(0.0);
         if !self.primed {
             self.w_fast = w;
@@ -426,21 +490,11 @@ impl LikelihoodMonitor {
     /// The raw Augmented-MCL injection fraction `max(0, 1 − w_fast/w_slow)`,
     /// in `[0, 1]`. Zero until the monitor has seen at least one update or
     /// while the short-term average keeps up with the long-term one.
-    pub fn injection_fraction(&self) -> f64 {
+    pub(crate) fn injection_fraction(&self) -> f64 {
         if !self.primed || self.w_slow <= f64::MIN_POSITIVE {
             return 0.0;
         }
         (1.0 - self.w_fast / self.w_slow).max(0.0)
-    }
-
-    /// The current short-term average (exposed for diagnostics/tests).
-    pub fn short_term(&self) -> f64 {
-        self.w_fast
-    }
-
-    /// The current long-term average (exposed for diagnostics/tests).
-    pub fn long_term(&self) -> f64 {
-        self.w_slow
     }
 }
 
@@ -457,10 +511,10 @@ const TEMPER_TOLERANCE: f64 = 1e-4;
 pub struct Tempering {
     /// The tempering exponent `β ∈ [0, 1]`.
     pub beta: f64,
-    /// `Σ exp(l − max_log)` over the raw log-likelihoods, summed in `f64` in
-    /// index order: the by-product of the β = 1 pass that the filter's
-    /// per-beam mean likelihood (the Augmented-MCL monitor input) is built
-    /// from.
+    /// `Σ exp(l − max_log)` over the raw log-likelihoods, in `f64` with the
+    /// pass association of [`temper_beta`] and [`exp_f64`]: the by-product
+    /// of the β = 1 pass that the filter's per-beam mean likelihood (the
+    /// Augmented-MCL monitor input) is built from.
     pub raw_likelihood_sum: f64,
 }
 
@@ -475,14 +529,13 @@ struct TemperSums {
 }
 
 impl TemperSums {
-    fn add(&mut self, t: f64, d: f64) {
-        self.s1 += t;
-        self.s2 += t * t;
-        // A vanished term adds nothing; skipping it keeps `0 · −∞` out of
-        // the slope sums.
-        if t > 0.0 {
-            self.s1d += t * d;
-            self.s2d += t * t * d;
+    /// The four sums from pass slots `[s1, s1d, s2, s2d]`.
+    fn from_slots(slots: &[f64]) -> Self {
+        TemperSums {
+            s1: slots[0],
+            s1d: slots[1],
+            s2: slots[2],
+            s2d: slots[3],
         }
     }
 
@@ -501,14 +554,139 @@ impl TemperSums {
     }
 }
 
-/// One tempering pass at exponent `beta`, serial `f64` in index order.
-fn temper_pass(weights: &[f32], logs: &[f32], max_log: f64, beta: f64) -> TemperSums {
-    let mut sums = TemperSums::default();
-    for (&w, &l) in weights.iter().zip(logs) {
-        let d = f64::from(l) - max_log;
-        sums.add(f64::from(w) * (beta * d).exp(), d);
+/// Particles per block of a tempering pass: the fixed
+/// [`kernel::POSE_REDUCTION_BLOCK`] geometry.
+const TEMPER_BLOCK: usize = kernel::POSE_REDUCTION_BLOCK;
+
+/// Accumulator lanes per tempering block: lane `l` sums the block's
+/// indices `≡ l (mod 4)` — one 4×`f64` register in the AVX2 body.
+pub(crate) const TEMPER_LANES: usize = 4;
+
+/// Sums one tempering pass accumulates, in slot order. Every pass fills
+/// slots 0–3 with the [`TemperSums`] at its `β` (`s1`, `s1d`, `s2`,
+/// `s2d`). The first pass (β = 1) also fills slot 4 with the raw likelihood
+/// sum `Σe^d`, slots 5–8 with the exp-free [`TemperSums`] at β = 0, and
+/// slots 9 and 10 with the second moments `Σw·d²` and `Σw²·d²` that seed the
+/// solve.
+pub(crate) const TEMPER_SLOTS: usize = 11;
+
+/// Slots a pass fills: all of them on the first pass, the four
+/// [`TemperSums`] otherwise.
+const fn temper_slots(first: bool) -> usize {
+    if first {
+        TEMPER_SLOTS
+    } else {
+        4
     }
-    sums
+}
+
+/// The per-particle terms of one tempering pass at `beta`, in
+/// [`TEMPER_SLOTS`] order (the first-pass slots only when `FIRST`): with
+/// `d = f64(l) − max_log`, `e = exp_f64(β·d)` and `t = f64(w)·e`, the terms
+/// `t`, `t·d`, `t²` and `t²·d`, then `e`, the same four with `w` for `t`,
+/// `(w·d)·d` and `((w·w)·d)·d`. A slope term whose weight vanished is `+0`,
+/// which keeps `0 · −∞` out of the slope sums.
+#[inline]
+fn temper_terms<const FIRST: bool>(w: f32, l: f32, max_log: f64, beta: f64) -> [f64; TEMPER_SLOTS] {
+    let live = |weight: f64, term: f64| if weight > 0.0 { term } else { 0.0 };
+    let d = f64::from(l) - max_log;
+    let w = f64::from(w);
+    let e = exp_f64(beta * d);
+    let t = w * e;
+    let tt = t * t;
+    let mut terms = [0.0; TEMPER_SLOTS];
+    terms[..4].copy_from_slice(&[t, live(t, t * d), tt, live(t, tt * d)]);
+    if FIRST {
+        let ww = w * w;
+        terms[4..].copy_from_slice(&[
+            e,
+            w,
+            live(w, w * d),
+            ww,
+            live(w, ww * d),
+            w * d * d,
+            ww * d * d,
+        ]);
+    }
+    terms
+}
+
+/// The portable lane accumulators of one block's whole quads: lane `l` of
+/// slot `s` sums `temper_terms(..)[s]` over the quad members `l`, in quad
+/// order. The AVX2 body (`simd::temper_lanes`) replays it bit for bit.
+fn temper_lanes<const FIRST: bool>(
+    backend: KernelBackend,
+    weights: &[f32],
+    logs: &[f32],
+    max_log: f64,
+    beta: f64,
+) -> [[f64; TEMPER_LANES]; TEMPER_SLOTS] {
+    #[cfg(target_arch = "x86_64")]
+    if backend == KernelBackend::Avx2 && crate::simd::available() {
+        return crate::simd::temper_lanes::<FIRST>(weights, logs, max_log, beta);
+    }
+    let _ = backend;
+    let mut lanes = [[0.0; TEMPER_LANES]; TEMPER_SLOTS];
+    for (wq, lq) in weights
+        .chunks_exact(TEMPER_LANES)
+        .zip(logs.chunks_exact(TEMPER_LANES))
+    {
+        for l in 0..TEMPER_LANES {
+            let terms = temper_terms::<FIRST>(wq[l], lq[l], max_log, beta);
+            for (slot, term) in lanes.iter_mut().zip(terms).take(temper_slots(FIRST)) {
+                slot[l] += term;
+            }
+        }
+    }
+    lanes
+}
+
+/// The [`TEMPER_SLOTS`] partial sums of one tempering block: the
+/// [`TEMPER_LANES`] lane accumulators over its whole quads merged in lane
+/// order 0..3, then its last `len mod 4` terms added serially.
+fn temper_block<const FIRST: bool>(
+    backend: KernelBackend,
+    weights: &[f32],
+    logs: &[f32],
+    max_log: f64,
+    beta: f64,
+) -> [f64; TEMPER_SLOTS] {
+    let quads = weights.len() - weights.len() % TEMPER_LANES;
+    let lanes = temper_lanes::<FIRST>(backend, &weights[..quads], &logs[..quads], max_log, beta);
+    let mut block = lanes.map(|lane| lane[0] + lane[1] + lane[2] + lane[3]);
+    for (&w, &l) in weights[quads..].iter().zip(&logs[quads..]) {
+        let terms = temper_terms::<FIRST>(w, l, max_log, beta);
+        for (sum, term) in block.iter_mut().zip(terms).take(temper_slots(FIRST)) {
+            *sum += term;
+        }
+    }
+    block
+}
+
+/// One tempering pass at exponent `beta`: the [`TEMPER_SLOTS`] sums over the
+/// population in one fixed association. The population is cut into
+/// [`TEMPER_BLOCK`]-particle blocks ([`temper_block`]: four lane
+/// accumulators over the whole quads, merged in lane order, then the block
+/// tail added serially), and the block partials merge in block order. Every
+/// backend replays that association, so the sums are bit-identical across
+/// backends. The pass is serial: spreading its blocks over the pool workers
+/// (the association allows it) measured slower than one thread, since a
+/// pass at the largest population takes about as long as waking a worker.
+fn temper_pass<const FIRST: bool>(
+    backend: KernelBackend,
+    weights: &[f32],
+    logs: &[f32],
+    max_log: f64,
+    beta: f64,
+) -> [f64; TEMPER_SLOTS] {
+    let mut total = [0.0; TEMPER_SLOTS];
+    for (wb, lb) in weights.chunks(TEMPER_BLOCK).zip(logs.chunks(TEMPER_BLOCK)) {
+        let block = temper_block::<FIRST>(backend, wb, lb, max_log, beta);
+        for (sum, partial) in total.iter_mut().zip(block).take(temper_slots(FIRST)) {
+            *sum += partial;
+        }
+    }
+    total
 }
 
 /// The smallest root in `(0, 1)` of `a + b·β + c·β²`, if any.
@@ -536,26 +714,18 @@ fn solve_temper_beta(
     logs: &[f32],
     max_log: f32,
     target_ess: f64,
+    backend: KernelBackend,
 ) -> (Tempering, usize) {
     assert_eq!(weights.len(), logs.len(), "one weight per log-likelihood");
     let max_log = f64::from(max_log);
     // Pass 1 at β = 1: the tempering sums, the raw likelihood sum, and the
     // exp-free β = 0 sums plus the second moments Σw·d² and Σw²·d² that
     // seed the solve.
-    let mut at_one = TemperSums::default();
-    let mut at_zero = TemperSums::default();
-    let (mut swd2, mut sw2d2) = (0.0f64, 0.0f64);
-    let mut raw_likelihood_sum = 0.0f64;
-    for (&w, &l) in weights.iter().zip(logs) {
-        let d = f64::from(l) - max_log;
-        let e = d.exp();
-        raw_likelihood_sum += e;
-        let w = f64::from(w);
-        at_one.add(w * e, d);
-        at_zero.add(w, d);
-        swd2 += w * d * d;
-        sw2d2 += w * w * d * d;
-    }
+    let first = temper_pass::<true>(backend, weights, logs, max_log, 1.0);
+    let at_one = TemperSums::from_slots(&first[..4]);
+    let raw_likelihood_sum = first[4];
+    let at_zero = TemperSums::from_slots(&first[5..9]);
+    let (swd2, sw2d2) = (first[9], first[10]);
     let done = |beta| {
         (
             Tempering {
@@ -592,7 +762,8 @@ fn solve_temper_beta(
     let (mut lo, mut hi) = (0.0f64, 1.0f64);
     let mut passes = 1;
     while passes < TEMPER_MAX_PASSES {
-        let sums = temper_pass(weights, logs, max_log, beta);
+        let sums =
+            TemperSums::from_slots(&temper_pass::<false>(backend, weights, logs, max_log, beta));
         passes += 1;
         let ln_ess = sums.ln_ess();
         if ln_ess >= ln_target {
@@ -642,10 +813,22 @@ fn solve_temper_beta(
 /// bracket with `ESS(lo) ≥ target` turns any step that leaves it into a
 /// bisection. The solve stops once `0 ≤ ESS(lo)/target − 1 < 10⁻⁴`, after at
 /// most 12 passes in all, and returns `lo`, so the tempered ESS is never
-/// below the target. Every pass is serial `f64` in index order, so `β` is
+/// below the target.
+///
+/// Each pass evaluates the owned [`exp_f64`] per particle and sums in `f64`
+/// over fixed 256-particle blocks with four lane accumulators each, merged
+/// in block order (see `temper_pass`). `backend` picks the block body
+/// (4-wide AVX2 under [`KernelBackend::Avx2`], portable otherwise); every
+/// body replays the same association and the passes are serial, so `β` is
 /// bit-identical for every backend and worker count.
-pub fn temper_beta(weights: &[f32], logs: &[f32], max_log: f32, target_ess: f64) -> Tempering {
-    solve_temper_beta(weights, logs, max_log, target_ess).0
+pub fn temper_beta(
+    weights: &[f32],
+    logs: &[f32],
+    max_log: f32,
+    target_ess: f64,
+    backend: KernelBackend,
+) -> Tempering {
+    solve_temper_beta(weights, logs, max_log, target_ess, backend).0
 }
 
 /// Mode-refinement window radius for the published adaptive pose estimate,
@@ -700,6 +883,43 @@ const RECOVERY_END_FRACTION: f64 = 0.02;
 /// for genuine collapses while keeping the response proportional below it.
 const RECOVERY_COLLAPSE_SATURATION: f64 = 0.25;
 
+/// The saturation bin count of `config`: the smallest `k` whose
+/// [`kld_bound`] exceeds both the population ceiling and the recovery
+/// concentration gate, `max(max_particles, min_particles ×
+/// RECOVERY_CONCENTRATION_FACTOR)`. The bound never falls as `k` grows, so
+/// every count from here up clamps to `max_particles` and reads as spread:
+/// [`AdaptiveState::decide`] gives the same answer as for the exact count.
+/// That is ≈ 347 bins for the default 256–4096 range, which the spread
+/// clouds of the largest populations pass well before their last particle.
+/// `usize::MAX` when no count saturates.
+fn kld_saturation(config: &AdaptiveConfig) -> usize {
+    let cap = config.max_particles.max(
+        config
+            .min_particles
+            .saturating_mul(RECOVERY_CONCENTRATION_FACTOR),
+    );
+    let exceeds = |k: usize| kld_bound(k, EPSILON, DELTA) > cap;
+    // Double to a count that exceeds, then bisect: exceeds(hi) holds, and
+    // exceeds(lo) fails (or lo = 0).
+    let mut hi = 1usize;
+    while !exceeds(hi) {
+        if hi > usize::MAX / 2 {
+            return usize::MAX;
+        }
+        hi *= 2;
+    }
+    let mut lo = hi / 2;
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if exceeds(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
 /// The per-filter adaptive state and policy: bin statistics, the likelihood
 /// monitor, the recovery-episode latch, the free space recovery injects into
 /// and the mode-refinement scratch. The filter calls [`AdaptiveState::temper`],
@@ -709,6 +929,9 @@ const RECOVERY_COLLAPSE_SATURATION: f64 = 0.25;
 pub(crate) struct AdaptiveState {
     config: AdaptiveConfig,
     kld: KldSampler,
+    /// The KLD bin count past which [`AdaptiveState::decide`] cannot change
+    /// its answer ([`kld_saturation`]); the bin count stops there.
+    kld_saturation: usize,
     monitor: LikelihoodMonitor,
     /// Applied updates remaining in the current recovery episode
     /// (0 = not recovering). See [`RECOVERY_EPISODE_UPDATES`].
@@ -729,7 +952,8 @@ impl AdaptiveState {
     pub(crate) fn new(config: AdaptiveConfig) -> Self {
         AdaptiveState {
             config,
-            kld: KldSampler::new(config),
+            kld: KldSampler::default(),
+            kld_saturation: kld_saturation(&config),
             monitor: LikelihoodMonitor::default(),
             recovery_updates_left: 0,
             free_space: Vec::new(),
@@ -778,8 +1002,9 @@ impl AdaptiveState {
     ///   hand to one lucky particle.
     ///
     /// Returns `None` when the logs were left untouched. Serial and a pure
-    /// function of the weights and logs, so the outcome is schedule- and
-    /// backend-independent.
+    /// function of the weights and logs — `backend` only picks the body of
+    /// the solve's pass blocks, which all return the same bits — so the
+    /// outcome is schedule- and backend-independent.
     pub(crate) fn temper<S: Scalar>(
         &mut self,
         weights: &[S],
@@ -787,6 +1012,7 @@ impl AdaptiveState {
         logs: &mut [f32],
         max_log: f32,
         evidence: usize,
+        backend: KernelBackend,
     ) -> Option<f32> {
         if !max_log.is_finite() {
             self.monitor.observe(0.0);
@@ -800,11 +1026,11 @@ impl AdaptiveState {
         let weights = particle::weights_as_f32(weights, scratch);
         // The solve's β = 1 pass also sums the raw relative likelihoods for
         // the monitor.
-        let tempering = temper_beta(weights, logs, max_log, floor * n);
+        let tempering = temper_beta(weights, logs, max_log, floor * n, backend);
         let mean_rel = tempering.raw_likelihood_sum / n;
         let beams = evidence.max(1) as f64;
         self.monitor
-            .observe(((f64::from(max_log) + mean_rel.ln()) / beams).exp());
+            .observe(exp_f64((f64::from(max_log) + mean_rel.ln()) / beams));
         let beta = tempering.beta;
         if beta >= 1.0 {
             return None;
@@ -827,7 +1053,7 @@ impl AdaptiveState {
         weights: &[f32],
     ) -> Option<(usize, usize)> {
         let (min, max) = (self.config.min_particles, self.config.max_particles);
-        let bound = self.kld.population_bound(particles);
+        let bound = self.kld.population_bound(particles, self.kld_saturation);
         let kld_target = bound.clamp(min, max);
         // Recovery latches on only when the belief is concentrated (the
         // unclamped bound sits near the population floor) AND the likelihood
@@ -952,6 +1178,7 @@ impl AdaptiveState {
         particles: &ParticleBuffer<S>,
         kept: usize,
         estimate: &mut PoseEstimate,
+        backend: KernelBackend,
     ) {
         let (pose, mass) = kernel::refine_mode_estimate(
             particles,
@@ -959,6 +1186,7 @@ impl AdaptiveState {
             estimate.pose,
             MODE_REFINE_RADIUS_M,
             MODE_REFINE_ITERATIONS,
+            backend,
             &mut self.mode_refine,
         );
         if mass >= MODE_REFINE_MIN_MASS {
@@ -982,8 +1210,10 @@ mod tests {
     use mcl_gridmap::Pose2;
     use proptest::prelude::*;
 
-    /// The bin count as a SipHash set of bin tuples computes it: the
-    /// reference the sampler's cheaply hashed set must match.
+    /// The bin count as a SipHash set of std-floored bin tuples computes it:
+    /// the reference the sampler's cheaply hashed set and owned floor must
+    /// match.
+    #[allow(clippy::disallowed_methods)]
     fn reference_bins(particles: &ParticleBuffer<f32>) -> usize {
         let inv_xy = 1.0 / BIN_XY_M;
         let inv_theta = 1.0 / BIN_THETA_RAD;
@@ -1042,21 +1272,58 @@ mod tests {
         ) {
             // One sampler reused across clouds whose populations shrink and
             // regrow, as the adaptive filter reuses it across updates.
-            let config = AdaptiveConfig::default();
-            let mut sampler = KldSampler::new(config);
+            let mut sampler = KldSampler::default();
             for raw in &clouds {
                 let particles = cloud(raw);
-                prop_assert_eq!(
-                    sampler.occupied_bins(particles.as_slice()),
-                    reference_bins(&particles)
-                );
+                let exact = reference_bins(&particles);
+                prop_assert_eq!(sampler.occupied_bins(particles.as_slice(), usize::MAX), exact);
+                // A capped count stops at the cap.
+                for limit in [0, 1, exact / 2, exact, exact + 1] {
+                    prop_assert_eq!(
+                        sampler.occupied_bins(particles.as_slice(), limit),
+                        exact.min(limit)
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn dense_bin_count_matches_a_sip_hash_set(
+            clouds in prop::collection::vec(
+                prop::collection::vec((-12.0f32..12.0, -9.0f32..9.0, -7.0f32..7.0), 0..900),
+                1..5,
+            ),
+            scale in 0.05f32..1.5,
+        ) {
+            // Clouds inside a small box, where the bitmap path counts; the
+            // scale varies how many particles share a bin.
+            let mut sampler = KldSampler::default();
+            for raw in &clouds {
+                let particles: ParticleBuffer<f32> = raw
+                    .iter()
+                    .map(|&(x, y, theta)| Particle {
+                        x: x * scale,
+                        y: y * scale,
+                        theta: theta * scale,
+                        weight: 1.0,
+                    })
+                    .collect();
+                let exact = reference_bins(&particles);
+                for limit in [usize::MAX, 0, 1, exact / 2, exact] {
+                    prop_assert_eq!(
+                        sampler.occupied_bins(particles.as_slice(), limit),
+                        exact.min(limit)
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn bin_set_allocates_on_first_count_and_survives_regrowth() {
-        let config = AdaptiveConfig::default();
         let grid = |n: usize, pitch: f32| -> ParticleBuffer<f32> {
             (0..n)
                 .map(|i| {
@@ -1070,15 +1337,135 @@ mod tests {
                 .collect()
         };
         let (a, b, c) = (grid(4000, 0.5), grid(10, 0.1), grid(900, 0.3));
-        let mut sampler = KldSampler::new(config);
+        let mut sampler = KldSampler::default();
         // A fresh sampler owns no bin storage until its first count.
+        assert_eq!(sampler.keys.capacity(), 0);
+        assert_eq!(sampler.occupied.capacity(), 0);
         assert_eq!(sampler.bins.capacity(), 0);
         for cloud in [&b, &a, &b, &c, &a] {
             assert_eq!(
-                sampler.occupied_bins(cloud.as_slice()),
+                sampler.occupied_bins(cloud.as_slice(), usize::MAX),
                 reference_bins(cloud)
             );
         }
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)] // std floor as the reference
+    fn floor_to_i32_matches_the_std_floor_cast() {
+        let check = |v: f32| {
+            assert_eq!(
+                floor_to_i32(v),
+                v.floor() as i32,
+                "v = {v:e} ({:#010x})",
+                v.to_bits()
+            );
+        };
+        let two_31 = 2147483648.0f32;
+        for v in [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.5,
+            0.5,
+            -1.0,
+            -1.5,
+            two_31,
+            -two_31,
+            f32::from_bits(two_31.to_bits() - 1),
+            f32::from_bits((-two_31).to_bits() + 1),
+            f32::from_bits((-two_31).to_bits() + 1) - 1.0,
+            f32::from_bits((-two_31).to_bits() + 1),
+            -two_31 - 256.0,
+            1e10,
+            -1e10,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+        ] {
+            check(v);
+        }
+        // A strided walk over every bit pattern, and a dense walk over the
+        // bin range of the filter's poses.
+        for bits in (0..=u32::MAX).step_by(4099) {
+            check(f32::from_bits(bits));
+        }
+        let mut v = -300.0f32;
+        while v < 300.0 {
+            check(v);
+            v += 0.007_3;
+        }
+    }
+
+    /// A cloud of `n` particles spread `spread` metres (and radians) around
+    /// a centre, drawn from a seeded stream.
+    fn spread_cloud(n: usize, spread: f32, seed: u64) -> ParticleBuffer<f32> {
+        let mut rng = CounterRng::for_update(seed, 0);
+        (0..n)
+            .map(|_| {
+                let pose = Pose2::new(
+                    3.0 + spread * rng.uniform(),
+                    -2.0 + spread * rng.uniform(),
+                    spread * (rng.uniform() - 0.5),
+                );
+                Particle::from_pose(&pose, 1.0 / n as f32)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn capped_bin_count_decides_like_the_exact_count(
+            n in 1usize..1500,
+            spread in 0.01f32..60.0,
+            seed in 0u64..1_000_000,
+            min in 1usize..700,
+            extra in 0usize..4000,
+            fraction in 0.0f64..0.3,
+            kind in 0u8..6,
+        ) {
+            let config = AdaptiveConfig::enabled().with_population_range(min, min + extra);
+            let mut capped = AdaptiveState::new(config);
+            let cap = capped.kld_saturation;
+            // The saturation count is the first one past both thresholds.
+            let gate = (min + extra).max(min * RECOVERY_CONCENTRATION_FACTOR);
+            prop_assert!(kld_bound(cap, EPSILON, DELTA) > gate);
+            prop_assert!(kld_bound(cap - 1, EPSILON, DELTA) <= gate);
+            capped.free_space = vec![(1.0, 1.0)];
+            // Some draws start inside a recovery episode.
+            capped.recovery_updates_left = if kind >= 4 { 1 + u32::from(kind) } else { 0 };
+            script(&mut capped, fraction);
+            let mut exact = capped.clone();
+            exact.kld_saturation = usize::MAX;
+            let cloud = spread_cloud(n, spread, seed);
+            let weights: Vec<f32> = (0..n)
+                .map(|i| if kind % 2 == 0 || i == 0 { 1.0 / n as f32 } else { 0.0 })
+                .collect();
+            for _ in 0..2 {
+                prop_assert_eq!(
+                    capped.decide(cloud.as_slice(), &weights),
+                    exact.decide(cloud.as_slice(), &weights)
+                );
+                prop_assert_eq!(capped.recovery_updates_left, exact.recovery_updates_left);
+            }
+        }
+    }
+
+    #[test]
+    fn default_range_saturates_near_347_bins() {
+        let k = kld_saturation(&AdaptiveConfig::enabled());
+        assert!((330..370).contains(&k), "k_sat = {k}");
+        assert_eq!(
+            kld_saturation(&AdaptiveConfig::enabled().with_population_range(1, usize::MAX)),
+            usize::MAX
+        );
     }
 
     #[test]
@@ -1109,24 +1496,23 @@ mod tests {
 
     #[test]
     fn occupied_bins_track_cloud_spread() {
-        let config = AdaptiveConfig::default();
-        let mut sampler = KldSampler::new(config);
+        let mut sampler = KldSampler::default();
         // A converged cloud: every particle in the same 0.5 m / 30° bin.
         let tight: ParticleBuffer<f32> = (0..100)
             .map(|i| Particle::from_pose(&Pose2::new(1.01 + 1e-4 * i as f32, 1.01, 0.1), 0.01))
             .collect();
-        assert_eq!(sampler.occupied_bins(tight.as_slice()), 1);
-        assert_eq!(sampler.target_population(tight.as_slice()), 256);
+        assert_eq!(sampler.occupied_bins(tight.as_slice(), usize::MAX), 1);
+        assert_eq!(sampler.population_bound(tight.as_slice(), usize::MAX), 1);
         // A spread cloud: one particle per bin.
         let spread: ParticleBuffer<f32> = (0..100)
             .map(|i| Particle::from_pose(&Pose2::new(i as f32, 10.0 + i as f32, 0.0), 0.01))
             .collect();
-        assert_eq!(sampler.occupied_bins(spread.as_slice()), 100);
-        // 100 bins ask for ~1350 particles (clamped inside [256, 4096]).
-        let target = sampler.target_population(spread.as_slice());
-        assert!((1300..1420).contains(&target), "target = {target}");
+        assert_eq!(sampler.occupied_bins(spread.as_slice(), usize::MAX), 100);
+        // 100 bins ask for ~1350 particles.
+        let bound = sampler.population_bound(spread.as_slice(), usize::MAX);
+        assert!((1300..1420).contains(&bound), "bound = {bound}");
         // Reuse keeps no stale state.
-        assert_eq!(sampler.occupied_bins(tight.as_slice()), 1);
+        assert_eq!(sampler.occupied_bins(tight.as_slice(), usize::MAX), 1);
     }
 
     #[test]
@@ -1145,7 +1531,7 @@ mod tests {
         }
         let fraction = monitor.injection_fraction();
         assert!(fraction > 0.2, "fraction = {fraction}");
-        assert!(monitor.short_term() < monitor.long_term());
+        assert!(monitor.w_fast < monitor.w_slow);
         // Recovery: likelihood returns, injection stops.
         for _ in 0..80 {
             monitor.observe(0.8);
@@ -1193,8 +1579,40 @@ mod tests {
         assert!(c.validate().is_ok());
     }
 
+    /// The backend the `MCL_KERNEL_BACKEND` leg of the test run selects.
+    fn backend() -> KernelBackend {
+        crate::config::MclConfig::default().kernel_backend
+    }
+
+    /// `Σ f(i)` over `0..n` in the documented pass association, written out
+    /// independently of `temper_pass`: 256-index blocks; in each, four lane
+    /// accumulators over the whole quads (lane `l` takes the block indices
+    /// `≡ l (mod 4)`) merged in order 0..3, then the block tail added
+    /// serially; the block partials merged in block order.
+    fn block_lane_sum(n: usize, f: impl Fn(usize) -> f64) -> f64 {
+        let mut total = 0.0;
+        let mut start = 0;
+        while start < n {
+            let end = (start + 256).min(n);
+            let quads = start + (end - start) / 4 * 4;
+            let mut lanes = [0.0f64; 4];
+            for i in start..quads {
+                lanes[(i - start) % 4] += f(i);
+            }
+            let mut block = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+            for i in quads..end {
+                block += f(i);
+            }
+            total += block;
+            start = end;
+        }
+        total
+    }
+
     /// The effective sample size of `weights · exp(β·(logs − max_log))`,
-    /// with `d` formed in `f64` exactly as the solver forms it.
+    /// with `d` formed in `f64` exactly as the solver forms it, summed
+    /// serially with libm `exp` as an independent check.
+    #[allow(clippy::disallowed_methods)]
     fn tempered_ess(weights: &[f32], logs: &[f32], max_log: f32, beta: f64) -> f64 {
         let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
         for (&w, &l) in weights.iter().zip(logs) {
@@ -1234,15 +1652,14 @@ mod tests {
     /// contract, returning `(β, passes)`.
     fn check_solve(label: &str, weights: &[f32], logs: &[f32], target: f64) -> (f64, usize) {
         let max_log = max_of(logs);
-        let (tempering, passes) = solve_temper_beta(weights, logs, max_log, target);
+        let (tempering, passes) = solve_temper_beta(weights, logs, max_log, target, backend());
         let beta = tempering.beta;
         let reference = bisection_reference(weights, logs, max_log, target);
         assert!(passes <= TEMPER_MAX_PASSES, "{label}: {passes} passes");
         assert!((0.0..=1.0).contains(&beta), "{label}: beta = {beta}");
-        let raw: f64 = logs
-            .iter()
-            .map(|&l| (f64::from(l) - f64::from(max_log)).exp())
-            .sum();
+        let raw = block_lane_sum(logs.len(), |i| {
+            exp_f64(f64::from(logs[i]) - f64::from(max_log))
+        });
         assert_eq!(
             tempering.raw_likelihood_sum.to_bits(),
             raw.to_bits(),
@@ -1279,7 +1696,10 @@ mod tests {
         // Near-flat likelihoods keep the ESS high; no tempering.
         let weights = [0.25f32; 4];
         let logs = [-0.1f32, -0.2, -0.15, -0.05];
-        assert_eq!(temper_beta(&weights, &logs, -0.05, 2.0).beta, 1.0);
+        assert_eq!(
+            temper_beta(&weights, &logs, -0.05, 2.0, backend()).beta,
+            1.0
+        );
     }
 
     #[test]
@@ -1291,7 +1711,7 @@ mod tests {
         logs[7] = 0.0;
         assert!(tempered_ess(&weights, &logs, 0.0, 1.0) < 1.5);
         let target = 0.25 * n as f64;
-        let beta = temper_beta(&weights, &logs, 0.0, target).beta;
+        let beta = temper_beta(&weights, &logs, 0.0, target, backend()).beta;
         assert!(beta > 0.0 && beta < 1.0, "beta = {beta}");
         let ess = tempered_ess(&weights, &logs, 0.0, beta);
         assert!(
@@ -1369,7 +1789,7 @@ mod tests {
             }
         }
         // A zero target (tempering disabled) stops after the β = 1 pass.
-        let (tempering, passes) = solve_temper_beta(&uniform, &one_hot, 0.0, 0.0);
+        let (tempering, passes) = solve_temper_beta(&uniform, &one_hot, 0.0, 0.0, backend());
         assert_eq!((tempering.beta, passes), (1.0, 1));
     }
 
@@ -1397,6 +1817,86 @@ mod tests {
                 loose_beta
             );
         }
+    }
+
+    /// Weights and logs of length `n` with every kind of term: healthy
+    /// particles, vanished weights, logs far enough below the maximum that
+    /// the tempered term underflows, and subnormal weights.
+    fn temper_inputs(n: usize) -> (Vec<f32>, Vec<f32>) {
+        let weights = (0..n)
+            .map(|i| match i % 11 {
+                0 => 0.0,
+                1 => 1e-40,
+                _ => (1 + i % 7) as f32 / (3 * n) as f32,
+            })
+            .collect();
+        let logs = (0..n)
+            .map(|i| match i % 13 {
+                0 => -900.0,
+                1 => -1.0e30,
+                _ => -0.37 * (i % 97) as f32 - 0.001 * i as f32,
+            })
+            .collect();
+        (weights, logs)
+    }
+
+    #[test]
+    fn temper_pass_sums_follow_the_block_lane_association_on_every_backend() {
+        for n in [0usize, 1, 3, 4, 7, 255, 256, 257, 515, 1024, 4099] {
+            let (weights, logs) = temper_inputs(n);
+            let max_log = -0.25;
+            for beta in [1.0, 0.5, 0.031_25, 1e-3] {
+                let want: [f64; TEMPER_SLOTS] = core::array::from_fn(|slot| {
+                    block_lane_sum(n, |i| {
+                        temper_terms::<true>(weights[i], logs[i], max_log, beta)[slot]
+                    })
+                });
+                for backend in KernelBackend::ALL {
+                    let label = format!("n = {n}, beta = {beta}, {}", backend.name());
+                    let first = temper_pass::<true>(backend, &weights, &logs, max_log, beta);
+                    let later = temper_pass::<false>(backend, &weights, &logs, max_log, beta);
+                    assert_eq!(first.map(f64::to_bits), want.map(f64::to_bits), "{label}");
+                    assert_eq!(
+                        later[..4].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        want[..4].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        "{label}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn temper_beta_is_bit_identical_across_backends() {
+        let mut interior = 0;
+        for n in [5usize, 64, 300, 2048, 4097] {
+            let (weights, mut logs) = temper_inputs(n);
+            // One sharp particle, so the solve has to temper.
+            logs[n / 2] = 0.0;
+            for fraction in [0.05, 0.15, 0.4] {
+                let target = fraction * n as f64;
+                let (reference, reference_passes) =
+                    solve_temper_beta(&weights, &logs, 0.0, target, KernelBackend::Scalar);
+                for backend in KernelBackend::ALL {
+                    let (tempering, passes) =
+                        solve_temper_beta(&weights, &logs, 0.0, target, backend);
+                    let label = format!("n = {n}, target = {target}, {}", backend.name());
+                    assert_eq!(
+                        tempering.beta.to_bits(),
+                        reference.beta.to_bits(),
+                        "{label}"
+                    );
+                    assert_eq!(
+                        tempering.raw_likelihood_sum.to_bits(),
+                        reference.raw_likelihood_sum.to_bits(),
+                        "{label}"
+                    );
+                    assert_eq!(passes, reference_passes, "{label}");
+                }
+                interior += usize::from(reference.beta > 0.0 && reference.beta < 1.0);
+            }
+        }
+        assert!(interior >= 10, "only {interior} solves tempered");
     }
 
     #[test]

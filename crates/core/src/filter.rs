@@ -444,6 +444,7 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
             &mut self.log_likelihoods,
             max_log,
             evidence,
+            self.config.kernel_backend,
         );
         match tempered {
             Some(tempered_max) => {
@@ -537,7 +538,12 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
             self.config.kernel_backend,
         );
         if let Some(state) = self.adaptive.as_mut() {
-            state.refine(self.particles.current(), kept, &mut estimate);
+            state.refine(
+                self.particles.current(),
+                kept,
+                &mut estimate,
+                self.config.kernel_backend,
+            );
         }
         estimate
     }

@@ -55,6 +55,8 @@
 //! | anchor | scalar | lanes | lanes |
 //! | spread ([`SpreadPartials`]) | scalar | lanes | lanes |
 //! | resample | scalar | lanes | lanes |
+//! | mode refinement ([`refine_mode_estimate`]) | scalar | scalar | avx2 |
+//! | tempering pass (`adaptive::temper_beta`) | lanes | lanes | avx2 |
 //!
 //! The lane-width contract: lane grouping is an *execution* detail, never a
 //! *numeric* one. Each lane performs exactly the per-particle op sequence of
@@ -84,13 +86,14 @@
 //! loop tails) replay the scalar select order.
 //!
 //! The per-particle transcendentals — the motion step's Box–Muller `ln` and
-//! `sin_cos`, the yaw `sin_cos` of the motion, observation and pose kernels,
-//! and the reweighting `exp` — are the owned [`mcl_num::math`] functions, not
-//! libm: fixed coefficient sets and Horner orders that `crate::simd` replays
-//! 8 lanes wide with the same bits. The angle wraps use the exact `%`-free
-//! fast path of [`normalize_angle`]. What stays scalar per lane inside the
-//! AVX2 kernels is only what has no equivalent vector op with the same edge
-//! semantics: the `f32::max` weight clamps.
+//! `sin_cos`, the yaw `sin_cos` of the motion, observation, pose and
+//! mode-refinement kernels, the reweighting `exp` and the tempering solve's
+//! `f64` `exp` — are the owned [`mcl_num::math`] functions, not libm: fixed
+//! coefficient sets and Horner orders that `crate::simd` replays 8 lanes
+//! wide (4 for the `f64` `exp`) with the same bits. The angle wraps use the
+//! exact `%`-free fast path of [`normalize_angle`]. What stays scalar per
+//! lane inside the AVX2 kernels is only what has no equivalent vector op
+//! with the same edge semantics: the `f32::max` weight clamps.
 //!
 //! All of this is pinned by `tests/kernel_backend_equivalence.rs` across tail
 //! lengths, cluster layouts and warm-pool reruns; the `MCL_KERNEL_BACKEND`
@@ -138,9 +141,10 @@ pub enum KernelBackend {
     #[default]
     Lanes,
     /// Explicit AVX2 intrinsic bodies (x86-64, runtime-detected) for the
-    /// motion, observation, reweight and pose kernels: the lane groups issued
-    /// as 8×f32 register ops with gather-based EDT lookups. The anchor,
-    /// spread and resample kernels run their `Lanes` bodies.
+    /// motion, observation, reweight and pose kernels — the lane groups
+    /// issued as 8×f32 register ops with gather-based EDT lookups — and for
+    /// the adaptive layer's tempering and mode-refinement passes. The
+    /// anchor, spread and resample kernels run their `Lanes` bodies.
     /// Bit-identical to `Scalar` (single-rounding ops only, no FMA); every
     /// dispatch falls back to `Lanes` when the host lacks AVX2, so selecting
     /// it is safe everywhere. [`KernelBackend::detect`] picks it by default
@@ -1276,16 +1280,102 @@ pub fn pose_estimate_prefix_with<S: Scalar>(
     }
 }
 
-/// Reusable scratch of [`refine_mode_estimate`]: each particle's position and
-/// weight widened to `f64` once per call, and its yaw sine and cosine
-/// computed on its first entry into a window. Empty until the first call;
-/// the buffers only grow.
+/// Reusable scratch of [`refine_mode_estimate`]: each particle's position,
+/// yaw sine and cosine and weight, widened to `f64` once per call. Empty
+/// until the first call; the buffers only grow.
 #[derive(Debug, Clone, Default)]
 pub struct ModeRefineScratch {
-    /// `(x, y, w)` per particle.
-    xyw: Vec<(f64, f64, f64)>,
-    /// `(sin θ, cos θ)` per particle, `None` until it first enters a window.
-    trig: Vec<Option<(f64, f64)>>,
+    /// `[x, y, sin θ, cos θ]` per particle, the trig from the owned `f32`
+    /// [`sin_cos`] — one 4×`f64` register in the AVX2 window body.
+    poses: Vec<[f64; 4]>,
+    /// The weight per particle.
+    weights: Vec<f64>,
+}
+
+impl ModeRefineScratch {
+    /// Particles per trig batch of [`ModeRefineScratch::fill`].
+    const BATCH: usize = 256;
+
+    /// Widens the first `n` particles of `view` into the scratch, with each
+    /// yaw's [`sin_cos`] eight lanes at a time under
+    /// [`KernelBackend::Avx2`] (bit-identical per lane), per element
+    /// otherwise.
+    fn fill<S: Scalar>(&mut self, view: ParticleSlice<'_, S>, n: usize, backend: KernelBackend) {
+        self.poses.clear();
+        self.weights.clear();
+        let (poses, weights) = (&mut self.poses, &mut self.weights);
+        for_each_widened_block(
+            [
+                &view.x[..n],
+                &view.y[..n],
+                &view.theta[..n],
+                &view.weight[..n],
+            ],
+            |[xs, ys, thetas, ws]| {
+                for (start, thetas) in (0..).step_by(Self::BATCH).zip(thetas.chunks(Self::BATCH)) {
+                    let mut sin = [0.0f32; Self::BATCH];
+                    let mut cos = [0.0f32; Self::BATCH];
+                    sin_cos_into(backend, thetas, &mut sin, &mut cos);
+                    poses
+                        .extend((0..thetas.len()).map(|i| {
+                            [xs[start + i], ys[start + i], sin[i], cos[i]].map(f64::from)
+                        }));
+                }
+                weights.extend(ws.iter().map(|&w| f64::from(w)));
+            },
+        );
+    }
+}
+
+/// The owned [`sin_cos`] of every yaw in `thetas`, into the leading entries
+/// of `sin` and `cos`: eight lanes at a time through the AVX2 body under
+/// [`KernelBackend::Avx2`] (bit-identical per lane), per element otherwise.
+fn sin_cos_into(backend: KernelBackend, thetas: &[f32], sin: &mut [f32], cos: &mut [f32]) {
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if backend == KernelBackend::Avx2 && crate::simd::available() {
+        for group in thetas.chunks_exact(LANES) {
+            let group: &[f32; LANES] = group.try_into().expect("group is exactly LANES entries");
+            let (s, c) = crate::simd::sin_cos_lanes(group);
+            sin[done..done + LANES].copy_from_slice(&s);
+            cos[done..done + LANES].copy_from_slice(&c);
+            done += LANES;
+        }
+    }
+    let _ = backend;
+    for (i, &theta) in thetas.iter().enumerate().skip(done) {
+        (sin[i], cos[i]) = sin_cos(theta);
+    }
+}
+
+/// `[Σw, Σw·x, Σw·y, Σw·sin θ, Σw·cos θ]` over the particles within `√r2`
+/// of `(cx, cy)`, each sum serial in index order. An out-of-window particle
+/// adds `+0` to every sum — the sums start at `+0`, so that equals skipping
+/// it — which keeps the loop free of a data-dependent branch. The AVX2 body
+/// (`simd::window_sums`) replays it bit for bit.
+fn window_sums(
+    backend: KernelBackend,
+    poses: &[[f64; 4]],
+    weights: &[f64],
+    cx: f64,
+    cy: f64,
+    r2: f64,
+) -> [f64; 5] {
+    #[cfg(target_arch = "x86_64")]
+    if backend == KernelBackend::Avx2 && crate::simd::available() {
+        return crate::simd::window_sums(poses, weights, cx, cy, r2);
+    }
+    let _ = backend;
+    let mut sums = [0.0f64; 5];
+    for (&[x, y, sin, cos], &w) in poses.iter().zip(weights) {
+        let (dx, dy) = (x - cx, y - cy);
+        let inside = dx * dx + dy * dy <= r2;
+        let terms = [w, w * x, w * y, w * sin, w * cos];
+        for (sum, term) in sums.iter_mut().zip(terms) {
+            *sum += if inside { term } else { 0.0 };
+        }
+    }
+    sums
 }
 
 /// Weighted mean-shift refinement of a pose estimate onto the dominant mode
@@ -1298,65 +1388,47 @@ pub struct ModeRefineScratch {
 /// the weighted mean of the particles within `radius_m` (xy) of the current
 /// center — the window walks toward the heavier mode and sheds the lighter
 /// one, exactly the "report the dominant cluster" convention of deployed MCL
-/// stacks. Yaw is the circular mean of the in-window particles.
+/// stacks. Yaw is the circular mean of the in-window particles, from each
+/// yaw's owned `f32` [`sin_cos`] widened to `f64`.
 ///
 /// Serial `f64` accumulation in index order, so the result is bit-identical
-/// for every backend and worker count. Each particle is widened once and its
-/// yaw's `sin`/`cos` evaluated at most once per call (cached in `scratch`),
-/// whatever the number of iterations. Returns the refined pose together
-/// with the fraction of the total prefix weight the final window holds —
-/// the caller should only *publish* the refined pose when that fraction is a
-/// majority, otherwise the refinement confidently reports one of several
-/// live hypotheses and the estimate jumps between modes. Returns `start`
-/// with fraction `0.0` when no particle falls inside the window.
+/// for every backend and worker count; `backend` only picks the bodies of
+/// the per-particle `sin_cos` (eight lanes wide under
+/// [`KernelBackend::Avx2`]) and of the window sums (one 4×`f64` register per
+/// particle), which return the same bits. Each particle is widened and its
+/// trig evaluated once per call (into `scratch`), whatever the number of
+/// iterations. Returns the refined pose together with the
+/// fraction of the total prefix weight the final window holds — the caller
+/// should only *publish* the refined pose when that fraction is a majority,
+/// otherwise the refinement confidently reports one of several live
+/// hypotheses and the estimate jumps between modes. Returns `start` with
+/// fraction `0.0` when no particle falls inside the window.
 pub fn refine_mode_estimate<S: Scalar>(
     particles: &ParticleBuffer<S>,
     n: usize,
     start: Pose2,
     radius_m: f32,
     iterations: usize,
+    backend: KernelBackend,
     scratch: &mut ModeRefineScratch,
 ) -> (Pose2, f64) {
-    let view = particles.as_slice();
     let r2 = f64::from(radius_m) * f64::from(radius_m);
-    scratch.xyw.clear();
-    for_each_widened_block(
-        [&view.x[..n], &view.y[..n], &view.weight[..n]],
-        |[xs, ys, ws]| {
-            scratch.xyw.extend(
-                xs.iter()
-                    .zip(ys)
-                    .zip(ws)
-                    .map(|((&x, &y), &w)| (f64::from(x), f64::from(y), f64::from(w))),
-            );
-        },
-    );
-    let total: f64 = scratch.xyw.iter().map(|&(_, _, w)| w).sum();
+    scratch.fill(particles.as_slice(), n, backend);
+    let total: f64 = scratch.weights.iter().sum();
     if total <= 0.0 {
         return (start, 0.0);
     }
-    scratch.trig.clear();
-    scratch.trig.resize(n, None);
     let mut center = start;
     let mut window_mass = 0.0f64;
     for _ in 0..iterations {
-        let cx = f64::from(center.x);
-        let cy = f64::from(center.y);
-        let (mut sw, mut sx, mut sy, mut ssin, mut scos) = (0.0f64, 0.0, 0.0, 0.0, 0.0);
-        for (i, &(x, y, w)) in scratch.xyw.iter().enumerate() {
-            let (dx, dy) = (x - cx, y - cy);
-            if dx * dx + dy * dy <= r2 {
-                let (sin, cos) = *scratch.trig[i].get_or_insert_with(|| {
-                    let theta = f64::from(view.theta[i].to_f32());
-                    (theta.sin(), theta.cos())
-                });
-                sw += w;
-                sx += w * x;
-                sy += w * y;
-                ssin += w * sin;
-                scos += w * cos;
-            }
-        }
+        let [sw, sx, sy, ssin, scos] = window_sums(
+            backend,
+            &scratch.poses,
+            &scratch.weights,
+            f64::from(center.x),
+            f64::from(center.y),
+            r2,
+        );
         if sw <= 0.0 {
             break;
         }
@@ -1886,9 +1958,11 @@ mod tests {
         assert_eq!(out, vec![0.0; 4]);
     }
 
-    /// The mode refinement as it was before the per-call cache: every
-    /// iteration widens x/y/w/θ and evaluates `sin`/`cos` for each in-window
-    /// particle. The reference the cached version must match bit for bit.
+    /// The mode refinement written as the plain per-iteration loop: every
+    /// iteration widens x/y/w/θ and evaluates the owned `f32` `sin_cos`,
+    /// widened to `f64`, for each in-window particle, skipping the others.
+    /// The reference the cached, branch-free version must match bit for bit
+    /// on every backend.
     fn refine_mode_estimate_reference<S: Scalar>(
         particles: &ParticleBuffer<S>,
         n: usize,
@@ -1914,12 +1988,12 @@ mod tests {
                 let (dx, dy) = (x - cx, y - cy);
                 if dx * dx + dy * dy <= r2 {
                     let w = f64::from(view.weight[i].to_f32());
-                    let theta = f64::from(view.theta[i].to_f32());
+                    let (sin, cos) = sin_cos(view.theta[i].to_f32());
                     sw += w;
                     sx += w * x;
                     sy += w * y;
-                    ssin += w * theta.sin();
-                    scos += w * theta.cos();
+                    ssin += w * f64::from(sin);
+                    scos += w * f64::from(cos);
                 }
             }
             if sw <= 0.0 {
@@ -1956,7 +2030,10 @@ mod tests {
             .collect()
     }
 
-    fn assert_refine_matches_reference<S: Scalar>(scratch: &mut ModeRefineScratch) {
+    fn assert_refine_matches_reference<S: Scalar>(
+        backend: KernelBackend,
+        scratch: &mut ModeRefineScratch,
+    ) {
         // Windows holding no particle (far start), some (the mode radius)
         // and all of them (a radius wider than the map), over prefixes that
         // shrink and regrow so the scratch is reused at other lengths.
@@ -1980,10 +2057,14 @@ mod tests {
         let particles = bimodal::<S>(700);
         for n in [700, 1, 0, 333, 700] {
             for &(start, radius) in &cases {
-                let (pose, mass) = refine_mode_estimate(&particles, n, start, radius, 8, scratch);
+                let (pose, mass) =
+                    refine_mode_estimate(&particles, n, start, radius, 8, backend, scratch);
                 let (want_pose, want_mass) =
                     refine_mode_estimate_reference(&particles, n, start, radius, 8);
-                let label = format!("n = {n}, start = {start:?}, radius = {radius}");
+                let label = format!(
+                    "{}: n = {n}, start = {start:?}, radius = {radius}",
+                    backend.name()
+                );
                 assert_eq!(pose.x.to_bits(), want_pose.x.to_bits(), "{label}");
                 assert_eq!(pose.y.to_bits(), want_pose.y.to_bits(), "{label}");
                 assert_eq!(pose.theta.to_bits(), want_pose.theta.to_bits(), "{label}");
@@ -1991,9 +2072,12 @@ mod tests {
             }
         }
         // The cases above really cover an empty, a partial and a full window.
-        let (_, empty) = refine_mode_estimate(&particles, 700, cases[0].0, 0.6, 8, scratch);
-        let (_, partial) = refine_mode_estimate(&particles, 700, cases[1].0, 0.6, 8, scratch);
-        let (_, full) = refine_mode_estimate(&particles, 700, cases[3].0, 100.0, 8, scratch);
+        let (_, empty) =
+            refine_mode_estimate(&particles, 700, cases[0].0, 0.6, 8, backend, scratch);
+        let (_, partial) =
+            refine_mode_estimate(&particles, 700, cases[1].0, 0.6, 8, backend, scratch);
+        let (_, full) =
+            refine_mode_estimate(&particles, 700, cases[3].0, 100.0, 8, backend, scratch);
         assert_eq!(empty, 0.0);
         assert!(partial > 0.0 && partial < 1.0, "partial = {partial}");
         assert!((full - 1.0).abs() < 1e-12, "full = {full}");
@@ -2002,7 +2086,9 @@ mod tests {
     #[test]
     fn refine_mode_estimate_matches_the_uncached_loop_bit_for_bit() {
         let mut scratch = ModeRefineScratch::default();
-        assert_refine_matches_reference::<f32>(&mut scratch);
-        assert_refine_matches_reference::<mcl_num::F16>(&mut scratch);
+        for backend in KernelBackend::ALL {
+            assert_refine_matches_reference::<f32>(backend, &mut scratch);
+            assert_refine_matches_reference::<mcl_num::F16>(backend, &mut scratch);
+        }
     }
 }

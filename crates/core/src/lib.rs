@@ -107,7 +107,7 @@ pub mod rng;
 #[cfg(target_arch = "x86_64")]
 mod simd;
 
-pub use adaptive::{AdaptiveConfig, KldSampler, LikelihoodMonitor};
+pub use adaptive::AdaptiveConfig;
 pub use config::{MclConfig, MclError};
 pub use estimate::PoseEstimate;
 pub use filter::{FilterCounters, MonteCarloLocalization, UpdateOutcome};

@@ -21,8 +21,9 @@
 //! `tests/kernel_backend_equivalence.rs`.
 //!
 //! The transcendentals are 8-lane replays of the owned [`mcl_num::math`]
-//! functions ([`ln_v`], [`exp_v`], [`sin_cos_v`]): the same constants, the
-//! same Horner order, the same special-value selects. The angle wrap
+//! functions ([`ln_v`], [`exp_v`], [`sin_cos_v`]), plus the 4-lane `f64`
+//! [`exp_f64_v`]: the same constants, the same Horner order, the same
+//! special values. The angle wrap
 //! [`normalize_angle_v`] replays [`mcl_num::normalize_angle`]'s exact fast
 //! path and hands a group to the scalar function when a lane leaves it. The
 //! motion noise's SplitMix64 streams run on 4×u64 registers
@@ -30,9 +31,13 @@
 //! vector equivalent with the same edge semantics: the `f32::max` weight
 //! clamp of the pose reduction.
 //!
-//! Only the motion, observation, reweight and pose kernels have bodies here.
-//! The anchor, spread and resample kernels run their lane bodies under
-//! `Avx2`, because intrinsic versions of them measured no faster.
+//! The motion, observation, reweight and pose kernels have bodies here, and
+//! so do two serial passes of the adaptive layer: the tempering solve's
+//! block sums ([`temper_lanes`], 4×`f64` accumulators) and the
+//! mode-refinement window sums ([`window_sums`]), whose yaw trig is
+//! [`sin_cos_lanes`]. The anchor, spread and resample kernels run their lane
+//! bodies under `Avx2`, because intrinsic versions of them measured no
+//! faster.
 // Intrinsics require `unsafe`; this is the one module in the crate allowed to
 // use it. Every unsafe block carries a SAFETY comment discharging the single
 // obligation: the AVX2 (and where noted F16C-independent) target features are
@@ -41,6 +46,7 @@
 
 use core::arch::x86_64::*;
 
+use crate::adaptive::{TEMPER_LANES, TEMPER_SLOTS};
 use crate::kernel::LANES;
 use crate::motion::{MotionDelta, MotionModel};
 use crate::observation::BeamEndPointModel;
@@ -48,9 +54,10 @@ use crate::rng::{CounterRng, GOLDEN_GAMMA, PARTICLE_MIX, SCRAMBLE};
 use core::f32::consts::TAU;
 use mcl_gridmap::DistanceField;
 use mcl_num::math::{
-    COS_P, EXP_LN2_HI, EXP_LN2_LO, EXP_OVERFLOW, EXP_P, EXP_UNDERFLOW, FRAC_2_PI, LN2_HI, LN2_LO,
-    LN_LG, LN_SQRT_HALF_BITS, LN_SUBNORMAL_EXPONENT, LN_SUBNORMAL_SCALE, LOG2_E, PIO2, ROUND_MAGIC,
-    SIN_P,
+    COS_P, EXP_F64_C, EXP_F64_INV_LN2_N, EXP_F64_LN2_N_HI, EXP_F64_LN2_N_LO, EXP_F64_OVERFLOW,
+    EXP_F64_TABLE, EXP_F64_TABLE_BITS, EXP_F64_UNDERFLOW, EXP_LN2_HI, EXP_LN2_LO, EXP_OVERFLOW,
+    EXP_P, EXP_UNDERFLOW, FRAC_2_PI, LN2_HI, LN2_LO, LN_LG, LN_SQRT_HALF_BITS,
+    LN_SUBNORMAL_EXPONENT, LN_SUBNORMAL_SCALE, LOG2_E, PIO2, ROUND_MAGIC, ROUND_MAGIC_F64, SIN_P,
 };
 use mcl_sensor::BeamBatch;
 
@@ -259,6 +266,130 @@ unsafe fn sin_cos_lanes_impl(
     let (s, c) = sin_cos_v(_mm256_loadu_ps(theta.as_ptr()));
     _mm256_storeu_ps(sin_t.as_mut_ptr(), s);
     _mm256_storeu_ps(cos_t.as_mut_ptr(), c);
+}
+
+/// The lane accumulators of one tempering-pass block — the AVX2 body of
+/// `adaptive::temper_pass`, bit-identical to its portable lanes. `weights`
+/// and `logs` hold a whole number of 4-particle quads; lane `l` of
+/// `out[slot]` sums slot `slot` of `adaptive::temper_terms` over the quad
+/// members `l`, in quad order. Four `f64` lanes per register, with
+/// [`exp_f64_v`] for the tempered likelihood.
+pub(crate) fn temper_lanes<const FIRST: bool>(
+    weights: &[f32],
+    logs: &[f32],
+    max_log: f64,
+    beta: f64,
+) -> [[f64; TEMPER_LANES]; TEMPER_SLOTS] {
+    debug_assert!(available());
+    assert_eq!(weights.len(), logs.len(), "one weight per log-likelihood");
+    assert_eq!(weights.len() % TEMPER_LANES, 0, "whole quads only");
+    let mut out = [[0.0; TEMPER_LANES]; TEMPER_SLOTS];
+    // SAFETY: callers gate on `available`.
+    unsafe { temper_lanes_impl::<FIRST>(weights, logs, max_log, beta, &mut out) };
+    out
+}
+
+/// The body of [`temper_lanes`].
+///
+/// # Safety
+///
+/// Callers must ensure the `avx2` target feature is available.
+#[target_feature(enable = "avx2")]
+unsafe fn temper_lanes_impl<const FIRST: bool>(
+    weights: &[f32],
+    logs: &[f32],
+    max_log: f64,
+    beta: f64,
+    out: &mut [[f64; TEMPER_LANES]; TEMPER_SLOTS],
+) {
+    const _: () = assert!(TEMPER_LANES == 4, "one f64 register per slot");
+    let zero = _mm256_setzero_pd();
+    let max_v = _mm256_set1_pd(max_log);
+    let beta_v = _mm256_set1_pd(beta);
+    let mut acc = [zero; TEMPER_SLOTS];
+    for (wq, lq) in weights
+        .chunks_exact(TEMPER_LANES)
+        .zip(logs.chunks_exact(TEMPER_LANES))
+    {
+        let w = _mm256_cvtps_pd(_mm_loadu_ps(wq.as_ptr()));
+        let d = _mm256_sub_pd(_mm256_cvtps_pd(_mm_loadu_ps(lq.as_ptr())), max_v);
+        let e = exp_f64_v(_mm256_mul_pd(beta_v, d));
+        let t = _mm256_mul_pd(w, e);
+        let tt = _mm256_mul_pd(t, t);
+        // A vanished term contributes +0 to the slope sums (an all-zero
+        // mask), exactly the portable select.
+        let live = _mm256_cmp_pd::<_CMP_GT_OQ>(t, zero);
+        acc[0] = _mm256_add_pd(acc[0], t);
+        acc[1] = _mm256_add_pd(acc[1], _mm256_and_pd(live, _mm256_mul_pd(t, d)));
+        acc[2] = _mm256_add_pd(acc[2], tt);
+        acc[3] = _mm256_add_pd(acc[3], _mm256_and_pd(live, _mm256_mul_pd(tt, d)));
+        if FIRST {
+            let ww = _mm256_mul_pd(w, w);
+            let w_live = _mm256_cmp_pd::<_CMP_GT_OQ>(w, zero);
+            acc[4] = _mm256_add_pd(acc[4], e);
+            acc[5] = _mm256_add_pd(acc[5], w);
+            acc[6] = _mm256_add_pd(acc[6], _mm256_and_pd(w_live, _mm256_mul_pd(w, d)));
+            acc[7] = _mm256_add_pd(acc[7], ww);
+            acc[8] = _mm256_add_pd(acc[8], _mm256_and_pd(w_live, _mm256_mul_pd(ww, d)));
+            acc[9] = _mm256_add_pd(acc[9], _mm256_mul_pd(_mm256_mul_pd(w, d), d));
+            acc[10] = _mm256_add_pd(acc[10], _mm256_mul_pd(_mm256_mul_pd(ww, d), d));
+        }
+    }
+    for (slot, lanes) in out.iter_mut().zip(acc) {
+        _mm256_storeu_pd(slot.as_mut_ptr(), lanes);
+    }
+}
+
+/// The window sums of one mean-shift iteration — the AVX2 body of
+/// `kernel::window_sums`, bit-identical to its portable loop. Each
+/// particle's `[x, y, sin θ, cos θ]` is one register: its distance test runs
+/// on the low pair, and `w · pose`, masked to `+0` outside the window, adds
+/// into one accumulator register holding `[Σw·x, Σw·y, Σw·sin θ, Σw·cos θ]`
+/// (four independent serial sums, one per lane), beside the scalar `Σw`.
+pub(crate) fn window_sums(
+    poses: &[[f64; 4]],
+    weights: &[f64],
+    cx: f64,
+    cy: f64,
+    r2: f64,
+) -> [f64; 5] {
+    debug_assert!(available());
+    assert_eq!(poses.len(), weights.len(), "one weight per pose");
+    // SAFETY: callers gate on `available`.
+    unsafe { window_sums_impl(poses, weights, cx, cy, r2) }
+}
+
+/// The body of [`window_sums`].
+///
+/// # Safety
+///
+/// Callers must ensure the `avx2` target feature is available.
+#[target_feature(enable = "avx2")]
+unsafe fn window_sums_impl(
+    poses: &[[f64; 4]],
+    weights: &[f64],
+    cx: f64,
+    cy: f64,
+    r2: f64,
+) -> [f64; 5] {
+    let center = _mm_setr_pd(cx, cy);
+    let r2 = _mm_set_sd(r2);
+    let mut sums = _mm256_setzero_pd();
+    let mut sum_w = _mm_setzero_pd();
+    for (pose, &w) in poses.iter().zip(weights) {
+        let pose = _mm256_loadu_pd(pose.as_ptr());
+        // (dx·dx) + (dy·dy) ≤ r2 in the low lane, as the scalar test.
+        let d = _mm_sub_pd(_mm256_castpd256_pd128(pose), center);
+        let sq = _mm_mul_pd(d, d);
+        let inside = _mm_cmp_sd::<_CMP_LE_OQ>(_mm_add_sd(sq, _mm_unpackhi_pd(sq, sq)), r2);
+        let terms = _mm256_mul_pd(_mm256_set1_pd(w), pose);
+        sums = _mm256_add_pd(sums, _mm256_and_pd(_mm256_broadcastsd_pd(inside), terms));
+        sum_w = _mm_add_sd(sum_w, _mm_and_pd(inside, _mm_set_sd(w)));
+    }
+    let mut out = [0.0f64; 5];
+    _mm_store_sd(out.as_mut_ptr(), sum_w);
+    _mm256_storeu_pd(out[1..].as_mut_ptr(), sums);
+    out
 }
 
 /// The motion step of one lane group — the AVX2 body of
@@ -540,6 +671,100 @@ unsafe fn exp_v(x: __m256) -> __m256 {
     select(is_over, _mm256_set1_ps(f32::INFINITY), out)
 }
 
+/// Lower end of [`exp_f64_v`]'s vector range: from here up, `k ≥ −130816`
+/// (so `2^⌊k/128⌋` is a normal `f64`) and the result is normal.
+const EXP_F64_V_MIN: f64 = -708.0;
+/// Upper end of [`exp_f64_v`]'s vector range (`⌊k/128⌋ ≤ 1022`).
+const EXP_F64_V_MAX: f64 = 709.0;
+
+/// `mcl_num::math::exp_f64` on 4 lanes, bit for bit.
+///
+/// Lanes in `[EXP_F64_V_MIN, EXP_F64_V_MAX]` run [`exp_f64_main_v`]. When
+/// every lane is in that range — nearly always on the filter path — that is
+/// the result. Otherwise lanes past the overflow or underflow thresholds, and
+/// NaN lanes, take the scalar's special values through masks over the main
+/// sequence run on the clamped input, so masked lanes never compute a
+/// subnormal (which would cost a microcode assist per lane on x86). A quad
+/// with a lane in neither set — a subnormal result, or just below the
+/// overflow threshold — goes through the scalar function.
+///
+/// # Safety
+///
+/// Callers must ensure the `avx2` target feature is available.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn exp_f64_v(x: __m256d) -> __m256d {
+    let lo = _mm256_set1_pd(EXP_F64_V_MIN);
+    let hi = _mm256_set1_pd(EXP_F64_V_MAX);
+    let vector = _mm256_and_pd(
+        _mm256_cmp_pd::<_CMP_GE_OQ>(x, lo),
+        _mm256_cmp_pd::<_CMP_LE_OQ>(x, hi),
+    );
+    if _mm256_movemask_pd(vector) == 0xF {
+        return exp_f64_main_v(x);
+    }
+    let over = _mm256_cmp_pd::<_CMP_GT_OQ>(x, _mm256_set1_pd(EXP_F64_OVERFLOW));
+    let under = _mm256_cmp_pd::<_CMP_LT_OQ>(x, _mm256_set1_pd(EXP_F64_UNDERFLOW));
+    let nan = _mm256_cmp_pd::<_CMP_UNORD_Q>(x, x);
+    let covered = _mm256_or_pd(_mm256_or_pd(vector, over), _mm256_or_pd(under, nan));
+    if _mm256_movemask_pd(covered) != 0xF {
+        let mut lanes = [0.0f64; 4];
+        _mm256_storeu_pd(lanes.as_mut_ptr(), x);
+        let lanes = lanes.map(mcl_num::math::exp_f64);
+        return _mm256_loadu_pd(lanes.as_ptr());
+    }
+    // `maxpd`/`minpd` return the bound for a NaN lane, which is masked below.
+    let main = exp_f64_main_v(_mm256_min_pd(_mm256_max_pd(x, lo), hi));
+    _mm256_or_pd(
+        _mm256_or_pd(
+            _mm256_and_pd(vector, main),
+            _mm256_and_pd(over, _mm256_set1_pd(f64::INFINITY)),
+        ),
+        _mm256_and_pd(nan, _mm256_set1_pd(f64::NAN)),
+    )
+}
+
+/// The main sequence of `mcl_num::math::exp_f64` on 4 lanes in
+/// `[EXP_F64_V_MIN, EXP_F64_V_MAX]`: the scalar reduction, Horner order and
+/// table pair (two gathers). There `2^e` is a normal `f64`, so the scalar's
+/// split scale `(er · 2^e1) · 2^(e−e1)` and the single product `er · 2^e`
+/// both round the same exact value once, and one multiply suffices.
+///
+/// # Safety
+///
+/// Callers must ensure the `avx2` target feature is available.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn exp_f64_main_v(x: __m256d) -> __m256d {
+    let magic = _mm256_set1_pd(ROUND_MAGIC_F64);
+    let t = _mm256_add_pd(_mm256_mul_pd(x, _mm256_set1_pd(EXP_F64_INV_LN2_N)), magic);
+    let kd = _mm256_sub_pd(t, magic);
+    let k = _mm256_sub_epi64(_mm256_castpd_si256(t), _mm256_castpd_si256(magic));
+    let r = _mm256_sub_pd(
+        _mm256_sub_pd(x, _mm256_mul_pd(kd, _mm256_set1_pd(EXP_F64_LN2_N_HI))),
+        _mm256_mul_pd(kd, _mm256_set1_pd(EXP_F64_LN2_N_LO)),
+    );
+    let z = _mm256_mul_pd(r, r);
+    let mut q = _mm256_set1_pd(EXP_F64_C[0]);
+    for &coefficient in &EXP_F64_C[1..] {
+        q = _mm256_add_pd(_mm256_mul_pd(q, r), _mm256_set1_pd(coefficient));
+    }
+    let p = _mm256_add_pd(_mm256_mul_pd(q, z), r);
+    // The table pair of j = k mod 128 sits at indices 2j and 2j + 1.
+    let mask = _mm256_set1_epi64x((1 << EXP_F64_TABLE_BITS) - 1);
+    let pair = _mm256_slli_epi64::<1>(_mm256_and_si256(k, mask));
+    let table = EXP_F64_TABLE.as_ptr().cast::<f64>();
+    let hi = _mm256_i64gather_pd::<8>(table, pair);
+    let lo = _mm256_i64gather_pd::<8>(table.add(1), pair);
+    let er = _mm256_add_pd(hi, _mm256_add_pd(lo, _mm256_mul_pd(hi, p)));
+    // 2^⌊k/128⌋ from its exponent field. AVX2 has no 64-bit arithmetic
+    // shift, so the shift runs on k + 2²⁰ (non-negative, and a multiple of
+    // 128 so the bias shifts out exactly to 8192).
+    let biased = _mm256_srli_epi64::<7>(_mm256_add_epi64(k, _mm256_set1_epi64x(1 << 20)));
+    let scale = _mm256_slli_epi64::<52>(_mm256_sub_epi64(biased, _mm256_set1_epi64x(8192 - 1023)));
+    _mm256_mul_pd(er, _mm256_castsi256_pd(scale))
+}
+
 /// `mcl_num::math::sin_cos` on 8 lanes: returns `(sin, cos)`.
 #[target_feature(enable = "avx2")]
 #[inline]
@@ -738,6 +963,60 @@ mod tests {
             "normalize_angle",
             &values,
         );
+    }
+
+    #[test]
+    fn lane_exp_f64_matches_the_scalar_bits() {
+        if !available() {
+            return;
+        }
+        // A strided walk over every f64 bit pattern (both signs, NaNs and
+        // infinities included), the specials and edges, and a dense sweep of
+        // the tempering range.
+        let mut values: Vec<f64> = (0..=u64::MAX)
+            .step_by(0x0000_3F1D_5A2B_C001)
+            .map(f64::from_bits)
+            .collect();
+        values.extend([
+            0.0,
+            -0.0,
+            1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0xFFF8_0000_DEAD_0001),
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            EXP_F64_OVERFLOW,
+            f64::from_bits(EXP_F64_OVERFLOW.to_bits() + 1),
+            EXP_F64_UNDERFLOW,
+            -745.0,
+            -745.2,
+            -720.0,
+            -708.4,
+        ]);
+        let mut x = -760.0;
+        while x < 720.0 {
+            values.push(x);
+            x += 0.013_1;
+        }
+        values.resize(values.len().next_multiple_of(4), 0.5);
+        for group in values.chunks_exact(4) {
+            let mut out = [0.0f64; 4];
+            // SAFETY: AVX2 checked above.
+            unsafe {
+                _mm256_storeu_pd(out.as_mut_ptr(), exp_f64_v(_mm256_loadu_pd(group.as_ptr())))
+            };
+            for (got, &x) in out.iter().zip(group) {
+                let want = math::exp_f64(x);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "exp_f64({x:e}): {got:e} vs {want:e}"
+                );
+            }
+        }
     }
 
     #[test]

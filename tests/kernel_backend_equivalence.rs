@@ -525,9 +525,10 @@ fn every_backend_matches_scalar_on_the_quantized_f16_pipeline() {
 }
 
 /// Runs a KLD-adaptive filter (uniform init + eight gated updates) under
-/// `backend` and returns the final particle buffer, the estimate and the
-/// per-update population trajectory. Like [`run_filter`], a non-empty
-/// `anchors` slice makes every update a fused ToF + UWB batch.
+/// `backend` and returns the final particle buffer, the estimate, the
+/// per-update population trajectory and the number of tempered updates.
+/// Like [`run_filter`], a non-empty `anchors` slice makes every update a
+/// fused ToF + UWB batch.
 #[allow(clippy::too_many_arguments)]
 fn run_adaptive_filter(
     map: &OccupancyGrid,
@@ -538,7 +539,12 @@ fn run_adaptive_filter(
     seed: u64,
     workers: usize,
     backend: KernelBackend,
-) -> (ParticleBuffer<f32>, tof_mcl::core::PoseEstimate, Vec<usize>) {
+) -> (
+    ParticleBuffer<f32>,
+    tof_mcl::core::PoseEstimate,
+    Vec<usize>,
+    u64,
+) {
     let config = MclConfig::default()
         .with_particles(n)
         .with_seed(seed)
@@ -558,35 +564,43 @@ fn run_adaptive_filter(
         populations.push(filter.particles().len());
     }
     let estimate = filter.estimate();
-    (filter.particles().current().clone(), estimate, populations)
+    (
+        filter.particles().current().clone(),
+        estimate,
+        populations,
+        filter.counters().updates_tempered,
+    )
 }
 
 /// The adaptive (KLD + recovery-injection) filter *changes its population
 /// mid-run*, which stresses the size-generalized resampling plan and the
 /// dynamic scatter geometry. The backend contract must survive that: for
 /// every worker layout, the `Lanes` and `Avx2` adaptive filters must stay
-/// bit-identical to the `Scalar` one — same particles, same estimate, and
-/// the exact same population trajectory.
+/// bit-identical to the `Scalar` one — same particles, same estimate, the
+/// exact same population trajectory and the same tempered updates (the
+/// tempering solve and the mode refinement run backend-specific bodies).
 #[test]
 fn adaptive_filters_are_bit_identical_across_backends_while_resizing() {
     let map = arena();
     let edt = EuclideanDistanceField::compute(&map, 1.5);
+    let mut tempered_runs = 0;
     for (seed, n) in [(5u64, 96usize), (17, 257), (41, 512)] {
         let beams = synthetic_beams(seed);
         for (workers, anchors) in [1usize, 3, 8]
             .into_iter()
             .flat_map(|w| [(w, Vec::new()), (w, synthetic_anchors(seed))])
         {
-            let (scalar_particles, scalar_estimate, scalar_populations) = run_adaptive_filter(
-                &map,
-                &edt,
-                &beams,
-                &anchors,
-                n,
-                seed,
-                workers,
-                KernelBackend::Scalar,
-            );
+            let (scalar_particles, scalar_estimate, scalar_populations, scalar_tempered) =
+                run_adaptive_filter(
+                    &map,
+                    &edt,
+                    &beams,
+                    &anchors,
+                    n,
+                    seed,
+                    workers,
+                    KernelBackend::Scalar,
+                );
             // The beam-only run must actually exercise resizing, otherwise
             // this test degenerates into the fixed-size equivalence suite
             // above. (The fused legs keep whatever trajectory the anchors
@@ -596,8 +610,14 @@ fn adaptive_filters_are_bit_identical_across_backends_while_resizing() {
                 "seed={seed}: population never left {n}: {scalar_populations:?}"
             );
             for backend in [KernelBackend::Lanes, KernelBackend::Avx2] {
-                let (particles, estimate, populations) =
+                let (particles, estimate, populations, tempered) =
                     run_adaptive_filter(&map, &edt, &beams, &anchors, n, seed, workers, backend);
+                assert_eq!(
+                    scalar_tempered,
+                    tempered,
+                    "{} tempered updates",
+                    backend.name()
+                );
                 assert_eq!(
                     scalar_populations,
                     populations,
@@ -617,8 +637,13 @@ fn adaptive_filters_are_bit_identical_across_backends_while_resizing() {
                 );
                 assert_eq!(scalar_estimate.neff.to_bits(), estimate.neff.to_bits());
             }
+            tempered_runs += usize::from(scalar_tempered > 0);
         }
     }
+    assert!(
+        tempered_runs > 0,
+        "no run tempered, so the solve went unchecked"
+    );
 }
 
 #[test]
