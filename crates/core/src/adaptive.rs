@@ -42,8 +42,6 @@ use mcl_gridmap::{CellState, OccupancyGrid, Pose2};
 use mcl_num::math::exp_f64;
 use mcl_num::Scalar;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Salt XORed into the filter seed for the recovery-injection RNG stream, so
 /// injected poses can never collide with the motion kernel's per-particle
@@ -295,32 +293,17 @@ pub fn kld_bound(k: usize, epsilon: f32, delta: f32) -> usize {
     n.ceil().max(1.0) as usize
 }
 
-/// The FxHash multiply–rotate mix, for bin keys. The keys come from the
+/// The FxHash multiply–rotate mix of a bin key. The keys come from the
 /// filter's own particles, so SipHash's resistance to crafted collisions
 /// buys nothing here and costs most of a KLD count.
-#[derive(Debug, Clone, Copy, Default)]
-struct BinHasher(u64);
-
-impl Hasher for BinHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(4);
-        for word in &mut words {
-            self.write_u32(u32::from_le_bytes([word[0], word[1], word[2], word[3]]));
-        }
-        for &byte in words.remainder() {
-            self.write_u32(u32::from(byte));
-        }
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves its best bits at the top; rotate them down to
-        // the bits that pick the bucket.
-        self.0.rotate_left(26)
-    }
+#[inline]
+fn bin_hash(key: [i32; 3]) -> u64 {
+    let mixed = key.iter().fold(0u64, |h, &word| {
+        (h.rotate_left(5) ^ u64::from(word as u32)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    });
+    // The multiply leaves its best bits at the top; rotate them down to the
+    // bits that pick the slot.
+    mixed.rotate_left(26)
 }
 
 /// `v.floor() as i32` without libm: truncate toward zero, then step down
@@ -339,32 +322,27 @@ fn floor_to_i32(v: f32) -> i32 {
     }
 }
 
-/// Largest bounding box of a cloud's bin keys, in bins, that
-/// [`KldSampler`] counts in a dense bitmap (8 KiB); larger boxes go through
-/// the hash set.
-const DENSE_BINS: u64 = 1 << 16;
-
 /// Bin-occupancy statistics over the pose-space grid, feeding [`kld_bound`].
 ///
-/// A count first computes every particle's bin key, the `(x, y, θ)` triple
-/// `floor(v / bin) as i32`. Negative bins stay distinct from positive ones,
-/// but the cast's saturation merges the rest: every coordinate past the
-/// `i32` range (the infinities included) shares the saturated bin of its
-/// sign, and a NaN coordinate maps to bin 0 together with `[0, bin)`. When
-/// the keys' bounding box holds at most [`DENSE_BINS`] bins — any cloud
-/// inside a map of a few hundred square metres — the count tests and sets
-/// one bit per particle in a bitmap over the box; otherwise it inserts into
-/// a cheaply hashed set. Both keep their storage across updates. The
-/// occupied *count* is independent of the path, of iteration and of hash
-/// order, so the resulting population target is deterministic.
+/// A particle's bin key is the `(x, y, θ)` triple `floor(v / bin) as i32`.
+/// Negative bins stay distinct from positive ones, but the cast's
+/// saturation merges the rest: every coordinate past the `i32` range (the
+/// infinities included) shares the saturated bin of its sign, and a NaN
+/// coordinate maps to bin 0 together with `[0, bin)`.
+///
+/// The keys go into a flat open-addressed table (linear probing, at most
+/// half full) whose slots carry the generation of the count that wrote
+/// them, so a new count starts by bumping the generation instead of
+/// clearing the table. The table only grows. The occupied *count* is
+/// independent of probe order, so the resulting population target is
+/// deterministic.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct KldSampler {
-    /// The bin key of every particle of the current count.
-    keys: Vec<[i32; 3]>,
-    /// Occupancy bits over the keys' bounding box (dense count).
-    occupied: Vec<u64>,
-    /// Occupied keys (sparse count).
-    bins: HashSet<[i32; 3], BuildHasherDefault<BinHasher>>,
+    /// `(key, generation)` per slot; a slot is occupied in the current
+    /// count exactly when its generation is `generation`.
+    slots: Vec<([i32; 3], u32)>,
+    /// Generation of the current count; never 0 while slots exist.
+    generation: u32,
 }
 
 impl KldSampler {
@@ -377,62 +355,56 @@ impl KldSampler {
         particles: ParticleSlice<'_, S>,
         limit: usize,
     ) -> usize {
+        let cap = limit.min(particles.len());
+        if cap == 0 {
+            return 0;
+        }
+        // Twice the most keys this count inserts, so a probe always ends.
+        let size = (2 * cap).next_power_of_two();
+        if self.slots.len() < size {
+            self.slots = vec![([0; 3], 0); size];
+            self.generation = 0;
+        }
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.slots.fill(([0; 3], 0));
+            self.generation = 1;
+        }
+        let generation = self.generation;
+        // Probe only the leading `size` slots, keeping small counts compact.
+        let (slots, mask) = (&mut self.slots[..size], size - 1);
         let inv_xy = 1.0 / BIN_XY_M;
         let inv_theta = 1.0 / BIN_THETA_RAD;
-        let keys = &mut self.keys;
-        keys.clear();
+        let mut count = 0;
         for_each_widened_block(
             [particles.x, particles.y, particles.theta],
             |[xs, ys, thetas]| {
-                keys.extend(xs.iter().zip(ys).zip(thetas).map(|((&x, &y), &theta)| {
-                    [
+                for ((&x, &y), &theta) in xs.iter().zip(ys).zip(thetas) {
+                    if count == cap {
+                        return;
+                    }
+                    let key = [
                         floor_to_i32(x * inv_xy),
                         floor_to_i32(y * inv_xy),
                         floor_to_i32(theta * inv_theta),
-                    ]
-                }));
+                    ];
+                    let mut slot = bin_hash(key) as usize & mask;
+                    loop {
+                        let (slot_key, slot_generation) = &mut slots[slot];
+                        if *slot_generation != generation {
+                            (*slot_key, *slot_generation) = (key, generation);
+                            count += 1;
+                            break;
+                        }
+                        if *slot_key == key {
+                            break;
+                        }
+                        slot = (slot + 1) & mask;
+                    }
+                }
             },
         );
-        let Some(&first) = self.keys.first() else {
-            return 0;
-        };
-        let (lo, hi) = self.keys.iter().fold((first, first), |(lo, hi), key| {
-            (
-                core::array::from_fn(|c| lo[c].min(key[c])),
-                core::array::from_fn(|c| hi[c].max(key[c])),
-            )
-        });
-        let extent: [u64; 3] =
-            core::array::from_fn(|c| (i64::from(hi[c]) - i64::from(lo[c]) + 1) as u64);
-        let volume = extent[0]
-            .saturating_mul(extent[1])
-            .saturating_mul(extent[2]);
-        let mut count = 0;
-        if volume <= DENSE_BINS {
-            self.occupied.clear();
-            self.occupied.resize(volume.div_ceil(64) as usize, 0);
-            let offset = |key: &[i32; 3], c: usize| (i64::from(key[c]) - i64::from(lo[c])) as u64;
-            for key in &self.keys {
-                if count >= limit {
-                    break;
-                }
-                let bin =
-                    (offset(key, 0) * extent[1] + offset(key, 1)) * extent[2] + offset(key, 2);
-                let (word, bit) = (&mut self.occupied[(bin / 64) as usize], 1u64 << (bin % 64));
-                count += usize::from(*word & bit == 0);
-                *word |= bit;
-            }
-        } else {
-            self.bins.clear();
-            for key in &self.keys {
-                if count >= limit {
-                    break;
-                }
-                self.bins.insert(*key);
-                count = self.bins.len();
-            }
-        }
-        count.min(limit)
+        count
     }
 
     /// The unclamped [`kld_bound`] for the bins `particles` occupies, with
@@ -1209,10 +1181,10 @@ mod tests {
     use crate::particle::{Particle, ParticleBuffer};
     use mcl_gridmap::Pose2;
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     /// The bin count as a SipHash set of std-floored bin tuples computes it:
-    /// the reference the sampler's cheaply hashed set and owned floor must
-    /// match.
+    /// the reference the sampler's stamped table and owned floor must match.
     #[allow(clippy::disallowed_methods)]
     fn reference_bins(particles: &ParticleBuffer<f32>) -> usize {
         let inv_xy = 1.0 / BIN_XY_M;
@@ -1291,15 +1263,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
-        fn dense_bin_count_matches_a_sip_hash_set(
+        fn compact_bin_count_matches_a_sip_hash_set(
             clouds in prop::collection::vec(
                 prop::collection::vec((-12.0f32..12.0, -9.0f32..9.0, -7.0f32..7.0), 0..900),
                 1..5,
             ),
             scale in 0.05f32..1.5,
         ) {
-            // Clouds inside a small box, where the bitmap path counts; the
-            // scale varies how many particles share a bin.
+            // Clouds inside a small box, where many particles share a bin
+            // and the cap cuts the insertion short; the scale varies how
+            // many share each bin.
             let mut sampler = KldSampler::default();
             for raw in &clouds {
                 let particles: ParticleBuffer<f32> = raw
@@ -1339,15 +1312,23 @@ mod tests {
         let (a, b, c) = (grid(4000, 0.5), grid(10, 0.1), grid(900, 0.3));
         let mut sampler = KldSampler::default();
         // A fresh sampler owns no bin storage until its first count.
-        assert_eq!(sampler.keys.capacity(), 0);
-        assert_eq!(sampler.occupied.capacity(), 0);
-        assert_eq!(sampler.bins.capacity(), 0);
+        assert_eq!(sampler.slots.capacity(), 0);
         for cloud in [&b, &a, &b, &c, &a] {
             assert_eq!(
                 sampler.occupied_bins(cloud.as_slice(), usize::MAX),
                 reference_bins(cloud)
             );
         }
+        // Wrapping the generation stamp clears the table once instead of
+        // reading the previous counts' slots as occupied.
+        sampler.generation = u32::MAX - 1;
+        for cloud in [&a, &c, &b, &a] {
+            assert_eq!(
+                sampler.occupied_bins(cloud.as_slice(), usize::MAX),
+                reference_bins(cloud)
+            );
+        }
+        assert_eq!(sampler.generation, 3);
     }
 
     #[test]
