@@ -95,8 +95,7 @@ fn bench_update_gating(c: &mut Criterion) {
                 for step in &sequence.steps {
                     filter.predict(step.odometry);
                     let beams = mcl_sensor::SensorRig::frames_to_beams(&step.frames);
-                    let mut obs = mcl_sensor::ObservationBatch::from_beams(&beams);
-                    obs.partition_in_range(filter.config().r_max);
+                    let obs = mcl_sensor::ObservationBatch::from_beams(&beams);
                     let _ = filter.update_observations(&obs).unwrap();
                 }
                 filter.counters().updates_applied

@@ -30,8 +30,7 @@ fn bench_end_to_end(c: &mut Criterion) {
                     b.iter(|| {
                         // Flattening in the timed region, like the on-board
                         // pipeline that rebuilds the batch every frame.
-                        let mut obs = ObservationBatch::from_beams(&beams);
-                        obs.partition_in_range(filter.config().r_max);
+                        let obs = ObservationBatch::from_beams(&beams);
                         filter.force_update_observations(&obs)
                     })
                 },
@@ -46,8 +45,7 @@ fn bench_end_to_end(c: &mut Criterion) {
             )
             .unwrap();
             filter.initialize_uniform(scenario.map(), 1).unwrap();
-            let mut obs = ObservationBatch::from_beams(&beams);
-            obs.partition_in_range(filter.config().r_max);
+            let obs = ObservationBatch::from_beams(&beams);
             b.iter(|| filter.force_update_observations(&obs))
         });
         group.bench_with_input(BenchmarkId::new("fp16qm_1core", n), &n, |b, &n| {
@@ -58,8 +56,7 @@ fn bench_end_to_end(c: &mut Criterion) {
             .unwrap();
             filter.initialize_uniform(scenario.map(), 1).unwrap();
             b.iter(|| {
-                let mut obs = ObservationBatch::from_beams(&beams);
-                obs.partition_in_range(filter.config().r_max);
+                let obs = ObservationBatch::from_beams(&beams);
                 filter.force_update_observations(&obs)
             })
         });

@@ -38,7 +38,7 @@ use mcl_bench::print_header;
 use mcl_core::{pool, MonteCarloLocalization};
 use mcl_fleet::{DroneConfig, Fleet, FleetConfig, FleetWorld};
 use mcl_gridmap::{DroneMaze, EuclideanDistanceField};
-use mcl_sensor::{BeamBatch, ObservationBatch};
+use mcl_sensor::ObservationBatch;
 use mcl_sim::{sequence_traffic, RunnerConfig, SequenceConfig, SequenceGenerator, TrafficStep};
 use mcl_sim::{Sequence, TrajectoryConfig};
 use std::io::Write;
@@ -299,10 +299,8 @@ fn replay(
 ) {
     for step in steps {
         filter.predict(step.delta);
-        let mut batch = BeamBatch::from_beams(&step.beams);
-        batch.partition_in_range(filter.config().r_max);
         let _ = filter
-            .update_observations(&ObservationBatch::from_beam_batch(batch))
+            .update_observations(&ObservationBatch::from_beams(&step.beams))
             .expect("update");
     }
 }

@@ -41,7 +41,6 @@ use crate::rng::CounterRng;
 use mcl_gridmap::{CellState, OccupancyGrid, Pose2};
 use mcl_num::math::exp_f64;
 use mcl_num::Scalar;
-use serde::{Deserialize, Serialize};
 
 /// Salt XORed into the filter seed for the recovery-injection RNG stream, so
 /// injected poses can never collide with the motion kernel's per-particle
@@ -118,7 +117,7 @@ const INJECTION_TRIGGER: f32 = 0.06;
 /// with the likelihood averaging retuned for the paper's short flights).
 /// Disabled by default — the fixed-size filter stays bit-identical to the
 /// seed behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
     /// Master switch. When `false` every other field is ignored and the
     /// filter keeps its fixed `num_particles` population.

@@ -2,7 +2,6 @@
 
 use crate::adaptive::AdaptiveConfig;
 use crate::kernel::KernelBackend;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Monte Carlo localization filter.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// `d_xy = 0.1 m`, `d_θ = 0.1 rad`, and 4096 particles (the particle count the
 /// convergence figure is reported for). The paper quotes `σ_obs = 2.0` in map
 /// cells; this crate keeps all distances in metres and defaults to 0.2 m.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MclConfig {
     /// Number of particles `N`.
     pub num_particles: usize,

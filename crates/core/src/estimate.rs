@@ -10,10 +10,9 @@
 use crate::particle::{Particle, ParticleBuffer};
 use mcl_gridmap::Pose2;
 use mcl_num::{angular_difference, weighted_circular_mean, Scalar};
-use serde::{Deserialize, Serialize};
 
 /// The filter's pose output plus quality figures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoseEstimate {
     /// Weighted mean pose.
     pub pose: Pose2,

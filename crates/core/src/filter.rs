@@ -27,9 +27,10 @@
 //! per update — and a filter updating inside an already-parallel job, such as
 //! an `mcl_sim::run_batch` worker, automatically runs its kernels inline
 //! instead of oversubscribing the host). The beams of the observation arrive
-//! flattened into a [`BeamBatch`](mcl_sensor::BeamBatch) that the caller
-//! partitions **once per update** for the configured `r_max`, so the
-//! correction loop body is branch-free. When the batch carries anchor
+//! flattened into a [`BeamBatch`]; the score stage partitions it **once per
+//! update** for the configured `r_max` (into a filter-owned copy, unless the
+//! caller already partitioned it), so the correction kernels score only the
+//! in-range prefix with a branch-free body. When the batch carries anchor
 //! ranges, the anchor-range kernel *adds* its per-sensor log-likelihoods
 //! into the same per-particle accumulator the beam kernel fills, so the
 //! correct step stays one reweight pass regardless of how many
@@ -58,7 +59,7 @@ use crate::resampling::{PartialSumResampler, ResamplePlan};
 use crate::rng::CounterRng;
 use mcl_gridmap::{DistanceField, OccupancyGrid, Pose2};
 use mcl_num::Scalar;
-use mcl_sensor::ObservationBatch;
+use mcl_sensor::{BeamBatch, ObservationBatch};
 
 /// Result of offering an observation to the filter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,6 +136,9 @@ pub struct MonteCarloLocalization<S: Scalar, D: DistanceField> {
     weights_f32: Vec<f32>,
     /// Per-update scratch: the resampling plan, allocations reused.
     plan: ResamplePlan,
+    /// Per-update scratch: a copy of an observation's beams that arrived
+    /// unpartitioned, partitioned for `config.r_max`.
+    beams: BeamBatch,
     /// Adaptive population state and policy (KLD bins, likelihood monitor,
     /// recovery latch and free space); `None` when `config.adaptive.enabled`
     /// is false, keeping the fixed-size path byte-identical to the seed
@@ -167,6 +171,7 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
                 indices: Vec::with_capacity(config.num_particles),
                 worker_output_ranges: Vec::with_capacity(config.workers),
             },
+            beams: BeamBatch::default(),
             adaptive: config
                 .adaptive
                 .enabled
@@ -264,10 +269,11 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
     /// no anchor dispatch at all; non-finite anchor ranges are skipped,
     /// never propagated.
     ///
-    /// Callers that [partition](ObservationBatch::partition_in_range) the
-    /// beam block for this filter's `r_max` get the branch-free correction
-    /// loop; an unpartitioned batch is scored through the (bit-identical)
-    /// per-beam range test and counted with the same `r < r_max` predicate.
+    /// Only beams measuring strictly below `r_max` are scored (a NaN range is
+    /// not). The filter partitions the beam block for its `r_max` itself; a
+    /// batch the caller already [partitioned](BeamBatch::partition_in_range)
+    /// for exactly this `r_max` is scored as is, without the copy. The
+    /// partition is stable, so both give the same bits.
     ///
     /// # Errors
     ///
@@ -326,8 +332,8 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
         let delta = core::mem::take(&mut self.pending);
         self.update_counter += 1;
         self.predict_particles(&delta);
-        let max_log = self.score(observations);
-        let max_log = self.temper(observations, max_log);
+        let (max_log, in_range) = self.score(observations);
+        let max_log = self.temper(observations, max_log, in_range);
         self.reweight(max_log);
         self.counters.updates_applied += 1;
         let Some((target, injected)) = self.normalize_and_decide() else {
@@ -373,13 +379,26 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
     /// log-likelihoods sum: the independent-sensor fusion rule). The anchor
     /// dispatch is strictly gated on the anchor block being non-empty, so
     /// beam-only updates execute the exact beam-only floating-point sequence
-    /// (golden-trace pinned). Returns the maximum log-likelihood.
-    fn score(&mut self, observations: &ObservationBatch) -> f32 {
+    /// (golden-trace pinned). The beam block is scored as is when it is
+    /// already partitioned for `config.r_max`, otherwise through a
+    /// partitioned copy in the filter's scratch. Returns the maximum
+    /// log-likelihood and the number of in-range beams scored.
+    fn score(&mut self, observations: &ObservationBatch) -> (f32, usize) {
         let backend = self.config.kernel_backend;
         let observation = self.observation;
         let anchor_model = self.anchor_model;
         let field = &self.field;
-        let batch = observations.beams();
+        let r_max = self.config.r_max;
+        let mut batch = observations.beams();
+        let in_range = match batch.in_range_prefix(r_max) {
+            Some(len) => len,
+            None => {
+                self.beams.clone_from(batch);
+                let len = self.beams.partition_in_range(r_max);
+                batch = &self.beams;
+                len
+            }
+        };
         self.log_likelihoods.clear();
         self.log_likelihoods.resize(self.particles.len(), 0.0);
         self.cluster.for_each_split(
@@ -415,28 +434,23 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
                 },
             );
         }
-        self.log_likelihoods
+        let max_log = self
+            .log_likelihoods
             .iter()
-            .fold(f32::NEG_INFINITY, |a, &b| a.max(b))
+            .fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+        (max_log, in_range)
     }
 
     /// Adaptive tempering of the raw log-likelihoods (`AdaptiveState::temper`,
     /// which also feeds the likelihood monitor); returns the `max_log` the
     /// reweight kernels shift by. The monitor input is normalized per unit
-    /// of evidence: the in-range beams plus the usable (finite) anchor
-    /// ranges. An unpartitioned batch counts its in-range beams with the
-    /// partition's own `r < r_max` predicate, so partitioning stays an
-    /// execution detail here too. Leaves a fixed-population filter's logs
-    /// untouched.
-    fn temper(&mut self, observations: &ObservationBatch, max_log: f32) -> f32 {
+    /// of evidence: the `in_range` beams the score stage scored plus the
+    /// usable (finite) anchor ranges. Leaves a fixed-population filter's
+    /// logs untouched.
+    fn temper(&mut self, observations: &ObservationBatch, max_log: f32, in_range: usize) -> f32 {
         let Some(state) = self.adaptive.as_mut() else {
             return max_log;
         };
-        let batch = observations.beams();
-        let r_max = self.config.r_max;
-        let in_range = batch
-            .in_range_prefix(r_max)
-            .unwrap_or_else(|| batch.beams_within(r_max));
         let evidence = in_range + observations.usable_anchor_count();
         let tempered = state.temper(
             self.particles.current().weight(),
@@ -692,47 +706,97 @@ mod tests {
             .is_applied());
     }
 
+    /// The estimate's components as raw bits, for exact comparison.
+    fn estimate_bits(estimate: &PoseEstimate) -> [u32; 6] {
+        [
+            estimate.pose.x.to_bits(),
+            estimate.pose.y.to_bits(),
+            estimate.pose.theta.to_bits(),
+            estimate.position_std_m.to_bits(),
+            estimate.yaw_std_rad.to_bits(),
+            estimate.neff.to_bits(),
+        ]
+    }
+
+    /// The particle components as raw bits, for exact comparison.
+    fn particle_bits(particles: &particle::ParticleBuffer<f32>) -> Vec<u32> {
+        [
+            particles.x(),
+            particles.y(),
+            particles.theta(),
+            particles.weight(),
+        ]
+        .iter()
+        .flat_map(|values| values.iter().map(|v| v.to_bits()))
+        .collect()
+    }
+
     #[test]
     fn beam_and_batch_entry_points_agree_exactly() {
-        // Partitioning the beam block is an execution detail: a batch the
-        // caller partitioned for `r_max` and the same batch left
-        // unpartitioned must produce the same particles.
+        // The filter partitions the beam block itself: a batch the caller
+        // already partitioned for `r_max` and the same batch left
+        // unpartitioned must give the same particles and estimates, bit for
+        // bit, on every backend — NaN and beyond-`r_max` beams and a denied
+        // anchor included.
         let map = arena();
-        let cfg = config(256);
-        let r_max = cfg.r_max;
-        let mut partitioned = MonteCarloLocalization::<f32, _>::new(cfg, edt(&map)).unwrap();
-        let mut unpartitioned = MonteCarloLocalization::<f32, _>::new(cfg, edt(&map)).unwrap();
-        partitioned.initialize_uniform(&map, 7).unwrap();
-        unpartitioned.initialize_uniform(&map, 7).unwrap();
-        let rig = rig();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let mut truth = Pose2::new(1.0, 1.0, 0.0);
-        for step in 0..5 {
-            let next = truth.compose(&Pose2::new(0.12, 0.0, 0.05));
-            let delta = MotionDelta::between(&truth, &next);
-            truth = next;
-            let beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
-            partitioned.predict(delta);
-            unpartitioned.predict(delta);
-            let mut batch = ObservationBatch::from_beams(&beams);
-            batch.partition_in_range(r_max);
-            let a = partitioned.update_observations(&batch).unwrap();
-            let b = unpartitioned
-                .update_observations(&ObservationBatch::from_beams(&beams))
-                .unwrap();
-            assert_eq!(a, b);
+        for backend in kernel::KernelBackend::ALL {
+            let cfg = config(256).with_kernel_backend(backend);
+            let r_max = cfg.r_max;
+            let mut partitioned = MonteCarloLocalization::<f32, _>::new(cfg, edt(&map)).unwrap();
+            let mut unpartitioned = MonteCarloLocalization::<f32, _>::new(cfg, edt(&map)).unwrap();
+            partitioned.initialize_uniform(&map, 7).unwrap();
+            unpartitioned.initialize_uniform(&map, 7).unwrap();
+            let rig = rig();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+            let mut truth = Pose2::new(1.0, 1.0, 0.0);
+            let skipped = [f32::NAN, r_max + 0.5].map(|range_m| Beam {
+                azimuth_body_rad: 0.4,
+                range_m,
+                origin_body: Pose2::default(),
+            });
+            let anchors = [
+                AnchorRange::new(0.3, 0.3, 1.0),
+                AnchorRange::new(3.7, 0.4, f32::NAN),
+            ];
+            for step in 0..5 {
+                let next = truth.compose(&Pose2::new(0.12, 0.0, 0.05));
+                let delta = MotionDelta::between(&truth, &next);
+                truth = next;
+                let mut beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
+                beams.insert(1, skipped[0]);
+                beams.push(skipped[1]);
+                partitioned.predict(delta);
+                unpartitioned.predict(delta);
+                let mut beam_batch = BeamBatch::from_beams(&beams);
+                beam_batch.partition_in_range(r_max);
+                let batch = ObservationBatch::from_beam_batch(beam_batch).with_anchors(&anchors);
+                let a = partitioned.update_observations(&batch).unwrap();
+                let b = unpartitioned
+                    .update_observations(
+                        &ObservationBatch::from_beams(&beams).with_anchors(&anchors),
+                    )
+                    .unwrap();
+                let (a, b) = (a.estimate().unwrap(), b.estimate().unwrap());
+                assert_eq!(
+                    estimate_bits(a),
+                    estimate_bits(b),
+                    "{backend:?} step {step}"
+                );
+            }
+            assert_eq!(
+                particle_bits(partitioned.particles().current()),
+                particle_bits(unpartitioned.particles().current()),
+                "{backend:?}"
+            );
         }
-        assert_eq!(
-            partitioned.particles().current(),
-            unpartitioned.particles().current()
-        );
     }
 
     #[test]
     fn adaptive_results_do_not_depend_on_beam_partitioning() {
         // The Augmented-MCL monitor normalizes by the in-range beam count;
-        // an unpartitioned batch must count beams at or past `r_max` (and
-        // NaN beams) exactly as the partition does — not at all.
+        // the filter's own partition of an unpartitioned batch must count
+        // beams at or past `r_max` exactly as the caller's partition does —
+        // not at all.
         let map = arena();
         let cfg = config(1024).with_adaptive(AdaptiveConfig::enabled());
         let r_max = cfg.r_max;
@@ -756,8 +820,9 @@ mod tests {
             beams.push(far);
             partitioned.predict(delta);
             unpartitioned.predict(delta);
-            let mut batch = ObservationBatch::from_beams(&beams);
-            batch.partition_in_range(r_max);
+            let mut beam_batch = BeamBatch::from_beams(&beams);
+            beam_batch.partition_in_range(r_max);
+            let batch = ObservationBatch::from_beam_batch(beam_batch);
             let _ = partitioned.update_observations(&batch).unwrap();
             let _ = unpartitioned
                 .update_observations(&ObservationBatch::from_beams(&beams))

@@ -10,7 +10,7 @@
 //! | kernel | paper step | input | output |
 //! |---|---|---|---|
 //! | [`motion_predict`] | prediction | particle chunk + odometry | poses in place |
-//! | [`observation_log_likelihoods`] | correction (Eq. 1) | particle chunk + [`BeamBatch`] | per-particle log-likelihoods |
+//! | [`observation_log_likelihoods`] | correction (Eq. 1) | particle chunk + partitioned [`BeamBatch`] | per-particle log-likelihoods |
 //! | [`anchor_log_likelihoods`] | correction (UWB fusion) | particle chunk + [`ObservationBatch`] anchors | log-likelihoods accumulated in place |
 //! | [`reweight`] | correction | weight chunk + log-likelihoods | weights in place |
 //! | [`resample_scatter`] | resampling | source set + index chunk | new generation chunk |
@@ -110,7 +110,6 @@ use mcl_gridmap::{DistanceField, Pose2};
 use mcl_num::math::{exp, sin_cos};
 use mcl_num::{angular_difference, normalize_angle, Scalar};
 use mcl_sensor::{BeamBatch, ObservationBatch};
-use serde::{Deserialize, Serialize};
 
 /// Number of `f32` lanes one lane-group body of the [`KernelBackend::Lanes`]
 /// kernels processes at a time. Pinned to
@@ -130,7 +129,7 @@ pub const LANES: usize = mcl_gridmap::DISTANCE_LANES;
 /// [`MonteCarloLocalization`](crate::filter::MonteCarloLocalization), and
 /// honoured by `mcl_sim::run_batch` jobs; tests and benches flip it globally
 /// with the `MCL_KERNEL_BACKEND` environment variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelBackend {
     /// Per-particle reference loops — the simplest correct implementation,
     /// kept as the equivalence baseline and the tail body of `Lanes`.
@@ -355,13 +354,49 @@ pub fn motion_predict_with<S: Scalar>(
     }
 }
 
+/// The in-range end-point prefix every observation kernel scores, resolved
+/// once per call.
+fn in_range_end_points<'a>(
+    batch: &'a BeamBatch,
+    model: &BeamEndPointModel,
+) -> (&'a [f32], &'a [f32]) {
+    batch
+        .in_range_slices(model.r_max())
+        .expect("partition the beam batch for the model's r_max before scoring it")
+}
+
+/// The per-particle scalar loop over particles `start..` of the chunk: the
+/// whole [`observation_log_likelihoods`] body and the tail of the lane
+/// kernels.
+fn score_particles_from<S: Scalar, D: DistanceField + ?Sized>(
+    particles: ParticleSlice<'_, S>,
+    field: &D,
+    model: &BeamEndPointModel,
+    (end_x, end_y): (&[f32], &[f32]),
+    out: &mut [f32],
+    start: usize,
+) {
+    for (i, slot) in out[..particles.len()].iter_mut().enumerate().skip(start) {
+        *slot = model.batch_log_likelihood(
+            field,
+            particles.x[i].to_f32(),
+            particles.y[i].to_f32(),
+            particles.theta[i].to_f32(),
+            end_x,
+            end_y,
+        );
+    }
+}
+
 /// Correction kernel, part 1: evaluates the batched beam-end-point model
 /// (Eq. 1) for every particle of the chunk, writing one log-likelihood per
-/// particle into `out`.
+/// particle into `out`. Only the beams of the batch's in-range prefix are
+/// scored ([`BeamBatch::in_range_slices`]).
 ///
 /// # Panics
 ///
-/// Panics when `out` is shorter than the particle chunk.
+/// Panics when `out` is shorter than the particle chunk, or when `batch` was
+/// not [partitioned](BeamBatch::partition_in_range) for the model's `r_max`.
 pub fn observation_log_likelihoods<S: Scalar, D: DistanceField + ?Sized>(
     particles: ParticleSlice<'_, S>,
     field: &D,
@@ -370,15 +405,8 @@ pub fn observation_log_likelihoods<S: Scalar, D: DistanceField + ?Sized>(
     out: &mut [f32],
 ) {
     assert!(out.len() >= particles.len(), "output chunk too short");
-    for (i, slot) in out[..particles.len()].iter_mut().enumerate() {
-        *slot = model.batch_log_likelihood(
-            field,
-            particles.x[i].to_f32(),
-            particles.y[i].to_f32(),
-            particles.theta[i].to_f32(),
-            batch,
-        );
-    }
+    let prefix = in_range_end_points(batch, model);
+    score_particles_from(particles, field, model, prefix, out, 0);
 }
 
 /// Lane-batched correction kernel, part 1: scores the chunk in [`LANES`]-wide
@@ -390,7 +418,8 @@ pub fn observation_log_likelihoods<S: Scalar, D: DistanceField + ?Sized>(
 ///
 /// # Panics
 ///
-/// Panics when `out` is shorter than the particle chunk.
+/// Panics when `out` is shorter than the particle chunk, or when `batch` was
+/// not [partitioned](BeamBatch::partition_in_range) for the model's `r_max`.
 pub fn observation_log_likelihoods_lanes<S: Scalar, D: DistanceField + ?Sized>(
     particles: ParticleSlice<'_, S>,
     field: &D,
@@ -400,25 +429,18 @@ pub fn observation_log_likelihoods_lanes<S: Scalar, D: DistanceField + ?Sized>(
 ) {
     let n = particles.len();
     assert!(out.len() >= n, "output chunk too short");
+    let (end_x, end_y) = in_range_end_points(batch, model);
     let mut i = 0usize;
     while i + LANES <= n {
         let xs = widen_group(particles.x, i);
         let ys = widen_group(particles.y, i);
         let thetas = widen_group(particles.theta, i);
         let mut lane_out = [0.0f32; LANES];
-        model.batch_log_likelihood_lanes(field, &xs, &ys, &thetas, batch, &mut lane_out);
+        model.batch_log_likelihood_lanes(field, &xs, &ys, &thetas, end_x, end_y, &mut lane_out);
         out[i..i + LANES].copy_from_slice(&lane_out);
         i += LANES;
     }
-    for (j, slot) in out[..n].iter_mut().enumerate().skip(i) {
-        *slot = model.batch_log_likelihood(
-            field,
-            particles.x[j].to_f32(),
-            particles.y[j].to_f32(),
-            particles.theta[j].to_f32(),
-            batch,
-        );
-    }
+    score_particles_from(particles, field, model, (end_x, end_y), out, i);
 }
 
 /// Explicit-SIMD correction kernel, part 1: the [`KernelBackend::Avx2`] body
@@ -435,7 +457,8 @@ pub fn observation_log_likelihoods_lanes<S: Scalar, D: DistanceField + ?Sized>(
 ///
 /// # Panics
 ///
-/// Panics when `out` is shorter than the particle chunk.
+/// Panics when `out` is shorter than the particle chunk, or when `batch` was
+/// not [partitioned](BeamBatch::partition_in_range) for the model's `r_max`.
 pub fn observation_log_likelihoods_avx2<S: Scalar, D: DistanceField + ?Sized>(
     particles: ParticleSlice<'_, S>,
     field: &D,
@@ -447,25 +470,18 @@ pub fn observation_log_likelihoods_avx2<S: Scalar, D: DistanceField + ?Sized>(
     if crate::simd::available() {
         let n = particles.len();
         assert!(out.len() >= n, "output chunk too short");
+        let (end_x, end_y) = in_range_end_points(batch, model);
         let mut i = 0usize;
         while i + LANES <= n {
             let xs = widen_group(particles.x, i);
             let ys = widen_group(particles.y, i);
             let thetas = widen_group(particles.theta, i);
             let mut lane_out = [0.0f32; LANES];
-            model.batch_log_likelihood_avx2(field, &xs, &ys, &thetas, batch, &mut lane_out);
+            model.batch_log_likelihood_avx2(field, &xs, &ys, &thetas, end_x, end_y, &mut lane_out);
             out[i..i + LANES].copy_from_slice(&lane_out);
             i += LANES;
         }
-        for (j, slot) in out[..n].iter_mut().enumerate().skip(i) {
-            *slot = model.batch_log_likelihood(
-                field,
-                particles.x[j].to_f32(),
-                particles.y[j].to_f32(),
-                particles.theta[j].to_f32(),
-                batch,
-            );
-        }
+        score_particles_from(particles, field, model, (end_x, end_y), out, i);
         return;
     }
     observation_log_likelihoods_lanes(particles, field, model, batch, out)
@@ -475,7 +491,8 @@ pub fn observation_log_likelihoods_avx2<S: Scalar, D: DistanceField + ?Sized>(
 ///
 /// # Panics
 ///
-/// Panics when `out` is shorter than the particle chunk.
+/// Panics when `out` is shorter than the particle chunk, or when `batch` was
+/// not [partitioned](BeamBatch::partition_in_range) for the model's `r_max`.
 pub fn observation_log_likelihoods_with<S: Scalar, D: DistanceField + ?Sized>(
     backend: KernelBackend,
     particles: ParticleSlice<'_, S>,
@@ -1522,7 +1539,9 @@ mod tests {
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let beams = rig.observe(&map, &Pose2::new(1.0, 1.0, 0.0), 0.0, &mut rng);
-        let batch = BeamBatch::from_beams(&beams);
+        let mut batch = BeamBatch::from_beams(&beams);
+        batch.partition_in_range(model.r_max());
+        let (xs, ys) = batch.in_range_slices(model.r_max()).unwrap();
         let particles = buffer(64);
         let mut sequential = vec![0.0f32; 64];
         observation_log_likelihoods(particles.as_slice(), &edt, &model, &batch, &mut sequential);
@@ -1536,7 +1555,7 @@ mod tests {
         // And they match the scalar model entry point.
         for (i, &value) in sequential.iter().enumerate() {
             let p = particles.get(i);
-            let direct = model.batch_log_likelihood(&edt, p.x, p.y, p.theta, &batch);
+            let direct = model.batch_log_likelihood(&edt, p.x, p.y, p.theta, xs, ys);
             assert_eq!(value, direct);
         }
     }
@@ -1731,28 +1750,20 @@ mod tests {
         );
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let beams = rig.observe(&map, &Pose2::new(1.0, 1.0, 0.0), 0.0, &mut rng);
-        // Score through both batch shapes: the raw batch exercises the
-        // NaN-skipping fallback beam loop, the partitioned batch the
-        // branch-free in-range prefix.
-        for partitioned in [false, true] {
-            let mut batch = BeamBatch::from_beams(&beams);
-            if partitioned {
-                batch.partition_in_range(obs.r_max());
-            }
-            let mut scalar_logs = vec![0.0f32; n];
-            observation_log_likelihoods(scalar.as_slice(), &edt, &obs, &batch, &mut scalar_logs);
-            let mut avx2_logs = vec![0.0f32; n];
-            observation_log_likelihoods_avx2(avx2.as_slice(), &edt, &obs, &batch, &mut avx2_logs);
-            for (a, b) in scalar_logs.iter().zip(avx2_logs.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "partitioned={partitioned}");
-            }
-            if partitioned {
-                let max_log = scalar_logs.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-                reweight(scalar.weight_mut(), &scalar_logs, max_log);
-                reweight_avx2(avx2.weight_mut(), &avx2_logs, max_log);
-                assert_eq!(scalar, avx2);
-            }
+        let mut batch = BeamBatch::from_beams(&beams);
+        batch.partition_in_range(obs.r_max());
+        let mut scalar_logs = vec![0.0f32; n];
+        observation_log_likelihoods(scalar.as_slice(), &edt, &obs, &batch, &mut scalar_logs);
+        let mut avx2_logs = vec![0.0f32; n];
+        observation_log_likelihoods_avx2(avx2.as_slice(), &edt, &obs, &batch, &mut avx2_logs);
+        for (a, b) in scalar_logs.iter().zip(avx2_logs.iter()) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
+
+        let max_log = scalar_logs.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+        reweight(scalar.weight_mut(), &scalar_logs, max_log);
+        reweight_avx2(avx2.weight_mut(), &avx2_logs, max_log);
+        assert_eq!(scalar, avx2);
 
         let indices: Vec<usize> = (0..n).map(|i| (i * 13) % n).collect();
         let mut scalar_target = buffer(n);
@@ -1951,11 +1962,61 @@ mod tests {
         let map = MapBuilder::new(2.0, 2.0, 0.05).border_walls().build();
         let edt = EuclideanDistanceField::compute(&map, 1.5);
         let model = BeamEndPointModel::new(0.3, 1.5);
-        let particles = buffer(4);
-        let mut out = vec![9.0f32; 4];
-        let empty = BeamBatch::from_beams(&[] as &[Beam]);
-        observation_log_likelihoods(particles.as_slice(), &edt, &model, &empty, &mut out);
-        assert_eq!(out, vec![0.0; 4]);
+        // One lane group plus a tail.
+        let particles = buffer(11);
+        let mut empty = BeamBatch::from_beams(&[] as &[Beam]);
+        empty.partition_in_range(model.r_max());
+        for backend in KernelBackend::ALL {
+            let mut out = vec![9.0f32; 11];
+            observation_log_likelihoods_with(
+                backend,
+                particles.as_slice(),
+                &edt,
+                &model,
+                &empty,
+                &mut out,
+            );
+            assert_eq!(out, vec![0.0; 11], "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn unpartitioned_batches_are_rejected_on_every_backend() {
+        let map = MapBuilder::new(2.0, 2.0, 0.05).border_walls().build();
+        let edt = EuclideanDistanceField::compute(&map, 1.5);
+        let model = BeamEndPointModel::new(0.3, 1.5);
+        let particles = buffer(11);
+        let beam = Beam {
+            azimuth_body_rad: 0.0,
+            range_m: 0.5,
+            origin_body: Pose2::default(),
+        };
+        for batch in [BeamBatch::from_beams(&[beam]), BeamBatch::default()] {
+            for backend in KernelBackend::ALL {
+                let panic = std::panic::catch_unwind(|| {
+                    let mut out = vec![0.0f32; 11];
+                    observation_log_likelihoods_with(
+                        backend,
+                        particles.as_slice(),
+                        &edt,
+                        &model,
+                        &batch,
+                        &mut out,
+                    );
+                })
+                .expect_err("an unpartitioned batch must not be scored");
+                let message = panic
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or_default();
+                assert!(
+                    message.contains("partition the beam batch for the model's r_max"),
+                    "{backend:?}, {} beams: {message}",
+                    batch.len()
+                );
+            }
+        }
     }
 
     /// The mode refinement written as the plain per-iteration loop: every

@@ -12,11 +12,10 @@ use crate::rng::CounterRng;
 use mcl_gridmap::Pose2;
 use mcl_num::math::sin_cos;
 use mcl_num::{normalize_angle, Scalar};
-use serde::{Deserialize, Serialize};
 
 /// A body-frame odometry increment `u_t`: how far the drone moved and rotated
 /// since the previous motion update, expressed in its own (previous) body frame.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MotionDelta {
     /// Forward displacement, metres.
     pub dx: f32,

@@ -13,13 +13,15 @@
 //! and the particle keeps a high weight; wrong hypotheses scatter end points into
 //! open space (EDT → r_max) and are down-weighted. Beams flagged invalid by the
 //! sensor never reach this model ([`mcl_sensor::ToFFrame::to_beams`] drops them),
-//! and measured ranges at or beyond `r_max` are skipped here, matching the
-//! truncated field.
+//! and measured ranges at or beyond `r_max` (or NaN) are not scored, matching
+//! the truncated field: the per-beam reference skips them, and the batched
+//! scorers read only the in-range prefix of a
+//! [partitioned](mcl_sensor::BeamBatch::partition_in_range) batch.
 
 use crate::particle::Particle;
 use mcl_gridmap::DistanceField;
 use mcl_num::Scalar;
-use mcl_sensor::{Beam, BeamBatch, ObservationBatch};
+use mcl_sensor::{Beam, ObservationBatch};
 
 /// The beam-end-point likelihood model of Eq. 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,7 +72,8 @@ impl BeamEndPointModel {
     ///
     /// Returns `None` when the beam is skipped — a beam is scored only when
     /// its measured range is strictly below `r_max` (so a NaN range is
-    /// skipped too, matching [`BeamBatch::partition_in_range`]'s predicate).
+    /// skipped too, matching the predicate of
+    /// [`mcl_sensor::BeamBatch::partition_in_range`]).
     pub fn beam_log_likelihood<D: DistanceField + ?Sized>(
         &self,
         field: &D,
@@ -116,80 +119,45 @@ impl BeamEndPointModel {
     }
 
     /// Log-likelihood of a full observation for a particle pose given as raw
-    /// `f32` components, scored against a pre-flattened [`BeamBatch`] — the
-    /// batched form of Eq. 1 the correction kernel
-    /// ([`crate::kernel::observation_log_likelihoods`]) evaluates.
+    /// `f32` components, scored against the in-range end points of a
+    /// partitioned [`mcl_sensor::BeamBatch`] — the batched form of Eq. 1 the
+    /// correction kernel ([`crate::kernel::observation_log_likelihoods`])
+    /// evaluates.
     ///
-    /// The batch stores each beam's end point in the drone *body* frame, so
-    /// scoring one particle costs a single `sin_cos` of the particle yaw (the
-    /// owned [`mcl_num::math::sin_cos`], which every backend replays) plus
-    /// four multiply-adds and one distance-field lookup per beam. Rotating the
+    /// `end_x` / `end_y` are the body-frame end points
+    /// [`mcl_sensor::BeamBatch::in_range_slices`] returns for this model's
+    /// `r_max`: every beam is scored, so the loop body is branch-free, and an
+    /// empty prefix sums to 0.0 (likelihood 1). Scoring one particle costs a
+    /// single `sin_cos` of the particle yaw (the owned
+    /// [`mcl_num::math::sin_cos`], which every backend replays) plus four
+    /// multiply-adds and one distance-field lookup per beam. Rotating the
     /// precomputed body-frame end point is mathematically identical to
     /// [`mcl_sensor::Beam::end_point`] but associates the trigonometry
     /// differently, so the result can differ from
     /// [`BeamEndPointModel::observation_log_likelihood`] in the last ulp.
-    ///
-    /// Beams at or beyond `r_max` are skipped exactly like the per-beam path;
-    /// when every beam is skipped the method returns 0.0 (likelihood 1).
-    ///
-    /// When the batch was [partitioned](BeamBatch::partition_in_range) for
-    /// this model's `r_max` (the filter does so once per update), the loop
-    /// runs over the in-range prefix with a **branch-free** body — no range
-    /// test per particle per beam. The partition is stable, so the sum
-    /// associates identically and the score is bit-identical to the skipping
-    /// fallback below.
     pub fn batch_log_likelihood<D: DistanceField + ?Sized>(
         &self,
         field: &D,
         x: f32,
         y: f32,
         theta: f32,
-        batch: &BeamBatch,
+        end_x: &[f32],
+        end_y: &[f32],
     ) -> f32 {
         let (sin_t, cos_t) = mcl_num::math::sin_cos(theta);
-        let end_x = batch.end_x_body();
-        let end_y = batch.end_y_body();
-        if let Some(prefix) = batch.in_range_prefix(self.r_max) {
-            if prefix == 0 {
-                return 0.0;
-            }
-            let mut log_sum = 0.0f32;
-            for i in 0..prefix {
-                let bx = end_x[i];
-                let by = end_y[i];
-                let ex = x + cos_t * bx - sin_t * by;
-                let ey = y + sin_t * bx + cos_t * by;
-                let edt = field.distance_at_world(ex, ey).min(self.r_max);
-                log_sum +=
-                    self.log_normalizer - (edt * edt) / (2.0 * self.sigma_obs * self.sigma_obs);
-            }
-            return log_sum;
-        }
         let mut log_sum = 0.0f32;
-        let mut used = 0usize;
-        for (i, &range) in batch.range_m().iter().enumerate() {
-            // Score exactly the beams the partition keeps (`range < r_max`):
-            // a NaN range is skipped on both paths, not just the prefix one.
-            if range.is_nan() || range >= self.r_max {
-                continue;
-            }
-            let bx = end_x[i];
-            let by = end_y[i];
+        for (&bx, &by) in end_x.iter().zip(end_y) {
             let ex = x + cos_t * bx - sin_t * by;
             let ey = y + sin_t * bx + cos_t * by;
             let edt = field.distance_at_world(ex, ey).min(self.r_max);
             log_sum += self.log_normalizer - (edt * edt) / (2.0 * self.sigma_obs * self.sigma_obs);
-            used += 1;
-        }
-        if used == 0 {
-            return 0.0;
         }
         log_sum
     }
 
     /// Lane-batched twin of [`BeamEndPointModel::batch_log_likelihood`]: scores
     /// one [`LANES`](crate::kernel::LANES)-wide group of particle poses at once
-    /// against a pre-flattened [`BeamBatch`].
+    /// against the same in-range end-point prefix.
     ///
     /// Per lane the arithmetic is the exact per-particle op order of the
     /// scalar path — one `sin_cos` of the lane's yaw, then per beam the
@@ -200,43 +168,27 @@ impl BeamEndPointModel {
     /// world→cell divisions ([`DistanceField::distances_at_world_lanes`]) and
     /// the accumulation become straight-line loops over fixed-width arrays
     /// that vectorize, instead of one serial chain per particle.
-    ///
-    /// When the batch was [partitioned](BeamBatch::partition_in_range) for
-    /// this model's `r_max` the loop runs branch-free over the in-range
-    /// prefix, resolved **once per lane group** via
-    /// [`BeamBatch::in_range_slices`]; otherwise every beam pays the same
-    /// skipping predicate as the scalar fallback (which also skips NaN
-    /// ranges). When every beam is skipped, all lanes score 0.0.
+    #[allow(clippy::too_many_arguments)] // the full lane-group register set
     pub fn batch_log_likelihood_lanes<D: DistanceField + ?Sized>(
         &self,
         field: &D,
         x: &[f32; crate::kernel::LANES],
         y: &[f32; crate::kernel::LANES],
         theta: &[f32; crate::kernel::LANES],
-        batch: &BeamBatch,
+        end_x: &[f32],
+        end_y: &[f32],
         out: &mut [f32; crate::kernel::LANES],
     ) {
         const LANES: usize = crate::kernel::LANES;
-
-        /// The per-beam lane body: rotate the body-frame end point into each
-        /// lane's world frame, look the lane group up in the field,
-        /// accumulate. Evaluation order per lane matches the scalar loop
-        /// exactly. Forced inline so the rotation, the lookup's hoisted
-        /// divides and the accumulation fuse into one straight-line block per
-        /// beam.
-        #[inline(always)]
-        #[allow(clippy::too_many_arguments)] // the full lane-group register set
-        fn score_beam<D: DistanceField + ?Sized>(
-            model: &BeamEndPointModel,
-            field: &D,
-            x: &[f32; LANES],
-            y: &[f32; LANES],
-            sin_t: &[f32; LANES],
-            cos_t: &[f32; LANES],
-            bx: f32,
-            by: f32,
-            log_sum: &mut [f32; LANES],
-        ) {
+        let mut sin_t = [0.0f32; LANES];
+        let mut cos_t = [0.0f32; LANES];
+        for l in 0..LANES {
+            let (s, c) = mcl_num::math::sin_cos(theta[l]);
+            sin_t[l] = s;
+            cos_t[l] = c;
+        }
+        let mut log_sum = [0.0f32; LANES];
+        for (&bx, &by) in end_x.iter().zip(end_y) {
             let mut ex = [0.0f32; LANES];
             let mut ey = [0.0f32; LANES];
             for l in 0..LANES {
@@ -246,55 +198,10 @@ impl BeamEndPointModel {
             let mut edt = [0.0f32; LANES];
             field.distances_at_world_lanes(&ex, &ey, &mut edt);
             for l in 0..LANES {
-                let d = edt[l].min(model.r_max);
+                let d = edt[l].min(self.r_max);
                 log_sum[l] +=
-                    model.log_normalizer - (d * d) / (2.0 * model.sigma_obs * model.sigma_obs);
+                    self.log_normalizer - (d * d) / (2.0 * self.sigma_obs * self.sigma_obs);
             }
-        }
-
-        let mut sin_t = [0.0f32; LANES];
-        let mut cos_t = [0.0f32; LANES];
-        for l in 0..LANES {
-            let (s, c) = mcl_num::math::sin_cos(theta[l]);
-            sin_t[l] = s;
-            cos_t[l] = c;
-        }
-        let mut log_sum = [0.0f32; LANES];
-        if let Some((end_x, end_y)) = batch.in_range_slices(self.r_max) {
-            if end_x.is_empty() {
-                *out = [0.0; LANES];
-                return;
-            }
-            for (&bx, &by) in end_x.iter().zip(end_y.iter()) {
-                score_beam(self, field, x, y, &sin_t, &cos_t, bx, by, &mut log_sum);
-            }
-            *out = log_sum;
-            return;
-        }
-        let end_x = batch.end_x_body();
-        let end_y = batch.end_y_body();
-        let mut used = 0usize;
-        for (i, &range) in batch.range_m().iter().enumerate() {
-            // Same predicate as the scalar fallback (and the partition).
-            if range.is_nan() || range >= self.r_max {
-                continue;
-            }
-            score_beam(
-                self,
-                field,
-                x,
-                y,
-                &sin_t,
-                &cos_t,
-                end_x[i],
-                end_y[i],
-                &mut log_sum,
-            );
-            used += 1;
-        }
-        if used == 0 {
-            *out = [0.0; LANES];
-            return;
         }
         *out = log_sum;
     }
@@ -312,19 +219,21 @@ impl BeamEndPointModel {
     /// this method falls back to the lane-batched twin, which upholds the
     /// same contract.
     #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)] // the full lane-group register set
     pub fn batch_log_likelihood_avx2<D: DistanceField + ?Sized>(
         &self,
         field: &D,
         x: &[f32; crate::kernel::LANES],
         y: &[f32; crate::kernel::LANES],
         theta: &[f32; crate::kernel::LANES],
-        batch: &BeamBatch,
+        end_x: &[f32],
+        end_y: &[f32],
         out: &mut [f32; crate::kernel::LANES],
     ) {
         if crate::simd::available() {
-            crate::simd::score_pose_group(self, field, x, y, theta, batch, out);
+            crate::simd::score_pose_group(self, field, x, y, theta, end_x, end_y, out);
         } else {
-            self.batch_log_likelihood_lanes(field, x, y, theta, batch, out);
+            self.batch_log_likelihood_lanes(field, x, y, theta, end_x, end_y, out);
         }
     }
 
@@ -519,7 +428,7 @@ impl AnchorRangeModel {
 mod tests {
     use super::*;
     use mcl_gridmap::{EuclideanDistanceField, MapBuilder, OccupancyGrid, Pose2};
-    use mcl_sensor::{SensorConfig, SensorRig};
+    use mcl_sensor::{BeamBatch, SensorConfig, SensorRig};
     use rand::SeedableRng;
 
     fn room() -> OccupancyGrid {
@@ -668,10 +577,12 @@ mod tests {
         let model = BeamEndPointModel::new(0.3, 1.5);
         let truth = Pose2::new(1.3, 2.1, 0.8);
         let beams = beams_at(&map, &truth);
-        let batch = BeamBatch::from_beams(&beams);
+        let mut batch = BeamBatch::from_beams(&beams);
+        batch.partition_in_range(model.r_max());
+        let (xs, ys) = batch.in_range_slices(model.r_max()).unwrap();
         for pose in [truth, Pose2::new(2.0, 2.0, 0.0), Pose2::new(3.0, 1.0, 2.0)] {
             let per_beam = model.observation_log_likelihood(&edt, &pose, &beams);
-            let batched = model.batch_log_likelihood(&edt, pose.x, pose.y, pose.theta, &batch);
+            let batched = model.batch_log_likelihood(&edt, pose.x, pose.y, pose.theta, xs, ys);
             // The two paths associate the beam trigonometry differently, so
             // agreement is to float tolerance, not bit-exact.
             assert!(
@@ -679,82 +590,10 @@ mod tests {
                 "batch path diverged: {per_beam} vs {batched}"
             );
         }
-        // All beams beyond r_max → neutral likelihood, like the per-beam path.
-        let far = Beam {
-            azimuth_body_rad: 0.0,
-            range_m: 2.0,
-            origin_body: Pose2::default(),
-        };
-        let far_batch = BeamBatch::from_beams(&[far]);
-        assert_eq!(
-            model.batch_log_likelihood(&edt, 2.0, 2.0, 0.0, &far_batch),
-            0.0
-        );
     }
 
     #[test]
-    fn partitioned_batch_scores_bit_identically_to_the_skipping_path() {
-        let map = room();
-        let edt = EuclideanDistanceField::compute(&map, 1.5);
-        let model = BeamEndPointModel::new(0.3, 1.5);
-        // Mix of in-range and skipped beams, interleaved.
-        let beams: Vec<Beam> = (0..10)
-            .map(|k| Beam {
-                azimuth_body_rad: k as f32 * 0.6,
-                range_m: if k % 3 == 0 {
-                    2.0
-                } else {
-                    0.3 + 0.1 * k as f32
-                },
-                origin_body: Pose2::default(),
-            })
-            .collect();
-        let unpartitioned = BeamBatch::from_beams(&beams);
-        let mut partitioned = unpartitioned.clone();
-        let prefix = partitioned.partition_in_range(model.r_max());
-        assert!(prefix > 0 && prefix < beams.len());
-        for pose in [
-            Pose2::new(1.3, 2.1, 0.8),
-            Pose2::new(2.0, 2.0, 0.0),
-            Pose2::new(3.0, 1.0, 2.0),
-        ] {
-            let skipping =
-                model.batch_log_likelihood(&edt, pose.x, pose.y, pose.theta, &unpartitioned);
-            let branch_free =
-                model.batch_log_likelihood(&edt, pose.x, pose.y, pose.theta, &partitioned);
-            assert_eq!(skipping.to_bits(), branch_free.to_bits());
-        }
-        // A partition for a *different* r_max is ignored (falls back to the
-        // per-beam test) and still scores identically.
-        let mut other = unpartitioned.clone();
-        other.partition_in_range(0.9);
-        let fallback = model.batch_log_likelihood(&edt, 1.3, 2.1, 0.8, &other);
-        // Partitioning reordered the arrays but the skipped set is whatever
-        // r_max=1.5 dictates, so compare against the same reordering.
-        let mut reordered = other.clone();
-        reordered.partition_in_range(model.r_max());
-        let expected = model.batch_log_likelihood(&edt, 1.3, 2.1, 0.8, &reordered);
-        assert_eq!(fallback.to_bits(), expected.to_bits());
-        // All beams out of range → neutral likelihood on the prefix path too.
-        let far = Beam {
-            azimuth_body_rad: 0.0,
-            range_m: 2.0,
-            origin_body: Pose2::default(),
-        };
-        let mut far_batch = BeamBatch::from_beams(&[far]);
-        far_batch.partition_in_range(model.r_max());
-        assert_eq!(
-            model.batch_log_likelihood(&edt, 2.0, 2.0, 0.0, &far_batch),
-            0.0
-        );
-    }
-
-    #[test]
-    fn nan_ranges_are_skipped_on_both_batch_paths() {
-        // A corrupt sensor distance (NaN range) must be excluded from the
-        // score whether or not the batch was partitioned — the prefix keeps
-        // `range < r_max` and the fallback must apply the same predicate, or
-        // the two paths diverge (and the fallback NaN-poisons the weights).
+    fn partitioned_prefix_scores_like_a_batch_of_its_in_range_beams_alone() {
         let map = room();
         let edt = EuclideanDistanceField::compute(&map, 1.5);
         let model = BeamEndPointModel::new(0.3, 1.5);
@@ -763,29 +602,57 @@ mod tests {
             range_m: range,
             origin_body: Pose2::default(),
         };
-        let beams = [make(0.5, 0.0), make(f32::NAN, 0.7), make(0.8, 1.4)];
-        // The per-beam path applies the same predicate: NaN is skipped, not
-        // scored (which would return Some(NaN) and poison the weight).
-        let pose = Pose2::new(1.3, 2.1, 0.8);
-        assert!(model.beam_log_likelihood(&edt, &pose, &beams[1]).is_none());
-        let per_beam = model.observation_log_likelihood(&edt, &pose, &beams);
-        assert!(per_beam.is_finite());
-        let unpartitioned = BeamBatch::from_beams(&beams);
-        let mut partitioned = unpartitioned.clone();
-        assert_eq!(partitioned.partition_in_range(model.r_max()), 2);
-        let fallback = model.batch_log_likelihood(&edt, 1.3, 2.1, 0.8, &unpartitioned);
-        let prefix = model.batch_log_likelihood(&edt, 1.3, 2.1, 0.8, &partitioned);
-        assert!(
-            fallback.is_finite(),
-            "NaN beam leaked into the fallback sum"
-        );
-        assert_eq!(fallback.to_bits(), prefix.to_bits());
-        // Only NaN beams at all → neutral likelihood on both paths.
-        let all_nan = BeamBatch::from_beams(&[make(f32::NAN, 0.0)]);
-        assert_eq!(
-            model.batch_log_likelihood(&edt, 1.0, 1.0, 0.0, &all_nan),
-            0.0
-        );
+        // In-range, beyond-r_max and NaN (corrupt distance) beams, interleaved.
+        let beams: Vec<Beam> = (0..12)
+            .map(|k| {
+                let range = match k % 4 {
+                    1 => 2.0,
+                    3 => f32::NAN,
+                    _ => 0.3 + 0.1 * k as f32,
+                };
+                make(range, k as f32 * 0.6)
+            })
+            .collect();
+        let mut partitioned = BeamBatch::from_beams(&beams);
+        assert_eq!(partitioned.partition_in_range(model.r_max()), 6);
+        let (xs, ys) = partitioned.in_range_slices(model.r_max()).unwrap();
+        let kept: Vec<Beam> = beams
+            .iter()
+            .copied()
+            .filter(|b| b.range_m < model.r_max())
+            .collect();
+        let alone = BeamBatch::from_beams(&kept);
+        let poses = [
+            Pose2::new(1.3, 2.1, 0.8),
+            Pose2::new(2.0, 2.0, 0.0),
+            Pose2::new(3.0, 1.0, 2.0),
+        ];
+        for pose in poses {
+            let prefix = model.batch_log_likelihood(&edt, pose.x, pose.y, pose.theta, xs, ys);
+            let expected = model.batch_log_likelihood(
+                &edt,
+                pose.x,
+                pose.y,
+                pose.theta,
+                alone.end_x_body(),
+                alone.end_y_body(),
+            );
+            assert!(prefix.is_finite(), "a skipped beam leaked into the sum");
+            assert_eq!(prefix.to_bits(), expected.to_bits());
+        }
+        // The per-beam reference applies the same `range < r_max` rule.
+        assert!(model
+            .beam_log_likelihood(&edt, &poses[0], &beams[3])
+            .is_none());
+        assert!(model
+            .observation_log_likelihood(&edt, &poses[0], &beams)
+            .is_finite());
+        // No in-range beam at all → neutral likelihood (+0.0: likelihood 1).
+        let mut skipped = BeamBatch::from_beams(&[make(2.0, 0.0), make(f32::NAN, 0.7)]);
+        assert_eq!(skipped.partition_in_range(model.r_max()), 0);
+        let (xs, ys) = skipped.in_range_slices(model.r_max()).unwrap();
+        let neutral = model.batch_log_likelihood(&edt, 2.0, 2.0, 0.0, xs, ys);
+        assert_eq!(neutral.to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

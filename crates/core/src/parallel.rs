@@ -45,7 +45,6 @@
 use crate::particle::{ParticleSlice, ParticleSliceMut};
 use crate::pool;
 use mcl_num::Scalar;
-use serde::{Deserialize, Serialize};
 use std::sync::{Mutex, PoisonError};
 
 /// A contiguous collection that can be split at an index — the shape a worker
@@ -122,7 +121,7 @@ fn take_slot<T>(slot: &Mutex<Option<T>>) -> T {
 }
 
 /// How particles are distributed over worker cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterLayout {
     workers: usize,
 }

@@ -402,16 +402,6 @@ impl<'a, S: Scalar> ParticleSliceMut<'a, S> {
         self.weight[i] = p.weight;
     }
 
-    /// Reborrows the view with a shorter lifetime.
-    pub fn reborrow(&mut self) -> ParticleSliceMut<'_, S> {
-        ParticleSliceMut {
-            x: self.x,
-            y: self.y,
-            theta: self.theta,
-            weight: self.weight,
-        }
-    }
-
     /// Splits the view into `[0, mid)` and `[mid, len)`.
     pub fn split_at_mut(self, mid: usize) -> (ParticleSliceMut<'a, S>, ParticleSliceMut<'a, S>) {
         let (xa, xb) = self.x.split_at_mut(mid);

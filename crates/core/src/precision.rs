@@ -21,10 +21,8 @@
 //! 16 B fp16) equals [`crate::particle::ParticleSet::memory_bytes`] divided by
 //! the particle count — Table I's figures survive the SoA refactor unchanged.
 
-use serde::{Deserialize, Serialize};
-
 /// Storage precision of the precomputed distance transform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MapPrecision {
     /// 32-bit float EDT (4 bytes per cell).
     Fp32,
@@ -51,7 +49,7 @@ impl MapPrecision {
 }
 
 /// Storage precision of the particles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ParticlePrecision {
     /// Four 32-bit floats per particle.
     Fp32,
@@ -101,7 +99,7 @@ impl ParticlePrecision {
 }
 
 /// One named point in the paper's design space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PipelineConfig {
     /// Display name used in the figures ("fp32", "fp32qm", "fp16qm", "fp32 1tof").
     pub name: &'static str,
@@ -166,7 +164,7 @@ impl PipelineConfig {
 }
 
 /// Memory accounting for a (map precision, particle precision) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemoryFootprint {
     /// Distance-field storage precision.
     pub map_precision: MapPrecision,

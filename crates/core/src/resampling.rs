@@ -15,8 +15,6 @@
 //! that decomposition; the tests verify it selects the same particles as the
 //! sequential wheel.
 
-use serde::{Deserialize, Serialize};
-
 /// Sequential systematic resampling.
 ///
 /// `weights` need not be normalized; `offset` is the single random draw in
@@ -101,7 +99,7 @@ pub fn multinomial_resample(weights: &[f32], uniforms: &[f32]) -> Vec<usize> {
 }
 
 /// How the resampling work is split across worker cores (the paper's Fig. 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResamplePlan {
     /// For every output slot, the index of the source particle to copy.
     pub indices: Vec<usize>,

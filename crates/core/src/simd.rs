@@ -59,7 +59,6 @@ use mcl_num::math::{
     EXP_P, EXP_UNDERFLOW, FRAC_2_PI, LN2_HI, LN2_LO, LN_LG, LN_SQRT_HALF_BITS,
     LN_SUBNORMAL_EXPONENT, LN_SUBNORMAL_SCALE, LOG2_E, PIO2, ROUND_MAGIC, ROUND_MAGIC_F64, SIN_P,
 };
-use mcl_sensor::BeamBatch;
 
 // The lane kernels and the 256-bit registers must agree on the group width.
 const _: () = assert!(LANES == 8, "AVX2 bodies assume 8 f32 lanes");
@@ -71,21 +70,24 @@ pub(crate) fn available() -> bool {
     is_x86_feature_detected!("avx2")
 }
 
-/// Scores one [`LANES`]-wide group of particle poses against a beam batch —
-/// the AVX2 body of `observation_log_likelihoods_avx2`, bit-identical to
+/// Scores one [`LANES`]-wide group of particle poses against the in-range
+/// end-point prefix of a partitioned beam batch — the AVX2 body of
+/// `observation_log_likelihoods_avx2`, bit-identical to
 /// [`BeamEndPointModel::batch_log_likelihood`] per lane.
 ///
 /// The yaw `sin_cos` ([`sin_cos_v`]), the per-beam rotation, the truncated
 /// EDT lookup (through [`DistanceField::distances_at_world_lanes_avx2`],
 /// which gathers on AVX2 fields) and the Eq. 1 accumulation all run as
 /// 8-wide register ops.
+#[allow(clippy::too_many_arguments)] // the full lane-group register set
 pub(crate) fn score_pose_group<D: DistanceField + ?Sized>(
     model: &BeamEndPointModel,
     field: &D,
     x: &[f32; LANES],
     y: &[f32; LANES],
     theta: &[f32; LANES],
-    batch: &BeamBatch,
+    end_x: &[f32],
+    end_y: &[f32],
     out: &mut [f32; LANES],
 ) {
     debug_assert!(available());
@@ -93,38 +95,13 @@ pub(crate) fn score_pose_group<D: DistanceField + ?Sized>(
     // Same constant the scalar body folds out of `2.0 * σ * σ`: identical
     // expression, identical roundings.
     let denom = 2.0 * model.sigma_obs() * model.sigma_obs();
-    if let Some((end_x, end_y)) = batch.in_range_slices(model.r_max()) {
-        if end_x.is_empty() {
-            *out = [0.0; LANES];
-            return;
-        }
-        // SAFETY: `available` was checked by the caller (debug-asserted
-        // above), so the AVX2 target feature is present.
-        unsafe {
-            score_beams(
-                field,
-                end_x,
-                end_y,
-                None,
-                model.r_max(),
-                model.log_normalizer(),
-                denom,
-                x,
-                y,
-                &sin_t,
-                &cos_t,
-                out,
-            );
-        }
-        return;
-    }
-    // SAFETY: as above — AVX2 presence checked by the caller.
-    let used = unsafe {
+    // SAFETY: `available` was checked by the caller (debug-asserted above),
+    // so the AVX2 target feature is present.
+    unsafe {
         score_beams(
             field,
-            batch.end_x_body(),
-            batch.end_y_body(),
-            Some(batch.range_m()),
+            end_x,
+            end_y,
             model.r_max(),
             model.log_normalizer(),
             denom,
@@ -133,18 +110,12 @@ pub(crate) fn score_pose_group<D: DistanceField + ?Sized>(
             &sin_t,
             &cos_t,
             out,
-        )
-    };
-    if used == 0 {
-        *out = [0.0; LANES];
+        );
     }
 }
 
-/// The register-resident beam loop of [`score_pose_group`]. With
-/// `ranges = None` every beam is scored (the branch-free in-range prefix);
-/// with `Some(ranges)` the scalar skipping predicate (`NaN` or `≥ r_max`)
-/// filters beams exactly like the scalar fallback. Returns the number of
-/// beams scored.
+/// The register-resident beam loop of [`score_pose_group`]: every beam of
+/// `end_x` / `end_y` is scored, one straight-line body per beam.
 ///
 /// # Safety
 ///
@@ -155,7 +126,6 @@ unsafe fn score_beams<D: DistanceField + ?Sized>(
     field: &D,
     end_x: &[f32],
     end_y: &[f32],
-    ranges: Option<&[f32]>,
     r_max: f32,
     log_normalizer: f32,
     denom: f32,
@@ -164,7 +134,7 @@ unsafe fn score_beams<D: DistanceField + ?Sized>(
     sin_t: &[f32; LANES],
     cos_t: &[f32; LANES],
     out: &mut [f32; LANES],
-) -> usize {
+) {
     let x_v = _mm256_loadu_ps(x.as_ptr());
     let y_v = _mm256_loadu_ps(y.as_ptr());
     let sin_v = _mm256_loadu_ps(sin_t.as_ptr());
@@ -173,20 +143,12 @@ unsafe fn score_beams<D: DistanceField + ?Sized>(
     let norm_v = _mm256_set1_ps(log_normalizer);
     let denom_v = _mm256_set1_ps(denom);
     let mut log_sum = _mm256_setzero_ps();
-    let mut used = 0usize;
     let mut ex = [0.0f32; LANES];
     let mut ey = [0.0f32; LANES];
     let mut edt = [0.0f32; LANES];
-    for i in 0..end_x.len() {
-        if let Some(ranges) = ranges {
-            // The scalar fallback's predicate, verbatim.
-            let range = ranges[i];
-            if range.is_nan() || range >= r_max {
-                continue;
-            }
-        }
-        let bx = _mm256_set1_ps(end_x[i]);
-        let by = _mm256_set1_ps(end_y[i]);
+    for (&bx, &by) in end_x.iter().zip(end_y) {
+        let bx = _mm256_set1_ps(bx);
+        let by = _mm256_set1_ps(by);
         // ex = (x + cos·bx) − sin·by and ey = (y + sin·bx) + cos·by, with the
         // scalar body's association and one rounding per op — no FMA.
         let ex_v = _mm256_sub_ps(
@@ -208,10 +170,8 @@ unsafe fn score_beams<D: DistanceField + ?Sized>(
         // log_normalizer − d² / denom, accumulated in beam order per lane.
         let term = _mm256_sub_ps(norm_v, _mm256_div_ps(_mm256_mul_ps(d, d), denom_v));
         log_sum = _mm256_add_ps(log_sum, term);
-        used += 1;
     }
     _mm256_storeu_ps(out.as_mut_ptr(), log_sum);
-    used
 }
 
 /// The reweight body's likelihood factors of one lane group:

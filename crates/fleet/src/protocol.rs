@@ -30,7 +30,7 @@
 use mcl_core::{KernelBackend, MotionDelta};
 use mcl_gridmap::Pose2;
 use mcl_sensor::{AnchorRange, Beam};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Hard ceiling on one frame's payload (type byte + body).
 ///
@@ -603,11 +603,6 @@ pub fn read_frame(reader: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<bool>
     buf.resize(len, 0);
     reader.read_exact(buf)?;
     Ok(true)
-}
-
-/// Writes one already-framed buffer (as produced by the `encode_*` helpers).
-pub fn write_frames(writer: &mut impl Write, framed: &[u8]) -> io::Result<()> {
-    writer.write_all(framed)
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use crate::stats::ShardCounters;
 use mcl_core::pool;
 use mcl_core::{MclConfig, MonteCarloLocalization, MotionDelta};
 use mcl_gridmap::{EuclideanDistanceField, OccupancyGrid};
-use mcl_sensor::{AnchorRange, Beam, BeamBatch, ObservationBatch};
+use mcl_sensor::{AnchorRange, Beam, ObservationBatch};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -456,18 +456,15 @@ impl Shard {
 
 /// Applies one drone's pending frames in arrival order — the exact
 /// single-filter discipline of `mcl_sim::run_sequence`: predict, flatten the
-/// beams, hoist the `r_max` partition, wrap beams (and any UWB anchor
-/// ranges a v2 frame carried) into an [`ObservationBatch`], gated fused
-/// update, publish the applied estimate (or the current one when the motion
-/// gate skipped).
+/// beams and wrap them (and any UWB anchor ranges a v2 frame carried) into
+/// an [`ObservationBatch`], gated fused update, publish the applied estimate
+/// (or the current one when the motion gate skipped).
 fn apply_frames(slot: &DroneSlot, drone: u64, frames: Vec<FrameCmd>, counters: &ShardCounters) {
     let mut state = slot.state.lock().unwrap();
     let state = &mut *state;
     for frame in frames {
         state.filter.predict(frame.delta);
-        let mut batch = BeamBatch::from_beams(&frame.beams);
-        batch.partition_in_range(state.filter.config().r_max);
-        let mut observations = ObservationBatch::from_beam_batch(batch);
+        let mut observations = ObservationBatch::from_beams(&frame.beams);
         for range in &frame.ranges {
             observations.push_anchor(*range);
         }

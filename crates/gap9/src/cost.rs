@@ -25,9 +25,8 @@
 //! path over its invocations plus fixed synchronization
 //! ([`CostModel::step_cycles_from_chunks`]). The even-split convenience
 //! [`CostModel::step_cycles`] reproduces the previous per-step accounting;
-//! [`CostModel::resampling_cycles_from_plan`] charges resampling from an
-//! actual `ResamplePlan`'s per-worker draw counts, capturing the load
-//! imbalance the paper discusses.
+//! passing an actual `ResamplePlan`'s per-worker draw counts as the chunks
+//! charges resampling with the load imbalance the paper discusses.
 //!
 //! Handing a kernel to the workers is **not** the same as starting the
 //! workers: the paper's firmware keeps the cluster cores resident, so a
@@ -38,10 +37,8 @@
 //! The constants below were calibrated against the published Table I values at
 //! 400 MHz; they are documented on each field so ablations can vary them.
 
-use serde::{Deserialize, Serialize};
-
 /// The four steps of one MCL update (plus bookkeeping in [`StepBreakdown`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum McStep {
     /// Beam-end-point correction (Eq. 1) — per particle, per beam.
     Observation,
@@ -75,7 +72,7 @@ impl McStep {
 }
 
 /// Cycle counts of one full MCL update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepBreakdown {
     /// Cycles spent in the observation (correction) step.
     pub observation_cycles: u64,
@@ -115,7 +112,7 @@ impl StepBreakdown {
 }
 
 /// The calibrated cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Observation: fixed per-particle cycles (pose trigonometry, loop set-up).
     pub observation_base_cycles: f64,
@@ -419,17 +416,6 @@ impl CostModel {
         cycles.round() as u64
     }
 
-    /// Resampling cycles charged from an actual plan's per-worker draw counts —
-    /// the measured load imbalance of the paper's Fig. 4 decomposition, instead
-    /// of assuming an even split.
-    pub fn resampling_cycles_from_plan(
-        &self,
-        per_worker_draws: &[usize],
-        particles_in_l2: bool,
-    ) -> u64 {
-        self.step_cycles_from_chunks(McStep::Resampling, per_worker_draws, 1, particles_in_l2)
-    }
-
     /// Cycles of one step for `particles` particles observed with `beams` beams,
     /// executed on `cores` worker cores, with the particle buffers in L2 when
     /// `particles_in_l2` is set. The particles are split into one contiguous
@@ -723,11 +709,14 @@ mod tests {
     #[test]
     fn plan_based_resampling_reflects_load_imbalance() {
         let model = CostModel::default();
-        let balanced = model.resampling_cycles_from_plan(&[512; 8], true);
-        let skewed = model.resampling_cycles_from_plan(&[3584, 512, 0, 0, 0, 0, 0, 0], true);
+        let draws = |per_worker: &[usize]| {
+            model.step_cycles_from_chunks(McStep::Resampling, per_worker, 1, true)
+        };
+        let balanced = draws(&[512; 8]);
+        let skewed = draws(&[3584, 512, 0, 0, 0, 0, 0, 0]);
         assert!(skewed > balanced);
         // A single-worker plan pays no synchronization but the full loop.
-        let serial = model.resampling_cycles_from_plan(&[4096], true);
+        let serial = draws(&[4096]);
         assert_eq!(
             serial,
             model.step_cycles(McStep::Resampling, 4096, 1, 1, true)

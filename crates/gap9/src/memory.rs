@@ -11,10 +11,9 @@
 
 use crate::spec::Gap9Spec;
 use mcl_core::precision::MemoryFootprint;
-use serde::{Deserialize, Serialize};
 
 /// The memory level a buffer was placed in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryLevel {
     /// Cluster-shared 128 kB L1.
     L1,
@@ -25,7 +24,7 @@ pub enum MemoryLevel {
 }
 
 /// Result of placing a working set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryPlacement {
     /// Where the particle buffers live.
     pub particles: MemoryLevel,
@@ -51,11 +50,10 @@ impl MemoryPlacement {
 }
 
 /// Computes placements and capacity curves for a precision configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryPlanner {
     spec: Gap9Spec,
     footprint: MemoryFootprint,
-    l1_reserved_bytes: usize,
 }
 
 impl MemoryPlanner {
@@ -67,17 +65,7 @@ impl MemoryPlanner {
 
     /// Creates a planner for the given SoC and precision configuration.
     pub fn new(spec: Gap9Spec, footprint: MemoryFootprint) -> Self {
-        MemoryPlanner {
-            spec,
-            footprint,
-            l1_reserved_bytes: Self::DEFAULT_L1_RESERVED_BYTES,
-        }
-    }
-
-    /// Overrides the L1 reservation (0 models an ideal bare-metal placement).
-    pub fn with_l1_reservation(mut self, bytes: usize) -> Self {
-        self.l1_reserved_bytes = bytes;
-        self
+        MemoryPlanner { spec, footprint }
     }
 
     /// The SoC parameters.
@@ -98,7 +86,10 @@ impl MemoryPlanner {
     pub fn place(&self, particles: usize, map_cells: usize) -> MemoryPlacement {
         let particle_bytes = self.footprint.particle_bytes(particles);
         let map_bytes = self.footprint.map_bytes(map_cells);
-        let l1_usable = self.spec.l1_bytes.saturating_sub(self.l1_reserved_bytes);
+        let l1_usable = self
+            .spec
+            .l1_bytes
+            .saturating_sub(Self::DEFAULT_L1_RESERVED_BYTES);
 
         let (particle_level, l1_left) = if particle_bytes <= l1_usable {
             (MemoryLevel::L1, l1_usable - particle_bytes)
@@ -160,7 +151,11 @@ impl MemoryPlanner {
     /// Usable capacity of a memory level (L1 minus the runtime reservation).
     fn level_budget(&self, level: MemoryLevel) -> Option<usize> {
         match level {
-            MemoryLevel::L1 => Some(self.spec.l1_bytes.saturating_sub(self.l1_reserved_bytes)),
+            MemoryLevel::L1 => Some(
+                self.spec
+                    .l1_bytes
+                    .saturating_sub(Self::DEFAULT_L1_RESERVED_BYTES),
+            ),
             MemoryLevel::L2 => Some(self.spec.l2_bytes),
             MemoryLevel::DoesNotFit => None,
         }

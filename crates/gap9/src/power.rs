@@ -10,10 +10,9 @@
 //! 13 mW @ 12 MHz); [`SystemPowerBudget`] reassembles the drone-level budget.
 
 use crate::cost::StepBreakdown;
-use serde::{Deserialize, Serialize};
 
 /// A DVFS operating point of the GAP9 cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     frequency_hz: f64,
 }
@@ -55,7 +54,7 @@ impl OperatingPoint {
 }
 
 /// Average-power model of GAP9 while executing the MCL workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Static (leakage + always-on) power in milliwatts.
     pub static_mw: f64,
@@ -95,7 +94,7 @@ impl PowerModel {
 }
 
 /// The drone-level power budget of §IV-E.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemPowerBudget {
     /// Number of ToF sensors mounted (2 in the paper's main configuration).
     pub sensor_count: usize,

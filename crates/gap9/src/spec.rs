@@ -1,14 +1,12 @@
 //! Static parameters of the GAP9 SoC (paper §III-B).
 
-use serde::{Deserialize, Serialize};
-
 /// The GAP9 resources relevant to the localization pipeline.
 ///
 /// GAP9 is a PULP-family SoC with a fabric controller (FC) and a 9-core compute
 /// cluster (one orchestrator plus eight workers), 128 kB of shared L1 inside the
 /// cluster, 1.5 MB of interleaved L2, 2 MB of flash and an adjustable clock of up
 /// to 400 MHz on both the FC and the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gap9Spec {
     /// Shared cluster L1 memory in bytes (128 kB).
     pub l1_bytes: usize,

@@ -48,11 +48,6 @@ impl MapBuilder {
         MapBuilder { map }
     }
 
-    /// Wraps an existing map for further editing.
-    pub fn from_map(map: OccupancyGrid) -> Self {
-        MapBuilder { map }
-    }
-
     /// Marks the outermost ring of cells as occupied (the room perimeter).
     pub fn border_walls(mut self) -> Self {
         let (w, h) = (self.map.width(), self.map.height());

@@ -8,10 +8,9 @@
 //! are body-frame) and the sensor model (zone directions are body-frame) need.
 
 use mcl_num::{angular_difference, normalize_angle};
-use serde::{Deserialize, Serialize};
 
 /// A point in the plane, in metres.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point2 {
     /// X coordinate in metres.
     pub x: f32,
@@ -77,7 +76,7 @@ impl core::fmt::Display for Point2 {
 /// assert!((p.x - 1.0).abs() < 1e-6);
 /// assert!((p.y - 2.0).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Pose2 {
     /// X coordinate in metres.
     pub x: f32,

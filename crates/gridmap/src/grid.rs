@@ -7,10 +7,9 @@
 //! `mcl-gap9` uses 1 byte/cell for the occupancy part of the map.
 
 use crate::geometry::Point2;
-use serde::{Deserialize, Serialize};
 
 /// The state of one grid cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[repr(u8)]
 pub enum CellState {
     /// The cell is known to be traversable.
@@ -39,7 +38,7 @@ impl CellState {
 }
 
 /// Index of a cell: column `col` (x direction) and row `row` (y direction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellIndex {
     /// Column index, along +X.
     pub col: usize,
@@ -112,7 +111,7 @@ impl std::error::Error for GridError {}
 /// assert_eq!(map.state_at_world(0.49, 0.26), CellState::Occupied);
 /// assert_eq!(map.state_at_world(5.0, 5.0), CellState::Unknown);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OccupancyGrid {
     width: usize,
     height: usize,

@@ -3,9 +3,7 @@
 //! The paper's companion release ships the hand-measured maze map as a file; to
 //! make experiments reproducible and diffable we serialize maps to a small
 //! self-describing ASCII format (a PGM-like header plus one character per cell)
-//! and back. [`OccupancyGrid`] also derives `serde` traits, so any serde format
-//! works too — the text format here exists so maps can be checked into the
-//! repository and inspected by eye.
+//! and back, so maps can be checked into the repository and inspected by eye.
 
 use crate::grid::{GridError, OccupancyGrid};
 use std::fmt::Write as _;

@@ -86,11 +86,6 @@ impl F16 {
         F16(f32_to_f16_bits(value))
     }
 
-    /// Converts an `f64` to binary16 (via `f32`).
-    pub fn from_f64(value: f64) -> Self {
-        F16(f32_to_f16_bits(value as f32))
-    }
-
     /// Converts to `f32` exactly (every binary16 value is representable in f32).
     pub fn to_f32(self) -> f32 {
         f16_bits_to_f32(self.0)

@@ -9,13 +9,12 @@
 //! charges.
 
 use mcl_sensor::ZoneMode;
-use serde::{Deserialize, Serialize};
 
 /// Per-zone payload on the wire: 16-bit distance plus 8-bit status.
 pub const BYTES_PER_ZONE: usize = 3;
 
 /// An I²C bus model (the sensor-facing bus).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct I2cLink {
     /// Bus clock in hertz (VL53L5CX supports 1 MHz fast-mode plus).
     pub clock_hz: f64,
@@ -49,7 +48,7 @@ impl I2cLink {
 }
 
 /// The STM32 → GAP9 SPI link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpiLink {
     /// SPI clock in hertz.
     pub clock_hz: f64,

@@ -8,11 +8,10 @@
 //! Records can be exported as CSV for offline analysis.
 
 use mcl_gridmap::Pose2;
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One logged step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogRecord {
     /// Time since take-off, seconds.
     pub timestamp_s: f64,

@@ -17,10 +17,9 @@ use mcl_sensor::SensorRig;
 use mcl_sim::{
     ConvergenceCriterion, PaperScenario, Sequence, SequenceResult, TrajectoryErrorTracker,
 };
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the on-board pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Number of particles (4096 is the paper's headline working point).
     pub particles: usize,
@@ -154,8 +153,7 @@ impl OnboardPipeline {
             // Data movement happens every step, compute only when the gate opens.
             let mut latency = self.i2c.rig_transfer_s(mode, frame_limit)
                 + self.spi.update_transfer_s(mode, frame_limit);
-            let mut observations = mcl_sensor::ObservationBatch::from_beams(&beams);
-            observations.partition_in_range(self.filter.config().r_max);
+            let observations = mcl_sensor::ObservationBatch::from_beams(&beams);
             let outcome = self
                 .filter
                 .update_observations(&observations)

@@ -11,10 +11,9 @@
 use mcl_core::{MotionDelta, PoseEstimate};
 use mcl_gridmap::Pose2;
 use mcl_num::angular_difference;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the correction blending.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StateEstimatorConfig {
     /// Blend factor applied to each MCL correction (1.0 = jump straight to the
     /// MCL pose, 0.0 = ignore MCL entirely).

@@ -9,8 +9,8 @@
 //! * the beam end point is resolved in the *drone body frame*
 //!   (`sensor offset + range · (cos az, sin az)`) and stored in two contiguous
 //!   arrays `end_x_body[]` / `end_y_body[]`;
-//! * the measured ranges stay available in `range_m[]` so the observation model
-//!   can keep skipping beams at or beyond its `r_max` truncation.
+//! * the measured ranges stay available in `range_m[]`, which
+//!   [`BeamBatch::partition_in_range`] sorts beams by.
 //!
 //! Scoring a particle then needs exactly one `sin_cos` (of the particle's yaw)
 //! plus four multiply-adds and one distance-field lookup per beam — the
@@ -19,23 +19,22 @@
 //! associates the trigonometry differently, so likelihoods may differ from the
 //! per-beam path in the last float ulp.
 //!
-//! The observation model additionally skips beams at or beyond its `r_max`
-//! truncation, a per-particle-per-beam branch in the hot loop. Because `r_max`
-//! is fixed per filter configuration, [`BeamBatch::partition_in_range`] hoists
-//! the test out of the loop **once per update**: it stably partitions the
-//! arrays so every in-range beam forms a leading prefix, and records the
-//! `(r_max, prefix length)` pair. The correction kernel then iterates the
-//! prefix with a branch-free body. The partition is *stable* (in-range beams
-//! keep their relative order), so the per-beam log-likelihood sum associates
-//! exactly as in the skipping loop — results are bit-identical.
+//! The observation model scores only beams strictly below its `r_max`
+//! truncation. Because `r_max` is fixed per filter configuration,
+//! [`BeamBatch::partition_in_range`] applies that rule **once per update**: it
+//! stably partitions the arrays so every in-range beam forms a leading prefix,
+//! and records the `(r_max, prefix length)` pair. The correction kernels then
+//! iterate only the prefix ([`BeamBatch::in_range_slices`]) with a
+//! branch-free body. The partition is *stable* (in-range beams keep their
+//! relative order), so the per-beam log-likelihood sum associates exactly as
+//! a loop that skipped the other beams in place would.
 
 use crate::measurement::{Beam, ToFFrame};
 use crate::rig::SensorRig;
-use serde::{Deserialize, Serialize};
 
 /// The cached outcome of [`BeamBatch::partition_in_range`]: every beam in
 /// `0..len` measures strictly below `r_max`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct InRangePrefix {
     r_max: f32,
     len: usize,
@@ -43,12 +42,32 @@ struct InRangePrefix {
 
 /// A frame's worth of valid beams, flattened into contiguous per-component
 /// arrays (structure of arrays) for the batched correction kernel.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Default)]
 pub struct BeamBatch {
     end_x_body: Vec<f32>,
     end_y_body: Vec<f32>,
     range_m: Vec<f32>,
     in_range: Option<InRangePrefix>,
+}
+
+impl Clone for BeamBatch {
+    fn clone(&self) -> Self {
+        BeamBatch {
+            end_x_body: self.end_x_body.clone(),
+            end_y_body: self.end_y_body.clone(),
+            range_m: self.range_m.clone(),
+            in_range: self.in_range,
+        }
+    }
+
+    /// Copies `source` into the existing arrays, reusing their allocations —
+    /// how a filter fills its per-update partition scratch.
+    fn clone_from(&mut self, source: &Self) {
+        self.end_x_body.clone_from(&source.end_x_body);
+        self.end_y_body.clone_from(&source.end_y_body);
+        self.range_m.clone_from(&source.range_m);
+        self.in_range = source.in_range;
+    }
 }
 
 impl BeamBatch {
@@ -91,12 +110,13 @@ impl BeamBatch {
     /// strictly below `r_max` forms a leading prefix, records the prefix for
     /// [`BeamBatch::in_range_prefix`] lookups, and returns its length.
     ///
+    /// A NaN range is not below `r_max`, so NaN beams land behind the prefix.
     /// In-range beams keep their relative order (and so do the out-of-range
     /// beams moved behind them), so a correction kernel iterating only the
-    /// prefix accumulates the per-beam log-likelihoods in exactly the order of
-    /// the skipping loop — the scores are bit-identical, just branch-free.
-    /// Call this once per update, after the batch is fully built; `r_max` is a
-    /// static filter parameter, so the partition is reused by every particle.
+    /// prefix accumulates the per-beam log-likelihoods in the batch's beam
+    /// order. Call this once per update, after the batch is fully built;
+    /// `r_max` is a static filter parameter, so the partition is reused by
+    /// every particle.
     pub fn partition_in_range(&mut self, r_max: f32) -> usize {
         if let Some(prefix) = self.in_range {
             if prefix.r_max == r_max {
@@ -119,8 +139,7 @@ impl BeamBatch {
     /// Length of the in-range prefix previously computed by
     /// [`BeamBatch::partition_in_range`] for this exact `r_max`, or `None`
     /// when the batch has not been partitioned (or was partitioned for a
-    /// different truncation) — callers then fall back to the per-beam range
-    /// test.
+    /// different truncation).
     pub fn in_range_prefix(&self, r_max: f32) -> Option<usize> {
         self.in_range
             .filter(|prefix| prefix.r_max == r_max)
@@ -129,11 +148,9 @@ impl BeamBatch {
 
     /// The in-range end-point prefix for `r_max` as `(end_x_body, end_y_body)`
     /// slices, when the batch was [partitioned](BeamBatch::partition_in_range)
-    /// for exactly this truncation — the branch-free view the lane-batched
-    /// correction kernel iterates once per lane group instead of re-checking
-    /// the prefix per particle. `None` when the batch is unpartitioned (or was
-    /// partitioned for a different truncation); callers then fall back to the
-    /// per-beam range test.
+    /// for exactly this truncation — the branch-free view every correction
+    /// kernel iterates. `None` when the batch is unpartitioned (or was
+    /// partitioned for a different truncation).
     pub fn in_range_slices(&self, r_max: f32) -> Option<(&[f32], &[f32])> {
         self.in_range_prefix(r_max)
             .map(|len| (&self.end_x_body[..len], &self.end_y_body[..len]))
@@ -159,15 +176,9 @@ impl BeamBatch {
         &self.end_y_body
     }
 
-    /// Measured ranges, metres (used for the observation model's `r_max` skip).
+    /// Measured ranges, metres (the key of [`BeamBatch::partition_in_range`]).
     pub fn range_m(&self) -> &[f32] {
         &self.range_m
-    }
-
-    /// Number of beams with a measured range strictly below `r_max` — the beams
-    /// the observation model will actually use.
-    pub fn beams_within(&self, r_max: f32) -> usize {
-        self.range_m.iter().filter(|&&r| r < r_max).count()
     }
 }
 
@@ -326,16 +337,18 @@ mod tests {
     }
 
     #[test]
-    fn beams_within_counts_the_rmax_skip() {
+    fn clone_from_copies_the_beams_and_the_partition() {
         let make = |range: f32| Beam {
-            azimuth_body_rad: 0.0,
+            azimuth_body_rad: 0.2,
             range_m: range,
             origin_body: Pose2::default(),
         };
-        let batch = BeamBatch::from_beams(&[make(0.5), make(1.5), make(2.0)]);
-        assert_eq!(batch.beams_within(1.5), 1);
-        assert_eq!(batch.beams_within(3.0), 3);
-        assert!(BeamBatch::default().is_empty());
+        let mut source = BeamBatch::from_beams(&[make(2.0), make(0.5), make(0.7)]);
+        source.partition_in_range(1.5);
+        let mut scratch = BeamBatch::from_beams(&[make(0.1); 8]);
+        scratch.clone_from(&source);
+        assert_eq!(scratch, source);
+        assert_eq!(scratch.in_range_prefix(1.5), Some(2));
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Static configuration of the VL53L5CX sensor model.
 
-use serde::{Deserialize, Serialize};
-
 /// Electrical power drawn by one VL53L5CX while ranging, in milliwatts.
 ///
 /// The paper budgets 320 mW per sensor when summing the total sensing and
@@ -12,7 +10,7 @@ pub const SENSOR_POWER_MW: f32 = 320.0;
 ///
 /// The VL53L5CX can range either an 8×8 matrix at up to 15 Hz or a 4×4 matrix at
 /// up to 60 Hz.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ZoneMode {
     /// 8×8 zones, maximum 15 Hz frame rate (the configuration used in the paper's
     /// experiments — its MCL update rate is limited by this 15 Hz).
@@ -62,7 +60,7 @@ impl ZoneMode {
 ///
 /// The defaults reproduce the sensor as used in the paper: 8×8 zones at 15 Hz, a
 /// 45° square field of view, ~4 m maximum range and centimetre-level range noise.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorConfig {
     /// Zone matrix mode.
     pub mode: ZoneMode,
@@ -102,11 +100,6 @@ impl SensorConfig {
     /// The effective frame rate: the requested rate clamped to the mode maximum.
     pub fn effective_rate_hz(&self) -> f32 {
         self.frame_rate_hz.min(self.mode.max_rate_hz())
-    }
-
-    /// The effective frame period in seconds.
-    pub fn effective_period_s(&self) -> f32 {
-        1.0 / self.effective_rate_hz()
     }
 
     /// Returns a copy configured for the 4×4 / 60 Hz mode.

@@ -18,11 +18,10 @@
 
 use crate::batch::BeamBatch;
 use crate::measurement::Beam;
-use serde::{Deserialize, Serialize};
 
 /// One UWB anchor-range measurement: the anchor's fixed world position and
 /// the range measured to it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnchorRange {
     /// World-frame X position of the anchor, metres.
     pub anchor_x_m: f32,
@@ -53,7 +52,7 @@ impl AnchorRange {
 /// A sensor-agnostic observation set for one filter update: the ToF
 /// [`BeamBatch`] plus zero or more UWB [`AnchorRange`] measurements in
 /// structure-of-arrays form.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ObservationBatch {
     beams: BeamBatch,
     anchor_x_m: Vec<f32>,
@@ -101,20 +100,6 @@ impl ObservationBatch {
     /// The ToF beam half of the observation.
     pub fn beams(&self) -> &BeamBatch {
         &self.beams
-    }
-
-    /// Mutable access to the beam half, e.g. to
-    /// [partition](BeamBatch::partition_in_range) it for the filter's
-    /// `r_max` once per update.
-    pub fn beams_mut(&mut self) -> &mut BeamBatch {
-        &mut self.beams
-    }
-
-    /// Partitions the beam half for `r_max` (see
-    /// [`BeamBatch::partition_in_range`]) and returns the in-range prefix
-    /// length. Anchors are unaffected — they have no range truncation.
-    pub fn partition_in_range(&mut self, r_max: f32) -> usize {
-        self.beams.partition_in_range(r_max)
     }
 
     /// World-frame X positions of the anchors, one per measurement.
@@ -215,16 +200,6 @@ mod tests {
         assert_eq!(second.range_m, 2.5);
         assert!(obs.anchor(0).is_usable());
         assert!(!obs.anchor(1).is_usable());
-    }
-
-    #[test]
-    fn partition_delegates_to_the_beam_half() {
-        let mut obs = ObservationBatch::from_beams(&[beam(0.5), beam(2.0), beam(0.7)])
-            .with_anchors(&[AnchorRange::new(1.0, 1.0, 0.8)]);
-        assert_eq!(obs.partition_in_range(1.5), 2);
-        assert_eq!(obs.beams().in_range_prefix(1.5), Some(2));
-        // Anchors untouched by the partition.
-        assert_eq!(obs.anchor_range_m(), &[0.8]);
     }
 
     #[test]

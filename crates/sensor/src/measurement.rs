@@ -11,14 +11,13 @@
 use crate::config::ZoneMode;
 use crate::zones::ZoneGeometry;
 use mcl_gridmap::Pose2;
-use serde::{Deserialize, Serialize};
 
 /// Validity flag attached to every zone measurement.
 ///
 /// The VL53L5CX reports a per-zone target status; the paper's firmware reduces it
 /// to "error flag raised or not", raised for out-of-range measurements and
 /// detected interference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TargetStatus {
     /// The distance is a valid range measurement.
     Valid,
@@ -36,7 +35,7 @@ impl TargetStatus {
 }
 
 /// One zone's measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ZoneMeasurement {
     /// Zone column index.
     pub col: usize,
@@ -49,7 +48,7 @@ pub struct ZoneMeasurement {
 }
 
 /// A full frame from one sensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ToFFrame {
     /// Time the frame was captured, in seconds since sequence start.
     pub timestamp_s: f64,
@@ -118,7 +117,7 @@ impl ToFFrame {
 
 /// A planar range measurement in the drone body frame — the unit the observation
 /// model consumes (`z_t^k` in the paper's Eq. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Beam {
     /// Beam direction in the body frame, radians (0 = straight ahead).
     pub azimuth_body_rad: f32,

@@ -10,10 +10,9 @@
 //! treats every zone's range as a planar range along its azimuth.
 
 use crate::config::{SensorConfig, ZoneMode};
-use serde::{Deserialize, Serialize};
 
 /// Direction of one zone relative to the sensor optical axis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ZoneDirection {
     /// Zone column index (0 = leftmost when looking out of the sensor).
     pub col: usize,
@@ -26,7 +25,7 @@ pub struct ZoneDirection {
 }
 
 /// The full zone-direction table for a sensor configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZoneGeometry {
     mode: ZoneMode,
     directions: Vec<ZoneDirection>,

@@ -31,12 +31,11 @@ use crate::metrics::{ResultAggregator, SequenceResult};
 use crate::scenario::PaperScenario;
 use mcl_core::precision::PipelineConfig;
 use mcl_core::KernelBackend;
-use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
 
 /// One evaluation job: a sequence, a pipeline configuration, a particle count,
 /// a seed and the kernel backend the job's filter dispatches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchJob {
     /// Index into [`PaperScenario::sequences`].
     pub sequence_index: usize,
@@ -108,7 +107,7 @@ impl BatchJob {
 }
 
 /// One job's outcome, paired with the job that produced it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchOutcome {
     /// The evaluated job.
     pub job: BatchJob,

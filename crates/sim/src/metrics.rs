@@ -24,10 +24,9 @@
 use mcl_core::PoseEstimate;
 use mcl_gridmap::Pose2;
 use mcl_num::RunningStats;
-use serde::{Deserialize, Serialize};
 
 /// The convergence gate of the paper: 0.2 m translation, 36° yaw.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergenceCriterion {
     /// Maximum translation error for the estimate to count as converged, metres.
     pub distance_m: f32,
@@ -51,7 +50,7 @@ impl Default for ConvergenceCriterion {
 /// suite injected, published so the metrics can score the filter's reaction.
 /// An empty timeline (the default) reproduces the paper's nominal evaluation
 /// exactly.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct StressTimeline {
     /// Instants at which the drone was teleported (kidnapped-robot events),
     /// seconds since sequence start.
@@ -76,7 +75,7 @@ impl StressTimeline {
 }
 
 /// Outcome of evaluating one filter configuration on one sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SequenceResult {
     /// Number of estimate samples that were scored.
     pub steps: usize,

@@ -13,10 +13,9 @@
 
 use mcl_core::MotionDelta;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Noise and drift parameters of the odometry model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OdometryConfig {
     /// Standard deviation of the per-sequence translation scale error
     /// (1.0 = perfect scale). Optical flow typically holds a few percent.

@@ -24,10 +24,9 @@ use mcl_gridmap::DistanceField;
 use mcl_num::Scalar;
 use mcl_sensor::{model::gaussian, AnchorRange, Beam, BeamBatch, ObservationBatch, SensorRig};
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Which sensor modalities the runner feeds the filter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SensingMode {
     /// ToF beams only — the paper's configuration and the default; byte-for-
     /// byte the pre-fusion replay.
@@ -63,7 +62,7 @@ pub const MAX_UWB_ANCHORS: usize = 8;
 /// which every anchor reports a non-finite range (a fully UWB-denied stretch
 /// of the flight — the measurements exist on the wire but carry no
 /// information, exercising the filter's non-finite skip rule end to end).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UwbRig {
     /// Anchor positions `(x, y)` in the map frame; only the first
     /// [`UwbRig::anchor_count`] entries are live.
@@ -140,7 +139,7 @@ impl UwbRig {
 }
 
 /// Options of the sequence runner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunnerConfig {
     /// How many of the recorded sensors the filter may use (1 reproduces the
     /// paper's `fp32 1tof` ablation on the same recordings, 2 uses both).
@@ -196,7 +195,7 @@ pub struct TrafficStep {
 /// Flattens `sequence` into per-step wire traffic.
 ///
 /// A filter fed these steps — `predict(delta)` then an update over
-/// `BeamBatch::from_beams(&beams)` partitioned at its `r_max` — computes
+/// `ObservationBatch::from_beams(&beams)` — computes
 /// bit-identical results to [`run_sequence`] over the same sequence, because
 /// [`mcl_sensor::BeamBatch::from_frames`] is defined as exactly that
 /// flattening. This is the traffic source for the fleet load generator and
@@ -250,12 +249,7 @@ pub fn run_sequence<S: Scalar, D: DistanceField>(
         filter.predict(step.odometry);
         let mut observations = if runner.sensing.uses_tof() {
             let frame_limit = runner.sensor_count.min(step.frames.len());
-            let mut batch = BeamBatch::from_frames(&step.frames[..frame_limit]);
-            // Hoist the r_max test out of the per-particle correction loop:
-            // the partitioned batch takes the branch-free kernel path
-            // (bit-identical scores, see `BeamBatch::partition_in_range`).
-            batch.partition_in_range(filter.config().r_max);
-            ObservationBatch::from_beam_batch(batch)
+            ObservationBatch::from_beam_batch(BeamBatch::from_frames(&step.frames[..frame_limit]))
         } else {
             ObservationBatch::new()
         };
@@ -383,8 +377,7 @@ mod tests {
         for step in &sequence.steps {
             reference.predict(step.odometry);
             let frame_limit = runner.sensor_count.min(step.frames.len());
-            let mut batch = BeamBatch::from_frames(&step.frames[..frame_limit]);
-            batch.partition_in_range(reference.config().r_max);
+            let batch = BeamBatch::from_frames(&step.frames[..frame_limit]);
             let outcome = reference
                 .update_observations(&ObservationBatch::from_beam_batch(batch))
                 .unwrap();
@@ -401,10 +394,8 @@ mod tests {
         assert_eq!(traffic.len(), sequence.len());
         for (step, expect) in traffic.iter().zip(&expected) {
             replica.predict(step.delta);
-            let mut batch = BeamBatch::from_beams(&step.beams);
-            batch.partition_in_range(replica.config().r_max);
             let outcome = replica
-                .update_observations(&ObservationBatch::from_beam_batch(batch))
+                .update_observations(&ObservationBatch::from_beams(&step.beams))
                 .unwrap();
             let estimate = match outcome.estimate() {
                 Some(estimate) => *estimate,

@@ -14,10 +14,9 @@ use mcl_core::MotionDelta;
 use mcl_gridmap::{OccupancyGrid, Pose2};
 use mcl_sensor::{Beam, SensorConfig, SensorRig, ToFFrame};
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One 15 Hz step of a recorded sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SequenceStep {
     /// Time since the start of the sequence, seconds.
     pub timestamp_s: f64,
@@ -31,7 +30,7 @@ pub struct SequenceStep {
 }
 
 /// Configuration of the sequence generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SequenceConfig {
     /// Trajectory parameters (duration, speed, waypoint region, …).
     pub trajectory: TrajectoryConfig,
@@ -55,7 +54,7 @@ impl Default for SequenceConfig {
 }
 
 /// A complete recorded flight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sequence {
     /// Identifier (sequence index within a scenario).
     pub id: usize,
@@ -347,19 +346,5 @@ mod tests {
             ..SequenceConfig::default()
         };
         let _ = SequenceGenerator::new(config);
-    }
-}
-
-#[cfg(test)]
-mod serde_shim {
-    //! `Sequence` must be serializable so experiments can cache generated
-    //! datasets; this asserts the bound without pulling in a JSON crate.
-    use super::Sequence;
-
-    fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-
-    #[test]
-    fn sequence_implements_serde() {
-        assert_serde::<Sequence>();
     }
 }

@@ -66,12 +66,11 @@ use mcl_core::KernelBackend;
 use mcl_gridmap::{uwb_anchor_positions, DroneMaze, WorldKind};
 use mcl_sensor::{model::gaussian, TargetStatus};
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One sequence-level failure mode. Positions are *fractions* of the sequence
 /// length in `[0, 1]`, so the same spec scales from quick test sequences to
 /// full paper-length flights.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StressEvent {
     /// Teleport the drone to a fresh waypoint at the given fraction of the
     /// sequence (the kidnapped-robot problem): the ground truth jumps, the

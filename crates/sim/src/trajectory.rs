@@ -13,10 +13,9 @@ use mcl_gridmap::{OccupancyGrid, Point2, Pose2};
 use mcl_num::angular_difference;
 use mcl_sensor::raycast::{raycast, RaycastHit};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the trajectory generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryConfig {
     /// Duration of the flight in seconds (the paper's sequences are ~60 s).
     pub duration_s: f32,
@@ -59,7 +58,7 @@ impl TrajectoryConfig {
 }
 
 /// A time-stamped sequence of ground-truth poses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
     dt: f32,
     poses: Vec<Pose2>,

@@ -54,10 +54,8 @@ fn main() {
     for (i, step) in sequence.steps.iter().enumerate() {
         filter.predict(step.odometry);
         let beams = SensorRig::frames_to_beams(&step.frames);
-        let mut observations = ObservationBatch::from_beams(&beams);
-        observations.partition_in_range(filter.config().r_max);
         let _ = filter
-            .update_observations(&observations)
+            .update_observations(&ObservationBatch::from_beams(&beams))
             .expect("filter is initialized");
         let estimate = filter.estimate();
         tracker.record(step.timestamp_s, &estimate, &step.ground_truth);

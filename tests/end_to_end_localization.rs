@@ -89,8 +89,7 @@ fn sequential_and_parallel_filters_stay_bit_identical_over_a_flight() {
         sequential.predict(step.odometry);
         parallel.predict(step.odometry);
         let beams = SensorRig::frames_to_beams(&step.frames);
-        let mut obs = ObservationBatch::from_beams(&beams);
-        obs.partition_in_range(sequential.config().r_max);
+        let obs = ObservationBatch::from_beams(&beams);
         let _ = sequential.update_observations(&obs).unwrap();
         let _ = parallel.update_observations(&obs).unwrap();
     }

@@ -28,7 +28,7 @@ use tof_mcl::fleet::client::FleetClient;
 use tof_mcl::fleet::protocol::Response;
 use tof_mcl::fleet::{DroneConfig, Fleet, FleetConfig, FleetServer, FleetWorld};
 use tof_mcl::gridmap::{DroneMaze, EuclideanDistanceField};
-use tof_mcl::sensor::{BeamBatch, ObservationBatch};
+use tof_mcl::sensor::ObservationBatch;
 use tof_mcl::sim::{
     sequence_traffic, RunnerConfig, SequenceConfig, SequenceGenerator, TrafficStep,
     TrajectoryConfig,
@@ -92,10 +92,8 @@ fn reference_stream(fleet: &Fleet, drone: &DroneConfig, steps: &[TrafficStep]) -
         .iter()
         .map(|step| {
             filter.predict(step.delta);
-            let mut batch = BeamBatch::from_beams(&step.beams);
-            batch.partition_in_range(filter.config().r_max);
             let outcome = filter
-                .update_observations(&ObservationBatch::from_beam_batch(batch))
+                .update_observations(&ObservationBatch::from_beams(&step.beams))
                 .expect("initialized filter");
             let applied = outcome.is_applied();
             let estimate = match outcome.estimate() {

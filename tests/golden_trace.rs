@@ -171,7 +171,6 @@ fn trace<S: Scalar, D: DistanceField>(
         filter.predict(delta);
         let beams = rig.observe(&map, &truth, step as f64 / 15.0, &mut rng);
         let mut observations = ObservationBatch::from_beams(&beams);
-        observations.partition_in_range(filter.config().r_max);
         if fused {
             for (k, [ax, ay]) in TRACE_ANCHORS.iter().enumerate() {
                 observations.push_anchor(AnchorRange::new(*ax, *ay, trace_range(&truth, k, step)));

@@ -76,8 +76,8 @@ fn arena() -> OccupancyGrid {
 }
 
 /// A deterministic beam ring: in-range, out-of-range and NaN-range beams
-/// interleaved, so both the branch-free prefix path and the skipping fallback
-/// of the correction kernel see work.
+/// interleaved, so the partition that feeds the correction kernel's
+/// in-range prefix has beams to move.
 fn synthetic_beams(salt: u64) -> Vec<Beam> {
     (0..14)
         .map(|k| Beam {
@@ -139,8 +139,8 @@ fn assert_buffers_bit_identical(a: &ParticleBuffer<f32>, b: &ParticleBuffer<f32>
     }
 }
 
-/// Every non-scalar backend, every tail length, every layout, every kernel,
-/// both batch paths: the batched kernels must be bit-identical to the scalar
+/// Every non-scalar backend, every tail length, every layout, every kernel:
+/// the batched kernels must be bit-identical to the scalar
 /// reference. `n = 4·LANES + tail` keeps several full lane groups in front of
 /// each tail class, and the uneven layouts cut chunks that produce further
 /// `chunk_len % LANES` classes.
@@ -153,9 +153,8 @@ fn all_five_kernels_are_bit_identical_across_every_tail_length_and_layout() {
     let motion = MotionModel::new([0.08, 0.08, 0.05]);
     let delta = MotionDelta::new(0.11, 0.015, 0.04);
     let beams = synthetic_beams(1);
-    let unpartitioned = BeamBatch::from_beams(&beams);
-    let mut partitioned = unpartitioned.clone();
-    partitioned.partition_in_range(model.r_max());
+    let mut batch = BeamBatch::from_beams(&beams);
+    batch.partition_in_range(model.r_max());
 
     for backend in [KernelBackend::Lanes, KernelBackend::Avx2] {
         for tail in 0..LANES {
@@ -181,53 +180,51 @@ fn all_five_kernels_are_bit_identical_across_every_tail_length_and_layout() {
                 });
                 assert_buffers_bit_identical(&scalar, &batched, &label("motion"));
 
-                // Observation kernel, branch-free prefix and skipping fallback.
-                for (batch, path) in [(&partitioned, "prefix"), (&unpartitioned, "fallback")] {
-                    let mut scalar_logs = vec![0.0f32; n];
-                    layout.for_each_split(
-                        (scalar.as_slice(), scalar_logs.as_mut_slice()),
-                        |_, (chunk, out)| {
-                            kernel::observation_log_likelihoods(chunk, &edt, &model, batch, out);
-                        },
-                    );
-                    let mut batched_logs = vec![0.0f32; n];
-                    layout.for_each_split(
-                        (batched.as_slice(), batched_logs.as_mut_slice()),
-                        |_, (chunk, out)| {
-                            kernel::observation_log_likelihoods_with(
-                                backend, chunk, &edt, &model, batch, out,
-                            );
-                        },
-                    );
-                    for (i, (a, b)) in scalar_logs.iter().zip(batched_logs.iter()).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{} observation[{path}] n={n} log[{i}]",
-                            backend.name()
+                // Observation kernel over the partitioned prefix.
+                let mut scalar_logs = vec![0.0f32; n];
+                layout.for_each_split(
+                    (scalar.as_slice(), scalar_logs.as_mut_slice()),
+                    |_, (chunk, out)| {
+                        kernel::observation_log_likelihoods(chunk, &edt, &model, &batch, out);
+                    },
+                );
+                let mut batched_logs = vec![0.0f32; n];
+                layout.for_each_split(
+                    (batched.as_slice(), batched_logs.as_mut_slice()),
+                    |_, (chunk, out)| {
+                        kernel::observation_log_likelihoods_with(
+                            backend, chunk, &edt, &model, &batch, out,
                         );
-                    }
+                    },
+                );
+                for (i, (a, b)) in scalar_logs.iter().zip(batched_logs.iter()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{} observation n={n} log[{i}]",
+                        backend.name()
+                    );
+                }
 
-                    // Reweight on the logs just produced.
-                    let max_log = scalar_logs.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-                    let mut scalar_w: Vec<f32> = scalar.weight().to_vec();
-                    let mut batched_w = scalar_w.clone();
-                    layout.for_each_split(
-                        (scalar_w.as_mut_slice(), scalar_logs.as_slice()),
-                        |_, (w, l)| kernel::reweight(w, l, max_log),
+                // Reweight on the logs just produced.
+                let max_log = scalar_logs.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+                let mut scalar_w: Vec<f32> = scalar.weight().to_vec();
+                let mut batched_w = scalar_w.clone();
+                layout.for_each_split(
+                    (scalar_w.as_mut_slice(), scalar_logs.as_slice()),
+                    |_, (w, l)| kernel::reweight(w, l, max_log),
+                );
+                layout.for_each_split(
+                    (batched_w.as_mut_slice(), batched_logs.as_slice()),
+                    |_, (w, l)| kernel::reweight_with(backend, w, l, max_log),
+                );
+                for (i, (a, b)) in scalar_w.iter().zip(batched_w.iter()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{} reweight n={n} w[{i}]",
+                        backend.name()
                     );
-                    layout.for_each_split(
-                        (batched_w.as_mut_slice(), batched_logs.as_slice()),
-                        |_, (w, l)| kernel::reweight_with(backend, w, l, max_log),
-                    );
-                    for (i, (a, b)) in scalar_w.iter().zip(batched_w.iter()).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{} reweight[{path}] n={n} w[{i}]",
-                            backend.name()
-                        );
-                    }
                 }
 
                 // Anchor-range kernel. It *accumulates* onto the beam logs
@@ -335,8 +332,7 @@ fn run_filter<S: Scalar, D: tof_mcl::gridmap::DistanceField + Clone>(
     let mut filter = MonteCarloLocalization::<S, _>::new(config, edt.clone()).unwrap();
     filter.initialize_uniform(map, seed).unwrap();
     let delta = MotionDelta::new(0.12, 0.01, 0.05);
-    let mut observations = ObservationBatch::from_beams(beams).with_anchors(anchors);
-    observations.partition_in_range(filter.config().r_max);
+    let observations = ObservationBatch::from_beams(beams).with_anchors(anchors);
     for _ in 0..3 {
         filter.predict(delta);
         let outcome = filter.update_observations(&observations).unwrap();
@@ -554,8 +550,7 @@ fn run_adaptive_filter(
     let mut filter = MonteCarloLocalization::<f32, _>::new(config, edt.clone()).unwrap();
     filter.initialize_uniform(map, seed).unwrap();
     let delta = MotionDelta::new(0.12, 0.01, 0.05);
-    let mut observations = ObservationBatch::from_beams(beams).with_anchors(anchors);
-    observations.partition_in_range(filter.config().r_max);
+    let observations = ObservationBatch::from_beams(beams).with_anchors(anchors);
     let mut populations = Vec::new();
     for _ in 0..8 {
         filter.predict(delta);

@@ -85,8 +85,7 @@ fn run_filter(
     let mut filter = MonteCarloLocalization::<f32, _>::new(config, edt.clone()).unwrap();
     filter.initialize_uniform(map, seed).unwrap();
     let delta = MotionDelta::new(0.12, 0.01, 0.06);
-    let mut observations = ObservationBatch::from_beams(beams);
-    observations.partition_in_range(filter.config().r_max);
+    let observations = ObservationBatch::from_beams(beams);
     for _ in 0..updates {
         filter.predict(delta);
         let outcome = filter.update_observations(&observations).unwrap();
@@ -319,8 +318,7 @@ fn run_adaptive_filter(
     let mut filter = MonteCarloLocalization::<f32, _>::new(config, edt.clone()).unwrap();
     filter.initialize_uniform(map, seed).unwrap();
     let delta = MotionDelta::new(0.12, 0.01, 0.06);
-    let mut observations = ObservationBatch::from_beams(beams);
-    observations.partition_in_range(filter.config().r_max);
+    let observations = ObservationBatch::from_beams(beams);
     let mut populations = Vec::new();
     for _ in 0..6 {
         filter.predict(delta);

@@ -366,8 +366,7 @@ proptest! {
             filter.initialize_uniform(&map, seed).unwrap();
             for _ in 0..3 {
                 filter.predict(delta);
-                let mut obs = ObservationBatch::from_beams(&beams);
-                obs.partition_in_range(filter.config().r_max);
+                let obs = ObservationBatch::from_beams(&beams);
                 let outcome = filter.update_observations(&obs).unwrap();
                 prop_assert!(outcome.is_applied());
             }
