@@ -593,7 +593,71 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_prefix_scores_like_a_batch_of_its_in_range_beams_alone() {
+    fn partitioned_batch_scores_bit_identically_to_the_skipping_path() {
+        // Skipping a beam means leaving it out of the sum: the partitioned
+        // prefix must score exactly like a batch built from the in-range
+        // beams alone.
+        let map = room();
+        let edt = EuclideanDistanceField::compute(&map, 1.5);
+        let model = BeamEndPointModel::new(0.3, 1.5);
+        // Mix of in-range and skipped beams, interleaved.
+        let beams: Vec<Beam> = (0..10)
+            .map(|k| Beam {
+                azimuth_body_rad: k as f32 * 0.6,
+                range_m: if k % 3 == 0 {
+                    2.0
+                } else {
+                    0.3 + 0.1 * k as f32
+                },
+                origin_body: Pose2::default(),
+            })
+            .collect();
+        let mut partitioned = BeamBatch::from_beams(&beams);
+        let prefix = partitioned.partition_in_range(model.r_max());
+        assert!(prefix > 0 && prefix < beams.len());
+        let (xs, ys) = partitioned.in_range_slices(model.r_max()).unwrap();
+        let kept: Vec<Beam> = beams
+            .iter()
+            .copied()
+            .filter(|b| b.range_m < model.r_max())
+            .collect();
+        assert_eq!(kept.len(), prefix);
+        let alone = BeamBatch::from_beams(&kept);
+        for pose in [
+            Pose2::new(1.3, 2.1, 0.8),
+            Pose2::new(2.0, 2.0, 0.0),
+            Pose2::new(3.0, 1.0, 2.0),
+        ] {
+            let branch_free = model.batch_log_likelihood(&edt, pose.x, pose.y, pose.theta, xs, ys);
+            let skipping = model.batch_log_likelihood(
+                &edt,
+                pose.x,
+                pose.y,
+                pose.theta,
+                alone.end_x_body(),
+                alone.end_y_body(),
+            );
+            assert_eq!(skipping.to_bits(), branch_free.to_bits());
+        }
+        // All beams out of range → neutral likelihood (+0.0: likelihood 1).
+        let far = Beam {
+            azimuth_body_rad: 0.0,
+            range_m: 2.0,
+            origin_body: Pose2::default(),
+        };
+        let mut far_batch = BeamBatch::from_beams(&[far]);
+        assert_eq!(far_batch.partition_in_range(model.r_max()), 0);
+        let (xs, ys) = far_batch.in_range_slices(model.r_max()).unwrap();
+        let neutral = model.batch_log_likelihood(&edt, 2.0, 2.0, 0.0, xs, ys);
+        assert_eq!(neutral.to_bits(), 0.0f32.to_bits());
+    }
+
+    #[test]
+    fn nan_ranges_are_skipped_on_both_batch_paths() {
+        // A corrupt sensor distance (NaN range) must be excluded from the
+        // score on the partitioned batch path and on the per-beam path: both
+        // keep `range < r_max`, which NaN fails, so neither NaN-poisons the
+        // weights.
         let map = room();
         let edt = EuclideanDistanceField::compute(&map, 1.5);
         let model = BeamEndPointModel::new(0.3, 1.5);
@@ -602,56 +666,39 @@ mod tests {
             range_m: range,
             origin_body: Pose2::default(),
         };
-        // In-range, beyond-r_max and NaN (corrupt distance) beams, interleaved.
-        let beams: Vec<Beam> = (0..12)
-            .map(|k| {
-                let range = match k % 4 {
-                    1 => 2.0,
-                    3 => f32::NAN,
-                    _ => 0.3 + 0.1 * k as f32,
-                };
-                make(range, k as f32 * 0.6)
-            })
-            .collect();
+        let beams = [make(0.5, 0.0), make(f32::NAN, 0.7), make(0.8, 1.4)];
+        // The per-beam path: NaN is skipped, not scored (which would return
+        // Some(NaN) and poison the weight).
+        let pose = Pose2::new(1.3, 2.1, 0.8);
+        assert!(model.beam_log_likelihood(&edt, &pose, &beams[1]).is_none());
+        let per_beam = model.observation_log_likelihood(&edt, &pose, &beams);
+        assert!(per_beam.is_finite());
+        // The batch path: the partition drops NaN from the scored prefix.
         let mut partitioned = BeamBatch::from_beams(&beams);
-        assert_eq!(partitioned.partition_in_range(model.r_max()), 6);
+        assert_eq!(partitioned.partition_in_range(model.r_max()), 2);
         let (xs, ys) = partitioned.in_range_slices(model.r_max()).unwrap();
-        let kept: Vec<Beam> = beams
-            .iter()
-            .copied()
-            .filter(|b| b.range_m < model.r_max())
-            .collect();
-        let alone = BeamBatch::from_beams(&kept);
-        let poses = [
-            Pose2::new(1.3, 2.1, 0.8),
-            Pose2::new(2.0, 2.0, 0.0),
-            Pose2::new(3.0, 1.0, 2.0),
-        ];
-        for pose in poses {
-            let prefix = model.batch_log_likelihood(&edt, pose.x, pose.y, pose.theta, xs, ys);
-            let expected = model.batch_log_likelihood(
-                &edt,
-                pose.x,
-                pose.y,
-                pose.theta,
-                alone.end_x_body(),
-                alone.end_y_body(),
-            );
-            assert!(prefix.is_finite(), "a skipped beam leaked into the sum");
-            assert_eq!(prefix.to_bits(), expected.to_bits());
-        }
-        // The per-beam reference applies the same `range < r_max` rule.
-        assert!(model
-            .beam_log_likelihood(&edt, &poses[0], &beams[3])
-            .is_none());
-        assert!(model
-            .observation_log_likelihood(&edt, &poses[0], &beams)
-            .is_finite());
-        // No in-range beam at all → neutral likelihood (+0.0: likelihood 1).
-        let mut skipped = BeamBatch::from_beams(&[make(2.0, 0.0), make(f32::NAN, 0.7)]);
-        assert_eq!(skipped.partition_in_range(model.r_max()), 0);
-        let (xs, ys) = skipped.in_range_slices(model.r_max()).unwrap();
-        let neutral = model.batch_log_likelihood(&edt, 2.0, 2.0, 0.0, xs, ys);
+        let prefix = model.batch_log_likelihood(&edt, pose.x, pose.y, pose.theta, xs, ys);
+        assert!(prefix.is_finite(), "NaN beam leaked into the batch sum");
+        let finite = BeamBatch::from_beams(&[beams[0], beams[2]]);
+        let expected = model.batch_log_likelihood(
+            &edt,
+            pose.x,
+            pose.y,
+            pose.theta,
+            finite.end_x_body(),
+            finite.end_y_body(),
+        );
+        assert_eq!(prefix.to_bits(), expected.to_bits());
+        // Only NaN beams at all → neutral likelihood on both paths.
+        let nan_only = [make(f32::NAN, 0.0)];
+        assert_eq!(
+            model.observation_log_likelihood(&edt, &pose, &nan_only),
+            0.0
+        );
+        let mut all_nan = BeamBatch::from_beams(&nan_only);
+        assert_eq!(all_nan.partition_in_range(model.r_max()), 0);
+        let (xs, ys) = all_nan.in_range_slices(model.r_max()).unwrap();
+        let neutral = model.batch_log_likelihood(&edt, 1.0, 1.0, 0.0, xs, ys);
         assert_eq!(neutral.to_bits(), 0.0f32.to_bits());
     }
 
