@@ -27,10 +27,10 @@
 //! per update — and a filter updating inside an already-parallel job, such as
 //! an `mcl_sim::run_batch` worker, automatically runs its kernels inline
 //! instead of oversubscribing the host). The beams of the observation arrive
-//! flattened into a [`BeamBatch`]; the score stage partitions it **once per
-//! update** for the configured `r_max` (into a filter-owned copy, unless the
-//! caller already partitioned it), so the correction kernels score only the
-//! in-range prefix with a branch-free body. When the batch carries anchor
+//! flattened into a [`BeamBatch`]; the score stage copies it into a
+//! filter-owned scratch and partitions that **once per update** for the
+//! configured `r_max`, so the correction kernels score only the in-range
+//! prefix with a branch-free body. When the batch carries anchor
 //! ranges, the anchor-range kernel *adds* its per-sensor log-likelihoods
 //! into the same per-particle accumulator the beam kernel fills, so the
 //! correct step stays one reweight pass regardless of how many
@@ -136,8 +136,8 @@ pub struct MonteCarloLocalization<S: Scalar, D: DistanceField> {
     weights_f32: Vec<f32>,
     /// Per-update scratch: the resampling plan, allocations reused.
     plan: ResamplePlan,
-    /// Per-update scratch: a copy of an observation's beams that arrived
-    /// unpartitioned, partitioned for `config.r_max`.
+    /// Per-update scratch: a copy of the observation's beams, partitioned for
+    /// `config.r_max`, allocations reused.
     beams: BeamBatch,
     /// Adaptive population state and policy (KLD bins, likelihood monitor,
     /// recovery latch and free space); `None` when `config.adaptive.enabled`
@@ -270,10 +270,10 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
     /// never propagated.
     ///
     /// Only beams measuring strictly below `r_max` are scored (a NaN range is
-    /// not). The filter partitions the beam block for its `r_max` itself; a
-    /// batch the caller already [partitioned](BeamBatch::partition_in_range)
-    /// for exactly this `r_max` is scored as is, without the copy. The
-    /// partition is stable, so both give the same bits.
+    /// not). The filter partitions a copy of the beam block for its `r_max`
+    /// itself, so callers pass the beams as built; the partition is stable,
+    /// so a batch the caller already
+    /// [partitioned](BeamBatch::partition_in_range) gives the same bits.
     ///
     /// # Errors
     ///
@@ -379,9 +379,8 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
     /// log-likelihoods sum: the independent-sensor fusion rule). The anchor
     /// dispatch is strictly gated on the anchor block being non-empty, so
     /// beam-only updates execute the exact beam-only floating-point sequence
-    /// (golden-trace pinned). The beam block is scored as is when it is
-    /// already partitioned for `config.r_max`, otherwise through a
-    /// partitioned copy in the filter's scratch. Returns the maximum
+    /// (golden-trace pinned). The beam block is copied into the filter's
+    /// scratch and partitioned there for `config.r_max`. Returns the maximum
     /// log-likelihood and the number of in-range beams scored.
     fn score(&mut self, observations: &ObservationBatch) -> (f32, usize) {
         let backend = self.config.kernel_backend;
@@ -389,16 +388,9 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
         let anchor_model = self.anchor_model;
         let field = &self.field;
         let r_max = self.config.r_max;
-        let mut batch = observations.beams();
-        let in_range = match batch.in_range_prefix(r_max) {
-            Some(len) => len,
-            None => {
-                self.beams.clone_from(batch);
-                let len = self.beams.partition_in_range(r_max);
-                batch = &self.beams;
-                len
-            }
-        };
+        self.beams.clone_from(observations.beams());
+        let in_range = self.beams.partition_in_range(r_max);
+        let batch = &self.beams;
         self.log_likelihoods.clear();
         self.log_likelihoods.resize(self.particles.len(), 0.0);
         self.cluster.for_each_split(

@@ -673,9 +673,10 @@ mod tests {
         assert!(model.beam_log_likelihood(&edt, &pose, &beams[1]).is_none());
         let per_beam = model.observation_log_likelihood(&edt, &pose, &beams);
         assert!(per_beam.is_finite());
-        // The batch path: the partition drops NaN from the scored prefix.
+        // The batch path: the partition moves NaN behind the scored prefix.
         let mut partitioned = BeamBatch::from_beams(&beams);
         assert_eq!(partitioned.partition_in_range(model.r_max()), 2);
+        assert_eq!(partitioned.len(), beams.len());
         let (xs, ys) = partitioned.in_range_slices(model.r_max()).unwrap();
         let prefix = model.batch_log_likelihood(&edt, pose.x, pose.y, pose.theta, xs, ys);
         assert!(prefix.is_finite(), "NaN beam leaked into the batch sum");

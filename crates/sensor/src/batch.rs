@@ -114,23 +114,25 @@ impl BeamBatch {
     /// In-range beams keep their relative order (and so do the out-of-range
     /// beams moved behind them), so a correction kernel iterating only the
     /// prefix accumulates the per-beam log-likelihoods in the batch's beam
-    /// order. Call this once per update, after the batch is fully built;
-    /// `r_max` is a static filter parameter, so the partition is reused by
-    /// every particle.
+    /// order. The partition works in place and allocates nothing. Call this
+    /// once per update, after the batch is fully built; `r_max` is a static
+    /// filter parameter, so the partition is reused by every particle.
     pub fn partition_in_range(&mut self, r_max: f32) -> usize {
         if let Some(prefix) = self.in_range {
             if prefix.r_max == r_max {
                 return prefix.len;
             }
         }
-        let n = self.range_m.len();
-        let mut order: Vec<usize> = (0..n).filter(|&i| self.range_m[i] < r_max).collect();
-        let len = order.len();
-        if len < n {
-            order.extend((0..n).filter(|&i| self.range_m[i] >= r_max));
-            self.end_x_body = order.iter().map(|&i| self.end_x_body[i]).collect();
-            self.end_y_body = order.iter().map(|&i| self.end_y_body[i]).collect();
-            self.range_m = order.iter().map(|&i| self.range_m[i]).collect();
+        let mut len = 0;
+        for i in 0..self.range_m.len() {
+            if self.range_m[i] < r_max {
+                // Beams `len..i` are all out of range: rotate beam `i` in
+                // front of them, keeping both groups in order.
+                self.end_x_body[len..=i].rotate_right(1);
+                self.end_y_body[len..=i].rotate_right(1);
+                self.range_m[len..=i].rotate_right(1);
+                len += 1;
+            }
         }
         self.in_range = Some(InRangePrefix { r_max, len });
         len
@@ -267,6 +269,7 @@ mod tests {
             make(0.5, 0.0),
             make(2.0, 0.3),
             make(0.7, 0.6),
+            make(f32::NAN, 0.7),
             make(1.8, 0.9),
             make(0.2, 1.2),
         ];
@@ -276,12 +279,20 @@ mod tests {
         assert_eq!(len, 3);
         assert_eq!(batch.in_range_prefix(1.5), Some(3));
         assert_eq!(batch.in_range_prefix(1.0), None);
-        // In-range beams keep their relative order, out-of-range follow.
-        assert_eq!(batch.range_m(), &[0.5, 0.7, 0.2, 2.0, 1.8]);
-        // The end-point components moved with their ranges.
-        let reference = BeamBatch::from_beams(&[beams[0], beams[2], beams[4], beams[1], beams[3]]);
-        assert_eq!(batch.end_x_body(), reference.end_x_body());
-        assert_eq!(batch.end_y_body(), reference.end_y_body());
+        // In-range beams keep their relative order; the out-of-range and NaN
+        // beams follow, in theirs, and none is dropped.
+        assert_eq!(batch.len(), beams.len());
+        assert_eq!(&batch.range_m()[..3], &[0.5, 0.7, 0.2]);
+        assert_eq!(batch.range_m()[3], 2.0);
+        assert!(batch.range_m()[4].is_nan());
+        assert_eq!(batch.range_m()[5], 1.8);
+        // The end-point components moved with their ranges (compared as
+        // bits: the NaN beam's end point is NaN).
+        let reference =
+            BeamBatch::from_beams(&[beams[0], beams[2], beams[5], beams[1], beams[3], beams[4]]);
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(batch.end_x_body()), bits(reference.end_x_body()));
+        assert_eq!(bits(batch.end_y_body()), bits(reference.end_y_body()));
         // Repartitioning for the same r_max is a cached no-op.
         assert_eq!(batch.partition_in_range(1.5), 3);
         // A different truncation repartitions (0.2 and 0.5 and 0.7 < 1.0).

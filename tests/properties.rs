@@ -125,7 +125,7 @@ fn reference_aos_iteration(
 }
 
 /// Deterministic synthetic observation: a ring of beams, some beyond the
-/// model's `r_max` truncation so the skip path is exercised.
+/// model's `r_max` truncation so the in-range partition is exercised.
 fn synthetic_beams(case_seed: u64) -> Vec<Beam> {
     (0..12)
         .map(|k| Beam {
