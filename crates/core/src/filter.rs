@@ -35,9 +35,12 @@
 //! into the same per-particle accumulator the beam kernel fills, so the
 //! correct step stays one reweight pass regardless of how many
 //! sensor modalities contributed. The per-update scratch buffers
-//! (log-likelihoods, f32 weights) and the resampling plan reuse their
-//! allocations across updates; the pose reduction still allocates its two
-//! vectors of per-block partials every update
+//! (log-likelihoods, f32 weights, the beam copy) and the resampling plan
+//! reuse their allocations across updates, and the plan itself is computed
+//! in stack blocks
+//! ([`PartialSumResampler::plan_resize_into`]), so once the buffers are warm
+//! the only per-update heap allocations left are the pose reduction's two
+//! vectors of per-block partials
 //! ([`kernel::pose_estimate_prefix_with`] collects them through
 //! [`ClusterLayout::map_index_blocks`]).
 //!
@@ -506,7 +509,7 @@ impl<S: Scalar, D: DistanceField> MonteCarloLocalization<S, D> {
         // The normalized weights as `f32`, as the decide stage read them.
         let weights = S::f32_slice(self.particles.current().weight()).unwrap_or(&self.weights_f32);
         self.resampler
-            .plan_resize_into(weights, offset, kept, &mut self.plan);
+            .plan_resize_into(backend, weights, offset, kept, &mut self.plan);
         let uniform_weight = S::from_f32(1.0 / target as f32);
         let plan = &self.plan;
         let (current, scratch) = self.particles.buffers_mut();

@@ -55,6 +55,7 @@
 //! | anchor | scalar | lanes | lanes |
 //! | spread ([`SpreadPartials`]) | scalar | lanes | lanes |
 //! | resample | scalar | lanes | lanes |
+//! | resample plan ([`PartialSumResampler`](crate::resampling::PartialSumResampler)) boundary pass | portable | portable | avx2 |
 //! | mode refinement ([`refine_mode_estimate`]) | scalar | scalar | avx2 |
 //! | tempering pass (`adaptive::temper_beta`) | lanes | lanes | avx2 |
 //!
@@ -106,6 +107,7 @@ use crate::motion::{MotionDelta, MotionModel};
 use crate::observation::{AnchorRangeModel, BeamEndPointModel};
 use crate::parallel::ClusterLayout;
 use crate::particle::{for_each_widened_block, ParticleBuffer, ParticleSlice, ParticleSliceMut};
+use core::f32::consts::{PI, TAU};
 use mcl_gridmap::{DistanceField, Pose2};
 use mcl_num::math::{exp, sin_cos};
 use mcl_num::{angular_difference, normalize_angle, Scalar};
@@ -141,8 +143,9 @@ pub enum KernelBackend {
     Lanes,
     /// Explicit AVX2 intrinsic bodies (x86-64, runtime-detected) for the
     /// motion, observation, reweight and pose kernels — the lane groups
-    /// issued as 8×f32 register ops with gather-based EDT lookups — and for
-    /// the adaptive layer's tempering and mode-refinement passes. The
+    /// issued as 8×f32 register ops with gather-based EDT lookups — for
+    /// the adaptive layer's tempering and mode-refinement passes, and an
+    /// AVX2 compilation of the resampling plan's boundary pass. The
     /// anchor, spread and resample kernels run their `Lanes` bodies.
     /// Bit-identical to `Scalar` (single-rounding ops only, no FMA); every
     /// dispatch falls back to `Lanes` when the host lacks AVX2, so selecting
@@ -187,9 +190,10 @@ impl KernelBackend {
     /// it runs what `Lanes` runs (the lane bodies, and the scalar
     /// [`motion_predict`] for prediction) — so this only reports whether
     /// selecting it changes the instructions executed, and then only for the
-    /// motion, observation, reweight and pose kernels: the anchor, spread
-    /// and resample kernels run their lane bodies under `Avx2` on every
-    /// host.
+    /// kernels and passes with an `avx2` body in the
+    /// [backend table](self#kernel-backends-and-the-lane-width-contract):
+    /// the anchor, spread and resample kernels run their lane bodies under
+    /// `Avx2` on every host.
     pub fn is_available(self) -> bool {
         match self {
             KernelBackend::Scalar | KernelBackend::Lanes => true,
@@ -1113,10 +1117,10 @@ impl SpreadPartials {
     }
 
     /// Lane-batched accumulation: one [`LANES`]-wide group's stored
-    /// components are widened in bulk, then the position deviations and
-    /// weight clamps run as vectorizable array passes (the angular
-    /// difference stays scalar per lane — it branches on the wrap-around),
-    /// folded **in particle order** through the shared per-particle push.
+    /// components are widened in bulk, then the position deviations, weight
+    /// clamps and angular differences (`angular_difference_group`) run as
+    /// vectorizable array passes, folded **in particle order** through the
+    /// shared per-particle push.
     /// Bit-identical to [`SpreadPartials::accumulate`]. It is also the
     /// [`KernelBackend::Avx2`] body: an intrinsic subtract-and-widen measured
     /// no faster.
@@ -1143,7 +1147,7 @@ impl SpreadPartials {
                 dx[l] = f64::from(xf[l] - mean.x);
                 dy[l] = f64::from(yf[l] - mean.y);
             }
-            let dt = theta.map(|t| f64::from(angular_difference(t, mean.theta)));
+            let dt = angular_difference_group(&theta, mean.theta).map(f64::from);
             for l in 0..LANES {
                 p.push(w[l], dx[l], dy[l], dt[l]);
             }
@@ -1208,6 +1212,32 @@ impl SpreadPartials {
             (self.var_pos / norm).sqrt() as f32,
             (self.var_yaw / norm).sqrt() as f32,
         )
+    }
+}
+
+/// [`angular_difference`]`(θ, mean)` on one lane group, in select form.
+///
+/// When every lane's raw difference `d = θ − mean` is below `TAU` in
+/// magnitude, `angular_difference`'s remainder is `d` itself (its exact
+/// fast path), and the wrap into `(−π, π]` is two selects. Otherwise (NaN,
+/// ±∞ or a lane more than a turn away) the whole group goes through the
+/// scalar function, as [`normalize_angle`]'s lane replay does. Either way
+/// every lane carries the scalar function's bits; the select form only
+/// drops the per-lane branch, which mispredicts on spread-out (globally
+/// initialized) clouds.
+fn angular_difference_group(theta: &[f32; LANES], mean: f32) -> [f32; LANES] {
+    let d = theta.map(|t| t - mean);
+    if d.iter().fold(true, |fast, d| fast & (d.abs() < TAU)) {
+        d.map(|d| {
+            let wrapped = if d > PI { d - TAU } else { d };
+            if d <= -PI {
+                d + TAU
+            } else {
+                wrapped
+            }
+        })
+    } else {
+        theta.map(|t| angular_difference(t, mean))
     }
 }
 
@@ -1852,6 +1882,56 @@ mod tests {
             &mut untouched,
         );
         assert_eq!(untouched, seed);
+    }
+
+    #[test]
+    fn angular_difference_group_matches_the_scalar_function_bit_for_bit() {
+        // Wraps on both sides, the ±π edges, signed zeros, lanes more than a
+        // turn away and non-finite lanes (which send the group to the
+        // scalar function).
+        let specials = [
+            0.0f32,
+            -0.0,
+            PI,
+            -PI,
+            f32::from_bits(PI.to_bits() + 1),
+            f32::from_bits((-PI).to_bits() + 1),
+            TAU,
+            f32::from_bits(TAU.to_bits() - 1),
+            -TAU,
+            2.5 * TAU,
+            -7.0 * TAU,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1e-40,
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut values: Vec<f32> = (0..4000).map(|_| rng.gen_range(-7.0f32..14.0)).collect();
+        for (i, &special) in specials.iter().enumerate() {
+            values[37 * i + 3] = special;
+        }
+        for mean in [
+            0.0f32,
+            0.3,
+            PI,
+            f32::from_bits(TAU.to_bits() - 1),
+            5.9,
+            -0.0,
+        ] {
+            for group in values.chunks_exact(LANES) {
+                let group: &[f32; LANES] = group.try_into().unwrap();
+                let lanes = angular_difference_group(group, mean);
+                for (got, &t) in lanes.iter().zip(group) {
+                    let want = angular_difference(t, mean);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "theta {t}, mean {mean}: {got} vs {want}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,9 +35,12 @@
 //! so do two serial passes of the adaptive layer: the tempering solve's
 //! block sums ([`temper_lanes`], 4×`f64` accumulators) and the
 //! mode-refinement window sums ([`window_sums`]), whose yaw trig is
-//! [`sin_cos_lanes`]. The anchor, spread and resample kernels run their lane
-//! bodies under `Avx2`, because intrinsic versions of them measured no
-//! faster.
+//! [`sin_cos_lanes`]. The resampling plan's branch-free boundary pass
+//! ([`arrow_boundaries`]) is the portable Rust body compiled with AVX2
+//! enabled, with no intrinsics: it vectorizes 4×`f64` wide and measured
+//! faster than the baseline-target build. The anchor, spread and resample
+//! kernels run their lane bodies under `Avx2`, because intrinsic versions
+//! of them measured no faster.
 // Intrinsics require `unsafe`; this is the one module in the crate allowed to
 // use it. Every unsafe block carries a SAFETY comment discharging the single
 // obligation: the AVX2 (and where noted F16C-independent) target features are
@@ -50,6 +53,7 @@ use crate::adaptive::{TEMPER_LANES, TEMPER_SLOTS};
 use crate::kernel::LANES;
 use crate::motion::{MotionDelta, MotionModel};
 use crate::observation::BeamEndPointModel;
+use crate::resampling::Wheel;
 use crate::rng::{CounterRng, GOLDEN_GAMMA, PARTICLE_MIX, SCRAMBLE};
 use core::f32::consts::TAU;
 use mcl_gridmap::DistanceField;
@@ -298,6 +302,27 @@ unsafe fn temper_lanes_impl<const FIRST: bool>(
     for (slot, lanes) in out.iter_mut().zip(acc) {
         _mm256_storeu_pd(slot.as_mut_ptr(), lanes);
     }
+}
+
+/// The resampling plan's boundary pass
+/// (`resampling::arrow_boundaries`) compiled with AVX2 enabled: the same
+/// Rust expression, which the compiler vectorizes 4×`f64` wide instead of
+/// 2 wide at the baseline target. It needs no intrinsics, and the bits
+/// cannot move: rustc never contracts a multiply and an add into an FMA.
+pub(crate) fn arrow_boundaries(wheel: &Wheel, cumulative: &[f64], marks: &mut [usize], lo: usize) {
+    debug_assert!(available());
+    // SAFETY: callers gate on `available`.
+    unsafe { arrow_boundaries_impl(wheel, cumulative, marks, lo) }
+}
+
+/// The body of [`arrow_boundaries`].
+///
+/// # Safety
+///
+/// Callers must ensure the `avx2` target feature is available.
+#[target_feature(enable = "avx2")]
+unsafe fn arrow_boundaries_impl(wheel: &Wheel, cumulative: &[f64], marks: &mut [usize], lo: usize) {
+    crate::resampling::arrow_boundaries(wheel, cumulative, marks, lo);
 }
 
 /// The window sums of one mean-shift iteration — the AVX2 body of

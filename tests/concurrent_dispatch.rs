@@ -27,6 +27,19 @@ use tof_mcl::core::precision::PipelineConfig;
 use tof_mcl::core::KernelBackend;
 use tof_mcl::sim::{run_batch, BatchJob, PaperScenario, SequenceResult};
 
+/// Serializes this file's tests that dispatch on the process-wide shared
+/// pool: the pool's counters are global, so a stats delta taken while
+/// another test dispatches would count that test's tasks too.
+static SHARED_POOL: Mutex<()> = Mutex::new(());
+
+/// Holds [`SHARED_POOL`] for the rest of the calling test (a panicking test
+/// poisons the lock, which guards no data, so the poison is ignored).
+fn exclusive_shared_pool() -> std::sync::MutexGuard<'static, ()> {
+    SHARED_POOL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Regression for the nested-dispatch starvation edge: a dispatch from inside
 /// a pool task used to always run inline when the pool was busy (the single
 /// slot was taken by the outer job). Under the work-stealing scheduler the
@@ -69,6 +82,7 @@ fn nested_dispatch_tasks_run_on_multiple_threads() {
 /// the executed totals account for every dispatched task.
 #[test]
 fn shared_pool_stats_expose_live_stealing_under_contention() {
+    let _exclusive = exclusive_shared_pool();
     let pool = pool::shared();
     if pool.workers() < 2 {
         // A 1-worker pool (MCL_TEST_WORKERS=1 leg) runs everything inline;
@@ -122,6 +136,7 @@ proptest! {
         scenario_seed in 1u64..50,
         job_seed in 1u64..1000,
     ) {
+        let _exclusive = exclusive_shared_pool();
         let scenario = PaperScenario::quick(scenario_seed);
         let sweeps: Vec<Vec<BatchJob>> = [KernelBackend::Scalar, KernelBackend::Lanes, KernelBackend::default()]
             .iter()
