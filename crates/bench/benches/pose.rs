@@ -1,10 +1,7 @@
 //! Host micro-benchmark of the pose-computation step (weighted average with a
 //! circular mean over the yaw): the seed's array-of-structs
 //! `PoseEstimate::from_particles` vs. the fixed-block SoA reduction kernel
-//! ([`mcl_core::kernel::pose_estimate`]) on 1 and 8 workers, plus the
-//! `pose_dispatch` group running the fixed-block
-//! [`PosePartials`](mcl_core::kernel::PosePartials) reduction on the
-//! persistent pool at one and at eight workers.
+//! ([`mcl_core::kernel::pose_estimate`]), and that kernel under each backend.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcl_core::kernel;
@@ -45,24 +42,21 @@ fn bench_pose(c: &mut Criterion) {
     }
     group.finish();
 
+    // The reduction runs serially on the calling thread whatever the layout,
+    // so one single-worker entry per size covers it.
     let mut kernel_group = c.benchmark_group("pose_kernel");
     kernel_group.sample_size(20);
     for &n in &[4096usize, 16_384] {
         let soa: ParticleBuffer<f32> = particles(n).into_iter().collect();
-        for workers in [1usize, 8] {
-            let cluster = ClusterLayout::new(workers);
-            kernel_group.bench_with_input(
-                BenchmarkId::new(format!("soa_blocks_{workers}w"), n),
-                &soa,
-                |b, soa| b.iter(|| kernel::pose_estimate(soa, &cluster)),
-            );
-        }
+        kernel_group.bench_with_input(BenchmarkId::new("soa_blocks", n), &soa, |b, soa| {
+            b.iter(|| kernel::pose_estimate(soa, &ClusterLayout::SINGLE))
+        });
     }
     kernel_group.finish();
 
-    // Scalar vs lane-batched accumulation bodies on the sequential fixed-block
-    // reduction (identical block boundaries and f64 fold order — the backends
-    // are bit-identical; the lanes body vectorizes the widening and products).
+    // The backend bodies of the fixed-block, four-lane reduction (one
+    // association, so the backends are bit-identical): scalar and lanes run
+    // the portable lane body, avx2 its intrinsic replay.
     let mut backend_group = c.benchmark_group("pose_backend");
     backend_group.sample_size(30);
     {
@@ -84,42 +78,6 @@ fn bench_pose(c: &mut Criterion) {
         }
     }
     backend_group.finish();
-
-    // Pool dispatch of the pose reduction: the same fixed 256-particle blocks
-    // folded in order, inline at one worker and distributed over the
-    // persistent pool at eight.
-    let mut dispatch_group = c.benchmark_group("pose_dispatch");
-    dispatch_group.sample_size(30);
-    {
-        let n = 4096usize;
-        let soa: ParticleBuffer<f32> = particles(n).into_iter().collect();
-        let view = soa.as_slice();
-        let slice_of = |start: usize, end: usize| {
-            let (_, tail) = view.split_at(start);
-            let (mid, _) = tail.split_at(end - start);
-            mid
-        };
-        let fold = |partials: Vec<kernel::PosePartials>| {
-            let mut total = kernel::PosePartials::default();
-            for partial in &partials {
-                total.merge(partial);
-            }
-            total.mean(0.0)
-        };
-        for workers in [1usize, 8] {
-            let cluster = ClusterLayout::new(workers);
-            dispatch_group.bench_function(BenchmarkId::new(format!("pool_{workers}w"), n), |b| {
-                b.iter(|| {
-                    fold(
-                        cluster.map_index_blocks(n, kernel::POSE_REDUCTION_BLOCK, |start, end| {
-                            kernel::PosePartials::accumulate(slice_of(start, end))
-                        }),
-                    )
-                })
-            });
-        }
-    }
-    dispatch_group.finish();
 }
 
 criterion_group!(benches, bench_pose);

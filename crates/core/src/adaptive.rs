@@ -529,9 +529,10 @@ impl TemperSums {
 /// [`kernel::POSE_REDUCTION_BLOCK`] geometry.
 const TEMPER_BLOCK: usize = kernel::POSE_REDUCTION_BLOCK;
 
-/// Accumulator lanes per tempering block: lane `l` sums the block's
-/// indices `≡ l (mod 4)` — one 4×`f64` register in the AVX2 body.
-pub(crate) const TEMPER_LANES: usize = 4;
+/// Accumulator lanes per tempering block: the pose reduction's
+/// [`kernel::REDUCTION_LANES`] (lane `l` sums the block's indices
+/// `≡ l (mod 4)`, one 4×`f64` register in the AVX2 body).
+pub(crate) const TEMPER_LANES: usize = kernel::REDUCTION_LANES;
 
 /// Sums one tempering pass accumulates, in slot order. Every pass fills
 /// slots 0–3 with the [`TemperSums`] at its `β` (`s1`, `s1d`, `s2`,
@@ -1177,6 +1178,7 @@ fn injection_rng(seed: u64, update_index: u64, slot: u64) -> CounterRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::tests::block_lane_sum;
     use crate::particle::{Particle, ParticleBuffer};
     use mcl_gridmap::Pose2;
     use proptest::prelude::*;
@@ -1562,31 +1564,6 @@ mod tests {
     /// The backend the `MCL_KERNEL_BACKEND` leg of the test run selects.
     fn backend() -> KernelBackend {
         crate::config::MclConfig::default().kernel_backend
-    }
-
-    /// `Σ f(i)` over `0..n` in the documented pass association, written out
-    /// independently of `temper_pass`: 256-index blocks; in each, four lane
-    /// accumulators over the whole quads (lane `l` takes the block indices
-    /// `≡ l (mod 4)`) merged in order 0..3, then the block tail added
-    /// serially; the block partials merged in block order.
-    fn block_lane_sum(n: usize, f: impl Fn(usize) -> f64) -> f64 {
-        let mut total = 0.0;
-        let mut start = 0;
-        while start < n {
-            let end = (start + 256).min(n);
-            let quads = start + (end - start) / 4 * 4;
-            let mut lanes = [0.0f64; 4];
-            for i in start..quads {
-                lanes[(i - start) % 4] += f(i);
-            }
-            let mut block = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-            for i in quads..end {
-                block += f(i);
-            }
-            total += block;
-            start = end;
-        }
-        total
     }
 
     /// The effective sample size of `weights · exp(β·(logs − max_log))`,

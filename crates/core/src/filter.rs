@@ -36,13 +36,12 @@
 //! correct step stays one reweight pass regardless of how many
 //! sensor modalities contributed. The per-update scratch buffers
 //! (log-likelihoods, f32 weights, the beam copy) and the resampling plan
-//! reuse their allocations across updates, and the plan itself is computed
-//! in stack blocks
-//! ([`PartialSumResampler::plan_resize_into`]), so once the buffers are warm
-//! the only per-update heap allocations left are the pose reduction's two
-//! vectors of per-block partials
-//! ([`kernel::pose_estimate_prefix_with`] collects them through
-//! [`ClusterLayout::map_index_blocks`]).
+//! reuse their allocations across updates, the plan itself is computed in
+//! stack blocks ([`PartialSumResampler::plan_resize_into`]), and the pose
+//! reduction ([`kernel::pose_estimate_prefix_with`]) sums serially in stack
+//! blocks. So once the buffers are warm, a single-worker update makes no
+//! heap allocation (`tests/resample_plan_alloc.rs` counts them). A
+//! multi-worker dispatch still builds its per-dispatch slot vector.
 //!
 //! A beam-only observation is an [`ObservationBatch`] without an anchor
 //! block ([`ObservationBatch::from_beams`] /

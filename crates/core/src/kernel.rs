@@ -14,14 +14,15 @@
 //! | [`anchor_log_likelihoods`] | correction (UWB fusion) | particle chunk + [`ObservationBatch`] anchors | log-likelihoods accumulated in place |
 //! | [`reweight`] | correction | weight chunk + log-likelihoods | weights in place |
 //! | [`resample_scatter`] | resampling | source set + index chunk | new generation chunk |
-//! | [`PosePartials`] / [`SpreadPartials`] | pose computation | particle chunk | partial reductions |
+//! | [`PosePartials`] / [`SpreadPartials`] | pose computation | particle prefix | weighted sums |
 //!
 //! Determinism: the motion kernel derives every particle's noise from the
 //! counter-based RNG stream `(seed, update, global index)`, so any chunking
-//! produces bit-identical particles. The pose reduction is folded over
-//! **fixed-size blocks** (independent of the worker count, see
-//! [`ClusterLayout::map_index_blocks`](crate::parallel::ClusterLayout::map_index_blocks)),
-//! so estimates are bit-identical across worker counts too.
+//! produces bit-identical particles. The pose reduction runs serially on
+//! the calling thread in one **fixed association** — four-lane sums over
+//! [`POSE_REDUCTION_BLOCK`]-particle blocks, see
+//! [`pose_estimate_prefix_with`] — that does not depend on the worker
+//! count, so estimates are bit-identical across worker counts too.
 //!
 //! # Kernel backends and the lane-width contract
 //!
@@ -51,9 +52,9 @@
 //! | motion | scalar | scalar | avx2 |
 //! | observation | scalar | lanes | avx2 |
 //! | reweight | scalar | lanes | avx2 |
-//! | pose ([`PosePartials`]) | scalar | lanes | avx2 |
+//! | pose ([`PosePartials`]) | lanes | lanes | avx2 |
 //! | anchor | scalar | lanes | lanes |
-//! | spread ([`SpreadPartials`]) | scalar | lanes | lanes |
+//! | spread ([`SpreadPartials`]) | lanes | lanes | avx2 |
 //! | resample | scalar | lanes | lanes |
 //! | resample plan ([`PartialSumResampler`](crate::resampling::PartialSumResampler)) boundary pass | portable | portable | avx2 |
 //! | mode refinement ([`refine_mode_estimate`]) | scalar | scalar | avx2 |
@@ -65,8 +66,12 @@
 //! scalar IEEE 754 ops round identically), so for every storage precision the
 //! `Lanes` and `Avx2` kernels are **bit-identical** to `Scalar`, for every
 //! chunk length and therefore every tail length `len % LANES` ∈ `0..LANES`.
-//! The reductions keep their serial per-accumulator fold order for the same
-//! reason.
+//! The reductions fix their association instead: the pose reduction and the
+//! tempering pass sum in 256-particle blocks of four `f64` lane
+//! accumulators (lane `l` takes the block's whole quads at indices
+//! `≡ l (mod 4)`, merged `l0 + l1 + l2 + l3`, then the block's last
+//! `len mod 4` terms serially, blocks merged in order), which one portable
+//! body and one 4×`f64` intrinsic body both replay.
 //!
 //! Storage conversion is exact in the widening direction and a single
 //! round-to-nearest-even in the narrowing one, so it is part of the per-lane
@@ -92,9 +97,10 @@
 //! `f64` `exp` — are the owned [`mcl_num::math`] functions, not libm: fixed
 //! coefficient sets and Horner orders that `crate::simd` replays 8 lanes
 //! wide (4 for the `f64` `exp`) with the same bits. The angle wraps use the
-//! exact `%`-free fast path of [`normalize_angle`]. What stays scalar per
-//! lane inside the AVX2 kernels is only what has no equivalent vector op
-//! with the same edge semantics: the `f32::max` weight clamps.
+//! exact `%`-free fast path of [`normalize_angle`], and the spread pass
+//! replays the fast path of [`angular_difference`] the same way. The
+//! pose reduction's weight clamp is a select (`w` when `w > 0`, else `+0`),
+//! which `vmaxps(w, 0)` computes exactly.
 //!
 //! All of this is pinned by `tests/kernel_backend_equivalence.rs` across tail
 //! lengths, cluster layouts and warm-pool reruns; the `MCL_KERNEL_BACKEND`
@@ -134,7 +140,8 @@ pub const LANES: usize = mcl_gridmap::DISTANCE_LANES;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelBackend {
     /// Per-particle reference loops — the simplest correct implementation,
-    /// kept as the equivalence baseline and the tail body of `Lanes`.
+    /// kept as the equivalence baseline and the tail body of `Lanes`. The
+    /// pose reduction and the tempering pass run their portable lane body.
     Scalar,
     /// Lane-batched loops: fixed [`LANES`]-wide, autovectorizer-friendly
     /// chunk bodies plus a scalar-reference tail; prediction runs the
@@ -146,7 +153,7 @@ pub enum KernelBackend {
     /// issued as 8×f32 register ops with gather-based EDT lookups — for
     /// the adaptive layer's tempering and mode-refinement passes, and an
     /// AVX2 compilation of the resampling plan's boundary pass. The
-    /// anchor, spread and resample kernels run their `Lanes` bodies.
+    /// anchor and resample kernels run their `Lanes` bodies.
     /// Bit-identical to `Scalar` (single-rounding ops only, no FMA); every
     /// dispatch falls back to `Lanes` when the host lacks AVX2, so selecting
     /// it is safe everywhere. [`KernelBackend::detect`] picks it by default
@@ -258,9 +265,11 @@ impl KernelBackend {
     }
 }
 
-/// Particles per reduction block of the pose-computation kernel. Fixed (rather
-/// than derived from the worker count) so the block partials — and therefore
-/// the folded estimate — are bit-identical for every [`ClusterLayout`].
+/// Particles per reduction block of the pose-computation kernel (and of the
+/// adaptive tempering pass): each block sums four lane accumulators over its
+/// whole quads, then its tail, and the block sums merge in block order. The
+/// constant is part of the sums' association, so it is fixed rather than
+/// derived from the worker count or the host.
 pub const POSE_REDUCTION_BLOCK: usize = 256;
 
 /// The stored components `start..start + LANES` widened in bulk
@@ -854,171 +863,205 @@ pub fn resample_scatter_with<S: Scalar>(
     }
 }
 
-/// First-pass partial sums of the pose-computation kernel: weighted position /
-/// heading-vector sums plus their unweighted counterparts (the fallback when
-/// every weight has collapsed to zero).
+/// Accumulator lanes per pose-reduction block: lane `l` sums the block's
+/// whole quads at block indices `≡ l (mod 4)` — one 4×`f64` register in the
+/// AVX2 bodies.
+pub(crate) const REDUCTION_LANES: usize = 4;
+
+/// Sums of the pose reduction's first pass, in slot order: `Σw`, `Σw²`,
+/// `Σw·x`, `Σw·y`, `Σw·sin θ`, `Σw·cos θ`.
+pub(crate) const POSE_SLOTS: usize = 6;
+
+/// Sums of the pose reduction's spread pass, in slot order:
+/// `Σw·(dx² + dy²)` and `Σw·dθ²` about the mean pose.
+pub(crate) const SPREAD_SLOTS: usize = 2;
+
+/// One quad of stored weights, x, y and yaw, widened to `f32`.
+type Quad = [[f32; REDUCTION_LANES]; 4];
+
+/// The lane accumulators of one block's whole quads, per slot.
+type BlockLanes<const K: usize> = [[f64; REDUCTION_LANES]; K];
+
+/// The weight a reduction pass accumulates: `1` for the unit-weight rerun,
+/// otherwise the stored weight clamped in select form (`w` when `w > 0`,
+/// else `+0`, so NaN and negative weights count as `+0`) — exactly what
+/// `vmaxps(w, 0)` computes.
+#[inline]
+fn pass_weights(w: [f32; REDUCTION_LANES], unweighted: bool) -> [f64; REDUCTION_LANES] {
+    w.map(|w| {
+        if unweighted {
+            1.0
+        } else if w > 0.0 {
+            f64::from(w)
+        } else {
+            0.0
+        }
+    })
+}
+
+/// The first-pass terms of one quad, per slot ([`POSE_SLOTS`] order) and
+/// lane; the heading vector comes from the owned [`mcl_num::math::sin_cos`].
+#[inline]
+fn pose_quad([w, x, y, theta]: Quad, unweighted: bool) -> BlockLanes<POSE_SLOTS> {
+    let w = pass_weights(w, unweighted);
+    let mut terms = [[0.0; REDUCTION_LANES]; POSE_SLOTS];
+    for l in 0..REDUCTION_LANES {
+        let (sin_t, cos_t) = sin_cos(theta[l]);
+        let (x, y) = (f64::from(x[l]), f64::from(y[l]));
+        let (sin_t, cos_t) = (f64::from(sin_t), f64::from(cos_t));
+        let w = w[l];
+        for (slot, term) in terms
+            .iter_mut()
+            .zip([w, w * w, w * x, w * y, w * sin_t, w * cos_t])
+        {
+            slot[l] = term;
+        }
+    }
+    terms
+}
+
+/// The spread-pass terms of one quad against the mean pose, per slot
+/// ([`SPREAD_SLOTS`] order) and lane: `w·(dx·dx + dy·dy)` and `(w·dθ)·dθ`,
+/// with `dx = f64(x − x̄)` (an `f32` subtraction) and `dθ` the
+/// [`angular_difference`] to the mean yaw.
+#[inline]
+fn spread_quad([w, x, y, theta]: Quad, mean: &Pose2, unweighted: bool) -> BlockLanes<SPREAD_SLOTS> {
+    let w = pass_weights(w, unweighted);
+    let dt = angular_difference_group(&theta, mean.theta);
+    let mut terms = [[0.0; REDUCTION_LANES]; SPREAD_SLOTS];
+    for l in 0..REDUCTION_LANES {
+        let dx = f64::from(x[l] - mean.x);
+        let dy = f64::from(y[l] - mean.y);
+        let dt = f64::from(dt[l]);
+        terms[0][l] = w[l] * (dx * dx + dy * dy);
+        terms[1][l] = w[l] * dt * dt;
+    }
+    terms
+}
+
+/// The portable lane accumulators of one block's whole quads: lane `l` of
+/// each slot sums `quad_terms` over the quads' members `l`, in quad order.
+/// `Scalar` and `Lanes` run it; the AVX2 bodies (`simd::pose_lanes`,
+/// `simd::spread_lanes`) replay it bit for bit.
+fn portable_lanes<const K: usize>(
+    block: [&[f32]; 4],
+    quad_terms: impl Fn(Quad) -> BlockLanes<K>,
+) -> BlockLanes<K> {
+    let mut lanes = [[0.0; REDUCTION_LANES]; K];
+    for q in (0..block[0].len()).step_by(REDUCTION_LANES) {
+        let terms = quad_terms(block.map(|c| {
+            c[q..q + REDUCTION_LANES]
+                .try_into()
+                .expect("whole quads only")
+        }));
+        for (lane, term) in lanes.iter_mut().zip(terms) {
+            for l in 0..REDUCTION_LANES {
+                lane[l] += term[l];
+            }
+        }
+    }
+    lanes
+}
+
+/// One pass of the pose reduction: `K` sums over `particles` in the fixed
+/// association of the tempering pass. The population is cut into
+/// [`POSE_REDUCTION_BLOCK`]-particle blocks. In each, `quad_lanes` returns
+/// the [`REDUCTION_LANES`] lane accumulators over the block's whole quads;
+/// they merge as `l0 + l1 + l2 + l3`, then the block's last `len mod 4`
+/// particles add serially (each through `quad_terms`, lane 0 of a quad
+/// padded with zeros). The block sums merge in block order. The pass is
+/// serial and allocation-free: stored components are read through
+/// [`for_each_widened_block`], whose stack blocks are reduction blocks.
+fn reduction_pass<S: Scalar, const K: usize>(
+    particles: ParticleSlice<'_, S>,
+    quad_lanes: impl Fn([&[f32]; 4]) -> BlockLanes<K>,
+    quad_terms: impl Fn(Quad) -> BlockLanes<K>,
+) -> [f64; K] {
+    let mut total = [0.0; K];
+    let components = [particles.weight, particles.x, particles.y, particles.theta];
+    for_each_widened_block(components, |components| {
+        let len = components[0].len();
+        for start in (0..len).step_by(POSE_REDUCTION_BLOCK) {
+            let end = (start + POSE_REDUCTION_BLOCK).min(len);
+            let quads = end - (end - start) % REDUCTION_LANES;
+            let lanes = quad_lanes(components.map(|c| &c[start..quads]));
+            let mut block = lanes.map(|lane| lane[0] + lane[1] + lane[2] + lane[3]);
+            for i in quads..end {
+                let terms = quad_terms(components.map(|c| [c[i], 0.0, 0.0, 0.0]));
+                for (sum, term) in block.iter_mut().zip(terms) {
+                    *sum += term[0];
+                }
+            }
+            for (sum, partial) in total.iter_mut().zip(block) {
+                *sum += partial;
+            }
+        }
+    });
+    total
+}
+
+/// Whether `backend` runs the intrinsic bodies of the reduction passes on
+/// this host.
+fn runs_avx2(backend: KernelBackend) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        backend == KernelBackend::Avx2 && crate::simd::available()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = backend;
+        false
+    }
+}
+
+/// First-pass sums of the pose-computation kernel: the weight sums and the
+/// weighted position and heading-vector sums.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PosePartials {
-    count: usize,
     sum_w: f64,
     sum_w_sq: f64,
     sum_wx: f64,
     sum_wy: f64,
     sum_w_sin: f64,
     sum_w_cos: f64,
-    sum_x: f64,
-    sum_y: f64,
-    sum_sin: f64,
-    sum_cos: f64,
 }
 
 impl PosePartials {
-    /// Accumulates one particle's pre-widened components. Shared by the
-    /// scalar loop and the lane-batched tail/fold so every backend issues the
-    /// same accumulator additions in the same per-particle order — the f64
-    /// association the bit-identity contract depends on.
-    #[inline]
-    fn push(&mut self, w: f64, x: f64, y: f64, sin_t: f64, cos_t: f64) {
-        self.count += 1;
-        self.sum_w += w;
-        self.sum_w_sq += w * w;
-        self.sum_wx += w * x;
-        self.sum_wy += w * y;
-        self.sum_w_sin += w * sin_t;
-        self.sum_w_cos += w * cos_t;
-        self.sum_x += x;
-        self.sum_y += y;
-        self.sum_sin += sin_t;
-        self.sum_cos += cos_t;
-    }
-
-    /// Accumulates one particle chunk. The heading vector comes from the
-    /// owned [`mcl_num::math::sin_cos`].
-    pub fn accumulate<S: Scalar>(particles: ParticleSlice<'_, S>) -> Self {
-        let mut p = PosePartials::default();
-        p.accumulate_from(particles, 0);
-        p
-    }
-
-    /// Lane-batched accumulation: widens one [`LANES`]-wide group of stored
-    /// components in bulk, then clamps and widens them to `f64` in
-    /// vectorizable array passes (the owned heading
-    /// `sin_cos` runs per lane), then folds the group through the shared
-    /// per-particle push **in particle order** — the f64 accumulator
-    /// chains associate exactly as in the scalar loop, so the partials are
-    /// bit-identical to [`PosePartials::accumulate`].
-    pub fn accumulate_lanes<S: Scalar>(particles: ParticleSlice<'_, S>) -> Self {
-        let mut p = PosePartials::default();
-        let n = particles.len();
-        let mut i = 0usize;
-        while i + LANES <= n {
-            let wf = widen_group(particles.weight, i);
-            let xf = widen_group(particles.x, i);
-            let yf = widen_group(particles.y, i);
-            let theta = widen_group(particles.theta, i);
-            let mut w = [0.0f64; LANES];
-            let mut x = [0.0f64; LANES];
-            let mut y = [0.0f64; LANES];
-            for l in 0..LANES {
-                w[l] = f64::from(wf[l].max(0.0));
-                x[l] = f64::from(xf[l]);
-                y[l] = f64::from(yf[l]);
-            }
-            let mut sin_t = [0.0f64; LANES];
-            let mut cos_t = [0.0f64; LANES];
-            for l in 0..LANES {
-                let (s, c) = sin_cos(theta[l]);
-                sin_t[l] = f64::from(s);
-                cos_t[l] = f64::from(c);
-            }
-            for l in 0..LANES {
-                p.push(w[l], x[l], y[l], sin_t[l], cos_t[l]);
-            }
-            i += LANES;
-        }
-        p.accumulate_from(particles, i);
-        p
-    }
-
-    /// The scalar reference loop: accumulates particles `start..` one at a
-    /// time (the whole chunk for the scalar kernel, the tail for the
-    /// lane-batched ones).
-    fn accumulate_from<S: Scalar>(&mut self, particles: ParticleSlice<'_, S>, start: usize) {
-        for j in start..particles.len() {
-            let w = f64::from(particles.weight[j].to_f32().max(0.0));
-            let x = f64::from(particles.x[j].to_f32());
-            let y = f64::from(particles.y[j].to_f32());
-            let (sin_t, cos_t) = sin_cos(particles.theta[j].to_f32());
-            self.push(w, x, y, f64::from(sin_t), f64::from(cos_t));
-        }
-    }
-
-    /// Explicit-SIMD accumulation for [`KernelBackend::Avx2`]: the heading
-    /// `sin_cos` runs 8 wide (`crate::simd::sin_cos_lanes`) and the exact
-    /// f32 → f64 widening of each group's positions and heading vector runs
-    /// as `vcvtps2pd` register ops (`crate::simd::widen`); the weight clamp
-    /// (`f32::max` has implementation-defined `-0.0`/NaN tie-breaking that
-    /// `vmaxps` need not share) stays scalar per lane, and the fold goes
-    /// through the shared per-particle push **in particle order**. Falls
-    /// back to [`PosePartials::accumulate_lanes`] without AVX2 and on non-x86
-    /// builds; bit-identical to [`PosePartials::accumulate`] in every case.
-    pub fn accumulate_avx2<S: Scalar>(particles: ParticleSlice<'_, S>) -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::available() {
-            let mut p = PosePartials::default();
-            let n = particles.len();
-            let mut i = 0usize;
-            while i + LANES <= n {
-                let w = widen_group(particles.weight, i).map(|wl| f64::from(wl.max(0.0)));
-                let xf = widen_group(particles.x, i);
-                let yf = widen_group(particles.y, i);
-                let theta = widen_group(particles.theta, i);
-                let mut x = [0.0f64; LANES];
-                let mut y = [0.0f64; LANES];
-                crate::simd::widen(&xf, &mut x);
-                crate::simd::widen(&yf, &mut y);
-                let (sin_f, cos_f) = crate::simd::sin_cos_lanes(&theta);
-                let mut sin_t = [0.0f64; LANES];
-                let mut cos_t = [0.0f64; LANES];
-                crate::simd::widen(&sin_f, &mut sin_t);
-                crate::simd::widen(&cos_f, &mut cos_t);
-                for l in 0..LANES {
-                    p.push(w[l], x[l], y[l], sin_t[l], cos_t[l]);
-                }
-                i += LANES;
-            }
-            p.accumulate_from(particles, i);
-            return p;
-        }
-        Self::accumulate_lanes(particles)
-    }
-
-    /// Accumulates with the implementation of the selected [`KernelBackend`].
+    /// The first pass over `particles`, in the reduction's fixed block and
+    /// lane association, with the body of the selected [`KernelBackend`]:
+    /// `Scalar` and `Lanes` run the portable lane body, `Avx2` its
+    /// intrinsic replay (`crate::simd::pose_lanes`: 8-wide `sin_cos`,
+    /// `vcvtps2pd` halves, 4×`f64` accumulators, no FMA). All three return
+    /// the same bits. `unweighted` accumulates every weight as `1`, which
+    /// gives exactly the unweighted sums (`1·x = x`): the fallback when the
+    /// weights have collapsed.
     pub fn accumulate_with<S: Scalar>(
         backend: KernelBackend,
         particles: ParticleSlice<'_, S>,
+        unweighted: bool,
     ) -> Self {
-        match backend {
-            KernelBackend::Scalar => Self::accumulate(particles),
-            KernelBackend::Lanes => Self::accumulate_lanes(particles),
-            KernelBackend::Avx2 => Self::accumulate_avx2(particles),
+        let avx2 = runs_avx2(backend);
+        let quad_terms = |quad: Quad| pose_quad(quad, unweighted);
+        let [sum_w, sum_w_sq, sum_wx, sum_wy, sum_w_sin, sum_w_cos] = reduction_pass(
+            particles,
+            |block| {
+                #[cfg(target_arch = "x86_64")]
+                if avx2 {
+                    return crate::simd::pose_lanes(block, unweighted);
+                }
+                let _ = avx2;
+                portable_lanes(block, quad_terms)
+            },
+            quad_terms,
+        );
+        PosePartials {
+            sum_w,
+            sum_w_sq,
+            sum_wx,
+            sum_wy,
+            sum_w_sin,
+            sum_w_cos,
         }
-    }
-
-    /// Merges another partial into this one. Merging must happen in block
-    /// order for bit-identical results (f64 addition is order-sensitive).
-    pub fn merge(&mut self, other: &PosePartials) {
-        self.count += other.count;
-        self.sum_w += other.sum_w;
-        self.sum_w_sq += other.sum_w_sq;
-        self.sum_wx += other.sum_wx;
-        self.sum_wy += other.sum_wy;
-        self.sum_w_sin += other.sum_w_sin;
-        self.sum_w_cos += other.sum_w_cos;
-        self.sum_x += other.sum_x;
-        self.sum_y += other.sum_y;
-        self.sum_sin += other.sum_sin;
-        self.sum_cos += other.sum_cos;
     }
 
     /// Whether the weights have collapsed (the estimate falls back to the
@@ -1027,29 +1070,14 @@ impl PosePartials {
         self.sum_w <= f64::from(f32::MIN_POSITIVE)
     }
 
-    /// The mean pose implied by the partials; `fallback_theta` is used when the
+    /// The mean pose implied by the sums; `fallback_theta` is used when the
     /// heading vectors cancel (no meaningful circular mean).
     pub fn mean(&self, fallback_theta: f32) -> Pose2 {
-        let (sum_w, sum_x, sum_y, sum_sin, sum_cos) = if self.weights_collapsed() {
-            (
-                self.count as f64,
-                self.sum_x,
-                self.sum_y,
-                self.sum_sin,
-                self.sum_cos,
-            )
-        } else {
-            (
-                self.sum_w,
-                self.sum_wx,
-                self.sum_wy,
-                self.sum_w_sin,
-                self.sum_w_cos,
-            )
-        };
-        let mean_x = (sum_x / sum_w) as f32;
-        let mean_y = (sum_y / sum_w) as f32;
+        let sum_w = self.sum_w;
+        let mean_x = (self.sum_wx / sum_w) as f32;
+        let mean_y = (self.sum_wy / sum_w) as f32;
         // Same resultant-length cutoff as mcl_num::weighted_circular_mean.
+        let (sum_sin, sum_cos) = (self.sum_w_sin, self.sum_w_cos);
         let norm = (sum_sin * sum_sin + sum_cos * sum_cos).sqrt();
         let mean_theta = if sum_w <= 0.0 || norm < 1e-6 * sum_w {
             fallback_theta
@@ -1065,29 +1093,15 @@ impl PosePartials {
 
     /// Effective sample size `(Σw)² / Σw²` of the accumulated weights.
     pub fn effective_sample_size(&self) -> f32 {
-        let (sum_w, sum_w_sq) = if self.weights_collapsed() {
-            (self.count as f64, self.count as f64)
-        } else {
-            (self.sum_w, self.sum_w_sq)
-        };
-        if sum_w_sq <= 0.0 {
+        if self.sum_w_sq <= 0.0 {
             0.0
         } else {
-            (sum_w * sum_w / sum_w_sq) as f32
-        }
-    }
-
-    /// The accumulated weight sum used for normalizing the spread pass.
-    pub fn spread_norm(&self) -> f64 {
-        if self.weights_collapsed() {
-            self.count as f64
-        } else {
-            self.sum_w
+            (self.sum_w * self.sum_w / self.sum_w_sq) as f32
         }
     }
 }
 
-/// Second-pass partial sums of the pose-computation kernel: weighted squared
+/// Second-pass sums of the pose-computation kernel: weighted squared
 /// deviations from the mean pose.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SpreadPartials {
@@ -1096,111 +1110,31 @@ pub struct SpreadPartials {
 }
 
 impl SpreadPartials {
-    /// Accumulates one particle's deviations; shared by both backends so the
-    /// f64 accumulator association is identical (see [`PosePartials::push`]).
-    #[inline]
-    fn push(&mut self, w: f64, dx: f64, dy: f64, dt: f64) {
-        self.var_pos += w * (dx * dx + dy * dy);
-        self.var_yaw += w * dt * dt;
-    }
-
-    /// Accumulates one particle chunk against the set-wide mean pose.
-    /// `unweighted` selects the collapsed-weights fallback.
-    pub fn accumulate<S: Scalar>(
-        particles: ParticleSlice<'_, S>,
-        mean: &Pose2,
-        unweighted: bool,
-    ) -> Self {
-        let mut p = SpreadPartials::default();
-        p.accumulate_from(particles, mean, unweighted, 0);
-        p
-    }
-
-    /// Lane-batched accumulation: one [`LANES`]-wide group's stored
-    /// components are widened in bulk, then the position deviations, weight
-    /// clamps and angular differences (`angular_difference_group`) run as
-    /// vectorizable array passes, folded **in particle order** through the
-    /// shared per-particle push.
-    /// Bit-identical to [`SpreadPartials::accumulate`]. It is also the
-    /// [`KernelBackend::Avx2`] body: an intrinsic subtract-and-widen measured
-    /// no faster.
-    pub fn accumulate_lanes<S: Scalar>(
-        particles: ParticleSlice<'_, S>,
-        mean: &Pose2,
-        unweighted: bool,
-    ) -> Self {
-        let mut p = SpreadPartials::default();
-        let n = particles.len();
-        let mut i = 0usize;
-        while i + LANES <= n {
-            let w = if unweighted {
-                [1.0f64; LANES]
-            } else {
-                widen_group(particles.weight, i).map(|wl| f64::from(wl.max(0.0)))
-            };
-            let xf = widen_group(particles.x, i);
-            let yf = widen_group(particles.y, i);
-            let theta = widen_group(particles.theta, i);
-            let mut dx = [0.0f64; LANES];
-            let mut dy = [0.0f64; LANES];
-            for l in 0..LANES {
-                dx[l] = f64::from(xf[l] - mean.x);
-                dy[l] = f64::from(yf[l] - mean.y);
-            }
-            let dt = angular_difference_group(&theta, mean.theta).map(f64::from);
-            for l in 0..LANES {
-                p.push(w[l], dx[l], dy[l], dt[l]);
-            }
-            i += LANES;
-        }
-        p.accumulate_from(particles, mean, unweighted, i);
-        p
-    }
-
-    /// The scalar reference loop: accumulates particles `start..` one at a
-    /// time (the whole chunk for the scalar kernel, the tail for the
-    /// lane-batched one).
-    fn accumulate_from<S: Scalar>(
-        &mut self,
-        particles: ParticleSlice<'_, S>,
-        mean: &Pose2,
-        unweighted: bool,
-        start: usize,
-    ) {
-        for j in start..particles.len() {
-            let w = if unweighted {
-                1.0
-            } else {
-                f64::from(particles.weight[j].to_f32().max(0.0))
-            };
-            let dx = f64::from(particles.x[j].to_f32() - mean.x);
-            let dy = f64::from(particles.y[j].to_f32() - mean.y);
-            let dt = f64::from(angular_difference(particles.theta[j].to_f32(), mean.theta));
-            self.push(w, dx, dy, dt);
-        }
-    }
-
-    /// Accumulates with the implementation of the selected [`KernelBackend`]
-    /// (`Avx2` runs the lane body).
+    /// The spread pass over `particles` against the set-wide mean pose, in
+    /// the association and with the backend bodies of
+    /// [`PosePartials::accumulate_with`] (`crate::simd::spread_lanes` under
+    /// `Avx2`). `unweighted` selects the collapsed-weights fallback.
     pub fn accumulate_with<S: Scalar>(
         backend: KernelBackend,
         particles: ParticleSlice<'_, S>,
         mean: &Pose2,
         unweighted: bool,
     ) -> Self {
-        match backend {
-            KernelBackend::Scalar => Self::accumulate(particles, mean, unweighted),
-            KernelBackend::Lanes | KernelBackend::Avx2 => {
-                Self::accumulate_lanes(particles, mean, unweighted)
-            }
-        }
-    }
-
-    /// Merges another partial into this one (in block order, see
-    /// [`PosePartials::merge`]).
-    pub fn merge(&mut self, other: &SpreadPartials) {
-        self.var_pos += other.var_pos;
-        self.var_yaw += other.var_yaw;
+        let avx2 = runs_avx2(backend);
+        let quad_terms = |quad: Quad| spread_quad(quad, mean, unweighted);
+        let [var_pos, var_yaw] = reduction_pass(
+            particles,
+            |block| {
+                #[cfg(target_arch = "x86_64")]
+                if avx2 {
+                    return crate::simd::spread_lanes(block, mean, unweighted);
+                }
+                let _ = avx2;
+                portable_lanes(block, quad_terms)
+            },
+            quad_terms,
+        );
+        SpreadPartials { var_pos, var_yaw }
     }
 
     /// Position / yaw standard deviations given the weight normalizer.
@@ -1215,7 +1149,7 @@ impl SpreadPartials {
     }
 }
 
-/// [`angular_difference`]`(θ, mean)` on one lane group, in select form.
+/// [`angular_difference`]`(θ, mean)` on one group of lanes, in select form.
 ///
 /// When every lane's raw difference `d = θ − mean` is below `TAU` in
 /// magnitude, `angular_difference`'s remainder is `d` itself (its exact
@@ -1225,7 +1159,7 @@ impl SpreadPartials {
 /// every lane carries the scalar function's bits; the select form only
 /// drops the per-lane branch, which mispredicts on spread-out (globally
 /// initialized) clouds.
-fn angular_difference_group(theta: &[f32; LANES], mean: f32) -> [f32; LANES] {
+fn angular_difference_group<const N: usize>(theta: &[f32; N], mean: f32) -> [f32; N] {
     let d = theta.map(|t| t - mean);
     if d.iter().fold(true, |fast, d| fast & (d.abs() < TAU)) {
         d.map(|d| {
@@ -1241,11 +1175,8 @@ fn angular_difference_group(theta: &[f32; LANES], mean: f32) -> [f32; LANES] {
     }
 }
 
-/// Pose-computation kernel: the weighted-average pose plus dispersion figures,
-/// reduced over fixed [`POSE_REDUCTION_BLOCK`]-particle blocks distributed over
-/// `layout`'s workers. The block partials are folded in block order, so the
-/// estimate is **bit-identical for every worker count** — the determinism
-/// contract the integration tests pin down.
+/// Pose-computation kernel: the weighted-average pose plus dispersion
+/// figures, with the scalar-backend bodies. See [`pose_estimate_prefix_with`].
 ///
 /// # Panics
 ///
@@ -1257,11 +1188,8 @@ pub fn pose_estimate<S: Scalar>(
     pose_estimate_with(particles, layout, KernelBackend::Scalar)
 }
 
-/// [`pose_estimate`] with the accumulation bodies of the selected
-/// [`KernelBackend`]. The block boundaries, the merge order and the final
-/// folds are backend-independent, and the lane-batched accumulators preserve
-/// the scalar f64 association, so the estimate is bit-identical across
-/// backends *and* worker counts.
+/// [`pose_estimate`] with the bodies of the selected [`KernelBackend`]. See
+/// [`pose_estimate_prefix_with`].
 ///
 /// # Panics
 ///
@@ -1274,13 +1202,23 @@ pub fn pose_estimate_with<S: Scalar>(
     pose_estimate_prefix_with(particles, particles.len(), layout, backend)
 }
 
-/// [`pose_estimate_with`] restricted to the first `n` particles. The filter
-/// uses this to publish a pose that excludes freshly injected recovery
-/// particles (the buffer suffix): they are drawn uniformly over free space
-/// and carry no posterior support until the next observation weighs them, so
-/// including them would bias the estimate toward the map centroid for the
-/// whole injection episode. Same fixed block geometry, so the result is
-/// bit-identical across backends and worker counts.
+/// The weighted-average pose and dispersion figures of the first `n`
+/// particles. The filter uses the prefix to publish a pose that excludes
+/// freshly injected recovery particles (the buffer suffix): they are drawn
+/// uniformly over free space and carry no posterior support until the next
+/// observation weighs them, so including them would bias the estimate toward
+/// the map centroid for the whole injection episode.
+///
+/// Two passes run serially on the calling thread without allocating: the
+/// [`PosePartials`] sums give the mean, then the [`SpreadPartials`] sums the
+/// spread about it. When the weights have collapsed, the first pass re-runs
+/// with unit weights and the spread pass follows with them. Both passes fold
+/// in one fixed association ([`POSE_REDUCTION_BLOCK`]-particle blocks, four
+/// lane accumulators each), which every backend replays, so the estimate is
+/// bit-identical across backends. `layout` no longer schedules the
+/// reduction (splitting a pass of this size over the pool measured slower
+/// for the tempering pass, which shares the association), so the estimate
+/// is the same for every worker count too.
 ///
 /// # Panics
 ///
@@ -1288,36 +1226,22 @@ pub fn pose_estimate_with<S: Scalar>(
 pub fn pose_estimate_prefix_with<S: Scalar>(
     particles: &ParticleBuffer<S>,
     n: usize,
-    layout: &ClusterLayout,
+    _layout: &ClusterLayout,
     backend: KernelBackend,
 ) -> PoseEstimate {
     assert!(
         n > 0 && n <= particles.len(),
         "estimate prefix must be non-empty and within the particle set"
     );
-    let view = particles.as_slice();
-    let slice_of = |start: usize, end: usize| {
-        let (_, tail) = view.split_at(start);
-        let (mid, _) = tail.split_at(end - start);
-        mid
-    };
-
-    let mut first_pass = PosePartials::default();
-    for partial in layout.map_index_blocks(n, POSE_REDUCTION_BLOCK, |start, end| {
-        PosePartials::accumulate_with(backend, slice_of(start, end))
-    }) {
-        first_pass.merge(&partial);
+    let (view, _) = particles.as_slice().split_at(n);
+    let mut first_pass = PosePartials::accumulate_with(backend, view, false);
+    let unweighted = first_pass.weights_collapsed();
+    if unweighted {
+        first_pass = PosePartials::accumulate_with(backend, view, true);
     }
     let mean = first_pass.mean(particles.theta()[0].to_f32());
-    let unweighted = first_pass.weights_collapsed();
-
-    let mut second_pass = SpreadPartials::default();
-    for partial in layout.map_index_blocks(n, POSE_REDUCTION_BLOCK, |start, end| {
-        SpreadPartials::accumulate_with(backend, slice_of(start, end), &mean, unweighted)
-    }) {
-        second_pass.merge(&partial);
-    }
-    let (position_std_m, yaw_std_rad) = second_pass.finish(first_pass.spread_norm());
+    let second_pass = SpreadPartials::accumulate_with(backend, view, &mean, unweighted);
+    let (position_std_m, yaw_std_rad) = second_pass.finish(first_pass.sum_w);
 
     PoseEstimate {
         pose: mean,
@@ -1490,7 +1414,7 @@ pub fn refine_mode_estimate<S: Scalar>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::particle::Particle;
     use mcl_gridmap::{EuclideanDistanceField, MapBuilder};
@@ -1510,6 +1434,109 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    /// `Σ f(i)` over `0..n` in the documented reduction association,
+    /// written out independently of the kernels: 256-index blocks; in each,
+    /// four lane accumulators over the whole quads (lane `l` takes the block
+    /// indices `≡ l (mod 4)`) merged in order 0..3, then the block tail
+    /// added serially; the block partials merged in block order.
+    pub(crate) fn block_lane_sum(n: usize, f: impl Fn(usize) -> f64) -> f64 {
+        let mut total = 0.0;
+        for start in (0..n).step_by(256) {
+            let end = (start + 256).min(n);
+            let quads = start + (end - start) / 4 * 4;
+            let mut lanes = [0.0f64; 4];
+            for i in start..quads {
+                lanes[(i - start) % 4] += f(i);
+            }
+            let mut block = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+            for i in quads..end {
+                block += f(i);
+            }
+            total += block;
+        }
+        total
+    }
+
+    #[test]
+    fn pose_and_spread_sums_follow_the_block_lane_association_on_every_backend() {
+        // The f64 sums themselves, which the f32 estimate rounds away:
+        // lengths around the quad and block boundaries, weights with
+        // negative and NaN entries, yaws that wrap about the mean.
+        fn check<S: Scalar>() {
+            let mean = Pose2::new(1.2, 1.1, 0.7);
+            for n in [1usize, 3, 4, 7, 8, 12, 255, 256, 257, 262, 515, 1027] {
+                let particles: ParticleBuffer<S> = buffer(n)
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| {
+                        let w = match i % 13 {
+                            4 => -0.5,
+                            9 => f32::NAN,
+                            _ => p.weight,
+                        };
+                        Particle::from_pose(&p.pose(), w)
+                    })
+                    .collect();
+                let view = particles.as_slice();
+                let x = |i: usize| view.x[i].to_f32();
+                let y = |i: usize| view.y[i].to_f32();
+                let theta = |i: usize| view.theta[i].to_f32();
+                for unweighted in [false, true] {
+                    let w = |i: usize| {
+                        let w = view.weight[i].to_f32();
+                        if unweighted {
+                            1.0
+                        } else if w > 0.0 {
+                            f64::from(w)
+                        } else {
+                            0.0
+                        }
+                    };
+                    let pose = [
+                        block_lane_sum(n, w),
+                        block_lane_sum(n, |i| w(i) * w(i)),
+                        block_lane_sum(n, |i| w(i) * f64::from(x(i))),
+                        block_lane_sum(n, |i| w(i) * f64::from(y(i))),
+                        block_lane_sum(n, |i| w(i) * f64::from(sin_cos(theta(i)).0)),
+                        block_lane_sum(n, |i| w(i) * f64::from(sin_cos(theta(i)).1)),
+                    ];
+                    let spread = [
+                        block_lane_sum(n, |i| {
+                            let dx = f64::from(x(i) - mean.x);
+                            let dy = f64::from(y(i) - mean.y);
+                            w(i) * (dx * dx + dy * dy)
+                        }),
+                        block_lane_sum(n, |i| {
+                            let dt = f64::from(angular_difference(theta(i), mean.theta));
+                            w(i) * dt * dt
+                        }),
+                    ];
+                    for backend in KernelBackend::ALL {
+                        let p = PosePartials::accumulate_with(backend, view, unweighted);
+                        let got = [
+                            p.sum_w,
+                            p.sum_w_sq,
+                            p.sum_wx,
+                            p.sum_wy,
+                            p.sum_w_sin,
+                            p.sum_w_cos,
+                        ];
+                        let label = format!("{backend:?}, n {n}, unweighted {unweighted}");
+                        assert_eq!(got.map(f64::to_bits), pose.map(f64::to_bits), "{label}");
+                        let s = SpreadPartials::accumulate_with(backend, view, &mean, unweighted);
+                        assert_eq!(
+                            [s.var_pos, s.var_yaw].map(f64::to_bits),
+                            spread.map(f64::to_bits),
+                            "{label}"
+                        );
+                    }
+                }
+            }
+        }
+        check::<f32>();
+        check::<mcl_num::F16>();
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //! [`kernel::observation_log_likelihoods`] + [`kernel::reweight`],
 //! [`kernel::resample_scatter`] and the [`kernel::PosePartials`] /
 //! [`kernel::SpreadPartials`] reductions behind [`kernel::pose_estimate`].
-//! [`ClusterLayout`] dispatches every kernel to its workers — each worker runs
-//! the same loop body on its contiguous slice, exactly like the 8 GAP9 cluster
-//! cores — and the counter-based RNG ([`rng::CounterRng`]) keys every random
+//! [`ClusterLayout`] dispatches the per-particle kernels to its workers —
+//! each worker runs the same loop body on its contiguous slice, exactly like
+//! the 8 GAP9 cluster cores; the pose reduction runs serially on the calling
+//! thread in one fixed four-lane association — and the counter-based RNG ([`rng::CounterRng`]) keys every random
 //! draw on `(seed, update, particle index)`, so the filter state is
 //! bit-identical for every worker count. The workers themselves live in a
 //! persistent work-stealing [`pool::WorkerPool`] ([`pool::shared`]): resident

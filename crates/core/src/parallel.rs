@@ -218,54 +218,6 @@ impl ClusterLayout {
         pool::shared().dispatch_limited(slots.len(), threads, &task);
     }
 
-    /// Runs `work` on every worker chunk and collects one result per chunk, in
-    /// chunk order. Used for the per-chunk partial sums of the reduction steps.
-    pub fn map_split<C, R, F>(&self, items: C, work: F) -> Vec<R>
-    where
-        C: Subdivide + Send,
-        R: Send,
-        F: Fn(usize, C) -> R + Send + Sync,
-    {
-        let n = items.subdivide_len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if self.workers == 1 {
-            return vec![work(0, items)];
-        }
-        // Chunk geometry follows the *modelled* worker count (⌈n/workers⌉),
-        // not the thread cap: callers fold the per-chunk results, so the
-        // number of chunks is part of the semantic decomposition.
-        let chunk = self.chunk_size(n);
-        let mut slots = Vec::with_capacity(self.workers);
-        let mut rest = items;
-        let mut start = 0usize;
-        while start < n {
-            let take = chunk.min(n - start);
-            let (mine, remaining) = rest.subdivide_at(take);
-            rest = remaining;
-            slots.push(Mutex::new(Some((start, mine))));
-            start += take;
-        }
-        let results: Vec<Mutex<Option<R>>> = (0..slots.len()).map(|_| Mutex::new(None)).collect();
-        let task = |index: usize| {
-            let (chunk_start, mine) = take_slot(&slots[index]);
-            let result = work(chunk_start, mine);
-            *results[index]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = Some(result);
-        };
-        pool::shared().dispatch_limited(slots.len(), self.thread_cap(), &task);
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every chunk task stores its result")
-            })
-            .collect()
-    }
-
     /// Runs `work` on explicitly sized contiguous pieces of `items` — one per
     /// `(start, end)` range — in parallel. The ranges must be contiguous,
     /// disjoint, ordered and cover `0..len` exactly; this is the shape of a
@@ -339,64 +291,6 @@ impl ClusterLayout {
             run_ranges(mine, group, &work);
         };
         pool::shared().dispatch_limited(slots.len(), threads, &task);
-    }
-
-    /// Reduces `0..n` in fixed-size blocks: `reduce` maps each `(start, end)`
-    /// block to a partial result, blocks are distributed over the workers, and
-    /// the partials are returned **in block order** regardless of which worker
-    /// produced them. Because the block boundaries depend only on `block_size`
-    /// (not on the worker count), folding the returned partials in order gives
-    /// bit-identical reductions for every [`ClusterLayout`] — the property the
-    /// pose-computation kernel needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `block_size` is zero.
-    pub fn map_index_blocks<R, F>(&self, n: usize, block_size: usize, reduce: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, usize) -> R + Send + Sync,
-    {
-        assert!(block_size > 0, "block_size must be positive");
-        let blocks = n.div_ceil(block_size);
-        if blocks == 0 {
-            return Vec::new();
-        }
-        let block_range = |b: usize| (b * block_size, ((b + 1) * block_size).min(n));
-        let threads = self.workers.min(self.thread_cap()).min(blocks);
-        if threads == 1 {
-            return (0..blocks)
-                .map(|b| {
-                    let (s, e) = block_range(b);
-                    reduce(s, e)
-                })
-                .collect();
-        }
-        // Each worker owns a contiguous run of blocks; partials are collected
-        // per worker and concatenated, restoring global block order.
-        let per_worker = blocks.div_ceil(threads);
-        let runs = blocks.div_ceil(per_worker);
-        let results: Vec<Mutex<Option<Vec<R>>>> = (0..runs).map(|_| Mutex::new(None)).collect();
-        let task = |w: usize| {
-            let first = w * per_worker;
-            let last = ((w + 1) * per_worker).min(blocks);
-            let partials: Vec<R> = (first..last)
-                .map(|b| {
-                    let (s, e) = block_range(b);
-                    reduce(s, e)
-                })
-                .collect();
-            *results[w].lock().unwrap_or_else(PoisonError::into_inner) = Some(partials);
-        };
-        pool::shared().dispatch_limited(runs, threads, &task);
-        results
-            .into_iter()
-            .flat_map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every block run stores its partials")
-            })
-            .collect()
     }
 
     /// Scatters `source[indices[i]]` into `target[i]` for the output ranges of a
@@ -481,22 +375,6 @@ mod tests {
         ClusterLayout::SINGLE.for_each_split(serial.as_mut_slice(), mutate);
         assert_eq!(pooled, serial);
 
-        let layout = ClusterLayout::new(5);
-        let expected: Vec<u64> = layout
-            .chunks(base.len())
-            .map(|(s, e)| base[s..e].iter().sum::<u64>())
-            .collect();
-        let sum = |_: usize, chunk: &[u64]| chunk.iter().sum::<u64>();
-        assert_eq!(layout.map_split(base.as_slice(), sum), expected);
-
-        let reduce = |s: usize, e: usize| base[s..e].iter().map(|&v| v as f64).sum::<f64>();
-        let pooled_blocks = ClusterLayout::GAP9.map_index_blocks(base.len(), 64, reduce);
-        let serial_blocks = ClusterLayout::SINGLE.map_index_blocks(base.len(), 64, reduce);
-        assert_eq!(pooled_blocks.len(), serial_blocks.len());
-        for (a, b) in pooled_blocks.iter().zip(serial_blocks.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-
         let indices: Vec<usize> = (0..base.len()).map(|i| (i * 7) % base.len()).collect();
         let ranges = [(0usize, 100usize), (100, 100), (100, 350), (350, 500)];
         let mut pooled_scatter = vec![0u64; base.len()];
@@ -504,18 +382,6 @@ mod tests {
         let mut serial_scatter = vec![0u64; base.len()];
         ClusterLayout::SINGLE.scatter_resample(&base, &mut serial_scatter, &indices, &ranges);
         assert_eq!(pooled_scatter, serial_scatter);
-    }
-
-    #[test]
-    fn map_split_returns_results_in_chunk_order() {
-        let items: Vec<f32> = (0..100).map(|i| i as f32).collect();
-        let sums =
-            ClusterLayout::new(4).map_split(items.as_slice(), |_, c: &[f32]| c.iter().sum::<f32>());
-        assert_eq!(sums.len(), 4);
-        let total: f32 = sums.iter().sum();
-        assert_eq!(total, items.iter().sum::<f32>());
-        // First chunk (0..25) has the smallest sum, last the largest.
-        assert!(sums[0] < sums[3]);
     }
 
     #[test]
@@ -553,24 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn map_index_blocks_is_worker_count_invariant() {
-        // Partials must come back in block order for every layout, so an
-        // order-sensitive fold (here: f64 summation) is bit-identical.
-        let values: Vec<f64> = (0..1000).map(|i| (i as f64).sin()).collect();
-        let reduce = |s: usize, e: usize| values[s..e].iter().sum::<f64>();
-        let fold = |partials: Vec<f64>| partials.into_iter().fold(0.0f64, |a, b| a + b);
-        let single = fold(ClusterLayout::SINGLE.map_index_blocks(1000, 64, reduce));
-        let three = fold(ClusterLayout::new(3).map_index_blocks(1000, 64, reduce));
-        let eight = fold(ClusterLayout::GAP9.map_index_blocks(1000, 64, reduce));
-        assert_eq!(single.to_bits(), three.to_bits());
-        assert_eq!(single.to_bits(), eight.to_bits());
-        assert_eq!(
-            ClusterLayout::GAP9.map_index_blocks(1000, 64, reduce).len(),
-            1000usize.div_ceil(64)
-        );
-    }
-
-    #[test]
     fn scatter_resample_matches_sequential_gather() {
         let source: Vec<u32> = (0..64).map(|i| i * 3).collect();
         let indices: Vec<usize> = (0..64).map(|i| (i * 7) % 64).collect();
@@ -590,11 +438,6 @@ mod tests {
         let mut empty: Vec<u8> = vec![];
         ClusterLayout::GAP9
             .for_each_split(empty.as_mut_slice(), |_, _| panic!("must not be called"));
-        let results = ClusterLayout::GAP9.map_split(empty.as_slice(), |_, _: &[u8]| 1u8);
-        assert!(results.is_empty());
-        assert!(ClusterLayout::GAP9
-            .map_index_blocks(0, 16, |_, _| 1u8)
-            .is_empty());
     }
 
     #[test]
@@ -607,9 +450,6 @@ mod tests {
             }
         });
         assert_eq!(items, vec![100, 101, 102]);
-        let sums =
-            ClusterLayout::GAP9.map_split(&[1u32, 2, 3][..], |_, c: &[u32]| c.iter().sum::<u32>());
-        assert_eq!(sums.iter().sum::<u32>(), 6);
     }
 
     #[test]

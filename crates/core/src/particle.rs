@@ -29,8 +29,9 @@ use mcl_num::Scalar;
 
 /// Particles per stack block of the serial passes that read stored
 /// components as `f32` ([`for_each_widened_block`]): 1 KiB per component,
-/// whatever the population.
-const WIDEN_BLOCK: usize = 256;
+/// whatever the population. One pose-reduction block, so the pose passes
+/// see whole reduction blocks at every storage precision.
+const WIDEN_BLOCK: usize = crate::kernel::POSE_REDUCTION_BLOCK;
 
 /// Hands equal-length stored component arrays to `f` as `f32`, in storage
 /// order: the arrays themselves at `f32` storage, otherwise widened with

@@ -27,20 +27,20 @@
 //! [`normalize_angle_v`] replays [`mcl_num::normalize_angle`]'s exact fast
 //! path and hands a group to the scalar function when a lane leaves it. The
 //! motion noise's SplitMix64 streams run on 4×u64 registers
-//! ([`counter_uniforms`]). What stays scalar per lane is only what has no
-//! vector equivalent with the same edge semantics: the `f32::max` weight
-//! clamp of the pose reduction.
+//! ([`counter_uniforms`]). The pose reduction's weight clamp and angular
+//! difference are selects ([`pass_weights_v`], [`angular_difference_v`]).
 //!
-//! The motion, observation, reweight and pose kernels have bodies here, and
-//! so do two serial passes of the adaptive layer: the tempering solve's
-//! block sums ([`temper_lanes`], 4×`f64` accumulators) and the
+//! The motion, observation and reweight kernels have bodies here, and so do
+//! three serial passes with 4×`f64` lane accumulators: the pose reduction's
+//! two passes ([`pose_lanes`], [`spread_lanes`]) and the tempering solve's
+//! block sums ([`temper_lanes`]). So does the adaptive layer's
 //! mode-refinement window sums ([`window_sums`]), whose yaw trig is
 //! [`sin_cos_lanes`]. The resampling plan's branch-free boundary pass
 //! ([`arrow_boundaries`]) is the portable Rust body compiled with AVX2
 //! enabled, with no intrinsics: it vectorizes 4×`f64` wide and measured
-//! faster than the baseline-target build. The anchor, spread and resample
-//! kernels run their lane bodies under `Avx2`, because intrinsic versions
-//! of them measured no faster.
+//! faster than the baseline-target build. The anchor and resample kernels
+//! run their lane bodies under `Avx2`, because intrinsic versions of them
+//! measured no faster.
 // Intrinsics require `unsafe`; this is the one module in the crate allowed to
 // use it. Every unsafe block carries a SAFETY comment discharging the single
 // obligation: the AVX2 (and where noted F16C-independent) target features are
@@ -50,13 +50,13 @@
 use core::arch::x86_64::*;
 
 use crate::adaptive::{TEMPER_LANES, TEMPER_SLOTS};
-use crate::kernel::LANES;
+use crate::kernel::{LANES, POSE_SLOTS, REDUCTION_LANES, SPREAD_SLOTS};
 use crate::motion::{MotionDelta, MotionModel};
 use crate::observation::BeamEndPointModel;
 use crate::resampling::Wheel;
 use crate::rng::{CounterRng, GOLDEN_GAMMA, PARTICLE_MIX, SCRAMBLE};
-use core::f32::consts::TAU;
-use mcl_gridmap::DistanceField;
+use core::f32::consts::{PI, TAU};
+use mcl_gridmap::{DistanceField, Pose2};
 use mcl_num::math::{
     COS_P, EXP_F64_C, EXP_F64_INV_LN2_N, EXP_F64_LN2_N_HI, EXP_F64_LN2_N_LO, EXP_F64_OVERFLOW,
     EXP_F64_TABLE, EXP_F64_TABLE_BITS, EXP_F64_UNDERFLOW, EXP_LN2_HI, EXP_LN2_LO, EXP_OVERFLOW,
@@ -193,23 +193,6 @@ unsafe fn exp_shifted_impl(lg: &[f32; LANES], max_log: f32, out: &mut [f32; LANE
     _mm256_storeu_ps(out.as_mut_ptr(), exp_v(v));
 }
 
-/// Exact f32 → f64 widening of one lane group (`_mm256_cvtps_pd` on each
-/// 128-bit half) — the pose reduction's widen pass.
-pub(crate) fn widen(values: &[f32; LANES], out: &mut [f64; LANES]) {
-    debug_assert!(available());
-    // SAFETY: callers gate on `available`.
-    unsafe { widen_impl(values, out) }
-}
-
-#[target_feature(enable = "avx2")]
-unsafe fn widen_impl(values: &[f32; LANES], out: &mut [f64; LANES]) {
-    let v = _mm256_loadu_ps(values.as_ptr());
-    let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
-    let hi = _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v));
-    _mm256_storeu_pd(out.as_mut_ptr(), lo);
-    _mm256_storeu_pd(out[4..].as_mut_ptr(), hi);
-}
-
 /// `sin_cos` of one lane group through [`sin_cos_v`]: returns
 /// `(sin, cos)` arrays bit-identical to `mcl_num::math::sin_cos` per lane.
 pub(crate) fn sin_cos_lanes(theta: &[f32; LANES]) -> ([f32; LANES], [f32; LANES]) {
@@ -302,6 +285,187 @@ unsafe fn temper_lanes_impl<const FIRST: bool>(
     for (slot, lanes) in out.iter_mut().zip(acc) {
         _mm256_storeu_pd(slot.as_mut_ptr(), lanes);
     }
+}
+
+/// The lane accumulators of one pose-reduction block's whole quads — the
+/// AVX2 body of `kernel::PosePartials`, bit-identical to the portable lanes
+/// of `kernel::pose_quad`. `block` holds the widened weights, x, y and yaw
+/// of a whole number of quads; lane `l` of `out[slot]` sums that slot's
+/// term over the quad members `l`, in quad order. Each 8-particle group
+/// runs [`sin_cos_v`] once and adds its two quads (the `vcvtps2pd` halves)
+/// into 4×`f64` accumulators; a trailing quad is the low half of a
+/// zero-padded group.
+pub(crate) fn pose_lanes(
+    block: [&[f32]; 4],
+    unweighted: bool,
+) -> [[f64; REDUCTION_LANES]; POSE_SLOTS] {
+    debug_assert!(available());
+    let mut out = [[0.0; REDUCTION_LANES]; POSE_SLOTS];
+    // SAFETY: callers gate on `available`.
+    unsafe { pose_lanes_impl(block, unweighted, &mut out) };
+    out
+}
+
+/// The body of [`pose_lanes`].
+///
+/// # Safety
+///
+/// Callers must ensure the `avx2` target feature is available.
+#[target_feature(enable = "avx2")]
+unsafe fn pose_lanes_impl(
+    [w, x, y, theta]: [&[f32]; 4],
+    unweighted: bool,
+    out: &mut [[f64; REDUCTION_LANES]; POSE_SLOTS],
+) {
+    let mut acc = [_mm256_setzero_pd(); POSE_SLOTS];
+    for i in (0..w.len()).step_by(LANES) {
+        let quads = group_quads(w.len(), i);
+        let wv = pass_weights_v(load_group(w, i, quads), unweighted);
+        let (sin_v, cos_v) = sin_cos_v(load_group(theta, i, quads));
+        let (xv, yv) = (load_group(x, i, quads), load_group(y, i, quads));
+        for half in 0..quads {
+            let w = widen_half(wv, half);
+            let terms = [
+                w,
+                _mm256_mul_pd(w, w),
+                _mm256_mul_pd(w, widen_half(xv, half)),
+                _mm256_mul_pd(w, widen_half(yv, half)),
+                _mm256_mul_pd(w, widen_half(sin_v, half)),
+                _mm256_mul_pd(w, widen_half(cos_v, half)),
+            ];
+            for (sum, term) in acc.iter_mut().zip(terms) {
+                *sum = _mm256_add_pd(*sum, term);
+            }
+        }
+    }
+    for (slot, lanes) in out.iter_mut().zip(acc) {
+        _mm256_storeu_pd(slot.as_mut_ptr(), lanes);
+    }
+}
+
+/// The spread-pass lane accumulators of one pose-reduction block's whole
+/// quads against the mean pose — the AVX2 body of `kernel::SpreadPartials`,
+/// bit-identical to the portable lanes of `kernel::spread_quad`, in the
+/// layout of [`pose_lanes`]: `w·(dx·dx + dy·dy)` and `(w·dθ)·dθ`, with the
+/// position deviations `f32` subtractions and `dθ` from
+/// [`angular_difference_v`].
+pub(crate) fn spread_lanes(
+    block: [&[f32]; 4],
+    mean: &Pose2,
+    unweighted: bool,
+) -> [[f64; REDUCTION_LANES]; SPREAD_SLOTS] {
+    debug_assert!(available());
+    let mut out = [[0.0; REDUCTION_LANES]; SPREAD_SLOTS];
+    // SAFETY: callers gate on `available`.
+    unsafe { spread_lanes_impl(block, mean, unweighted, &mut out) };
+    out
+}
+
+/// The body of [`spread_lanes`].
+///
+/// # Safety
+///
+/// Callers must ensure the `avx2` target feature is available.
+#[target_feature(enable = "avx2")]
+unsafe fn spread_lanes_impl(
+    [w, x, y, theta]: [&[f32]; 4],
+    mean: &Pose2,
+    unweighted: bool,
+    out: &mut [[f64; REDUCTION_LANES]; SPREAD_SLOTS],
+) {
+    let (mean_x, mean_y) = (_mm256_set1_ps(mean.x), _mm256_set1_ps(mean.y));
+    let mut acc = [_mm256_setzero_pd(); SPREAD_SLOTS];
+    for i in (0..w.len()).step_by(LANES) {
+        let quads = group_quads(w.len(), i);
+        let wv = pass_weights_v(load_group(w, i, quads), unweighted);
+        let dxv = _mm256_sub_ps(load_group(x, i, quads), mean_x);
+        let dyv = _mm256_sub_ps(load_group(y, i, quads), mean_y);
+        let dtv = angular_difference_v(load_group(theta, i, quads), mean.theta);
+        for half in 0..quads {
+            let w = widen_half(wv, half);
+            let (dx, dy) = (widen_half(dxv, half), widen_half(dyv, half));
+            let dt = widen_half(dtv, half);
+            let sq = _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
+            acc[0] = _mm256_add_pd(acc[0], _mm256_mul_pd(w, sq));
+            acc[1] = _mm256_add_pd(acc[1], _mm256_mul_pd(_mm256_mul_pd(w, dt), dt));
+        }
+    }
+    for (slot, lanes) in out.iter_mut().zip(acc) {
+        _mm256_storeu_pd(slot.as_mut_ptr(), lanes);
+    }
+}
+
+/// Whole quads in the 8-lane group at `i` of a reduction block of `len`
+/// values (a whole number of quads): 2, or 1 for a trailing quad.
+fn group_quads(len: usize, i: usize) -> usize {
+    debug_assert_eq!(len % REDUCTION_LANES, 0, "whole quads only");
+    ((len - i) / REDUCTION_LANES).min(2)
+}
+
+/// The group of `quads` quads of `values` at `i`; a lone quad fills the low
+/// half and zeroes the high half.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn load_group(values: &[f32], i: usize, quads: usize) -> __m256 {
+    if quads == 2 {
+        _mm256_loadu_ps(values[i..i + LANES].as_ptr())
+    } else {
+        let quad = _mm_loadu_ps(values[i..i + REDUCTION_LANES].as_ptr());
+        _mm256_set_m128(_mm_setzero_ps(), quad)
+    }
+}
+
+/// The reduction passes' weights on 8 lanes: `1` for the unit-weight
+/// rerun, otherwise `vmaxps(w, 0)` — `w` when `w > 0`, else `+0` (NaN and
+/// `-0` included), the portable select.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn pass_weights_v(w: __m256, unweighted: bool) -> __m256 {
+    if unweighted {
+        _mm256_set1_ps(1.0)
+    } else {
+        _mm256_max_ps(w, _mm256_setzero_ps())
+    }
+}
+
+/// Exact f32 → f64 widening of the low (`half` 0) or high (`half` 1) quad
+/// of an 8-lane group.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn widen_half(v: __m256, half: usize) -> __m256d {
+    _mm256_cvtps_pd(if half == 0 {
+        _mm256_castps256_ps128(v)
+    } else {
+        _mm256_extractf128_ps::<1>(v)
+    })
+}
+
+/// `mcl_num::angular_difference(θ, mean)` on 8 lanes, in select form: when
+/// every lane's `d = θ − mean` is below a turn in magnitude the remainder is
+/// `d` itself and the wrap into `(−π, π]` is two selects; otherwise (NaN,
+/// ±∞ or a lane more than a turn away) the group goes through the scalar
+/// function, as `kernel::angular_difference_group` does.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn angular_difference_v(theta: __m256, mean: f32) -> __m256 {
+    let tau = _mm256_set1_ps(TAU);
+    let d = _mm256_sub_ps(theta, _mm256_set1_ps(mean));
+    if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LT_OQ>(abs_v(d), tau)) != 0xFF {
+        let mut lanes = [0.0f32; LANES];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), theta);
+        let lanes = lanes.map(|t| mcl_num::angular_difference(t, mean));
+        return _mm256_loadu_ps(lanes.as_ptr());
+    }
+    let wrapped = select(
+        _mm256_cmp_ps::<_CMP_GT_OQ>(d, _mm256_set1_ps(PI)),
+        _mm256_sub_ps(d, tau),
+        d,
+    );
+    select(
+        _mm256_cmp_ps::<_CMP_LE_OQ>(d, _mm256_set1_ps(-PI)),
+        _mm256_add_ps(d, tau),
+        wrapped,
+    )
 }
 
 /// The resampling plan's boundary pass

@@ -1,12 +1,12 @@
 //! Regression pin for the adaptive filter's known global-init tail.
 //!
 //! The adaptive leg trails the fixed baseline on paper-world *global*
-//! initialization. The cause is wrong-mode commitment under likelihood
-//! tempering: while many aliased hypotheses are live every update
-//! ESS-crashes, the solved annealing exponent `β` lands deep below 1, and so
-//! little evidence flows per update that the motion noise thins the cloud
-//! before the sensor can separate the modes. This test captures the trailing
-//! behaviour so a change that fixes (or moves) it is noticed.
+//! initialization. The cause is open. Likelihood tempering is not it on the
+//! pinned instance: only 2 of its 181 applied updates temper, and with
+//! tempering switched off (the temper stage never annealing) the adaptive
+//! ATE gets worse, 0.300 m instead of 0.229 m. This test
+//! captures the trailing behaviour so a change that fixes (or moves) it is
+//! noticed.
 
 use tof_mcl::core::precision::PipelineConfig;
 use tof_mcl::core::MonteCarloLocalization;
@@ -16,8 +16,13 @@ const PARTICLES: usize = 2048;
 const FLIGHT_S: f32 = 30.0;
 
 /// Captures the adaptive-population tail on a reproducible instance (paper
-/// world 125, filter seed 7): the adaptive leg commits to a wrong mode and
-/// finishes with about 2.5× the fixed baseline's ATE (0.229 m vs 0.091 m).
+/// world 125, filter seed 7): the adaptive leg finishes with about 2.5× the
+/// fixed baseline's ATE (0.229 m vs 0.091 m). Measured on this instance:
+/// the filter applies 181 updates and tempers 2 of them
+/// (`FilterCounters::updates_tempered`), and never tempering raises the
+/// adaptive ATE to 0.300 m, so tempering does not explain the gap. Which
+/// part of the adaptive policy does is not known yet.
+///
 /// Every run here is bit-deterministic (counter-based RNG, schedule- and
 /// backend-independent kernels), so the threshold is an exact replay pin,
 /// not a statistical hope.
@@ -41,8 +46,7 @@ fn adaptive_trails_fixed_on_paper_world_global_init() {
     filter.initialize_uniform(scenario.map(), seed).unwrap();
     let adaptive = run_sequence(&mut filter, sequence, &RunnerConfig::default());
 
-    // The adaptive leg converges (onto the wrong mode, early) but tracks
-    // visibly worse than fixed for the rest of the flight.
+    // The adaptive leg converges but tracks visibly worse than fixed.
     let fixed_ate = fixed.ate_m.expect("fixed baseline converges on this seed");
     let adaptive_ate = adaptive.ate_m.expect("adaptive converges");
     assert!(

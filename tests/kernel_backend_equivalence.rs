@@ -22,7 +22,10 @@
 //!   bit-identity contract as the beam kernel, full-filter, across every
 //!   worker count;
 //! * for binary16 storage, within [`F16_BACKEND_ULP_BOUND`] f16 ULPs — the
-//!   bound is asserted exactly, not approximated with a float tolerance.
+//!   bound is asserted exactly, not approximated with a float tolerance;
+//! * for the pose reduction, against a spelled-out reference of its fixed
+//!   block and lane association, on lengths up to 1100 and on zero, NaN,
+//!   negative and +∞ weights.
 
 use proptest::prelude::*;
 use tof_mcl::core::kernel::{self, KernelBackend, LANES};
@@ -651,4 +654,184 @@ fn ulp_distance_counts_code_steps() {
         2
     ); // smallest positive ↔ smallest negative subnormal straddle zero
     assert_eq!(f16_ulp_distance(F16::MAX, F16::INFINITY), 1);
+}
+
+/// The pose reduction's association, spelled out: 256-particle blocks; in
+/// each, four lane accumulators over the whole quads (lane `l` takes the
+/// block indices `≡ l (mod 4)`), merged as `l0 + l1 + l2 + l3`, then the
+/// block's last `len mod 4` terms added serially; the block sums merged in
+/// block order.
+fn block_lane_sum(n: usize, term: impl Fn(usize) -> f64) -> f64 {
+    let mut total = 0.0f64;
+    for start in (0..n).step_by(256) {
+        let end = (start + 256).min(n);
+        let quads = start + (end - start) / 4 * 4;
+        let mut lanes = [0.0f64; 4];
+        for i in start..quads {
+            lanes[(i - start) % 4] += term(i);
+        }
+        let mut block = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+        for i in quads..end {
+            block += term(i);
+        }
+        total += block;
+    }
+    total
+}
+
+/// The estimate of `particles` with the per-particle weights `w`, straight
+/// from the documented two passes in the [`block_lane_sum`] association.
+fn reference_estimate<S: Scalar>(particles: &ParticleBuffer<S>, w: &[f64]) -> [u32; 6] {
+    use tof_mcl::num::{angular_difference, math::sin_cos, normalize_angle};
+    let n = particles.len();
+    let x = |i: usize| particles.x()[i].to_f32();
+    let y = |i: usize| particles.y()[i].to_f32();
+    let theta = |i: usize| particles.theta()[i].to_f32();
+    let sum_w = block_lane_sum(n, |i| w[i]);
+    let sum_w_sq = block_lane_sum(n, |i| w[i] * w[i]);
+    let sum_wx = block_lane_sum(n, |i| w[i] * f64::from(x(i)));
+    let sum_wy = block_lane_sum(n, |i| w[i] * f64::from(y(i)));
+    let sum_sin = block_lane_sum(n, |i| w[i] * f64::from(sin_cos(theta(i)).0));
+    let sum_cos = block_lane_sum(n, |i| w[i] * f64::from(sin_cos(theta(i)).1));
+    let mean_x = (sum_wx / sum_w) as f32;
+    let mean_y = (sum_wy / sum_w) as f32;
+    let norm = (sum_sin * sum_sin + sum_cos * sum_cos).sqrt();
+    let mean_theta = normalize_angle(if sum_w <= 0.0 || norm < 1e-6 * sum_w {
+        theta(0)
+    } else {
+        normalize_angle(sum_sin.atan2(sum_cos) as f32)
+    });
+    let var_pos = block_lane_sum(n, |i| {
+        let dx = f64::from(x(i) - mean_x);
+        let dy = f64::from(y(i) - mean_y);
+        w[i] * (dx * dx + dy * dy)
+    });
+    let var_yaw = block_lane_sum(n, |i| {
+        let dt = f64::from(angular_difference(theta(i), mean_theta));
+        w[i] * dt * dt
+    });
+    let (position_std, yaw_std) = if sum_w <= 0.0 {
+        (0.0, 0.0)
+    } else {
+        (
+            (var_pos / sum_w).sqrt() as f32,
+            (var_yaw / sum_w).sqrt() as f32,
+        )
+    };
+    let neff = if sum_w_sq <= 0.0 {
+        0.0
+    } else {
+        (sum_w * sum_w / sum_w_sq) as f32
+    };
+    [mean_x, mean_y, mean_theta, position_std, yaw_std, neff].map(canonical_bits)
+}
+
+/// The bits of `v`, with every NaN as the canonical `f32::NAN`: Rust leaves
+/// the sign and payload of a NaN result unspecified (the compiler may swap
+/// the operands of an addition), so only NaN-ness is comparable.
+fn canonical_bits(v: f32) -> u32 {
+    if v.is_nan() {
+        f32::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
+/// Weight patterns of the association proptest.
+const WEIGHT_KINDS: [&str; 5] = ["random", "all zero", "NaN", "negative", "+inf"];
+
+/// `n` particles stored as `S`: positions over a few metres, yaws over
+/// `[-7, 14)` rad (more than a turn from any mean, so the angular
+/// difference leaves its fast path) with an occasional NaN, and weights of
+/// pattern `WEIGHT_KINDS[kind]` — a random spread with every 7th weight
+/// replaced by the pattern's special value (or every weight zero).
+fn association_buffer<S: Scalar>(n: usize, seed: u64, kind: usize) -> ParticleBuffer<S> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|i| {
+            let theta = if i % 97 == 5 {
+                f32::NAN
+            } else {
+                rng.gen_range(-7.0f32..14.0)
+            };
+            let random = rng.gen_range(0.0f32..1.0) / n as f32;
+            let weight = match (kind, i % 7 == 3) {
+                (1, _) => 0.0,
+                (2, true) => f32::NAN,
+                (3, true) => -random,
+                (4, true) => f32::INFINITY,
+                _ => random,
+            };
+            Particle {
+                x: S::from_f32(rng.gen_range(-1.0f32..5.0)),
+                y: S::from_f32(rng.gen_range(-1.0f32..5.0)),
+                theta: S::from_f32(theta),
+                weight: S::from_f32(weight),
+            }
+        })
+        .collect()
+}
+
+/// Checks every backend's estimate of an [`association_buffer`] against
+/// [`reference_estimate`]: with the clamped weights (`w` when `w > 0`, else
+/// 0), or with unit weights when those collapse. The all-zero pattern must
+/// equal the reference fed unit weights.
+fn check_pose_association<S: Scalar>(n: usize, seed: u64, kind: usize) {
+    let particles: ParticleBuffer<S> = association_buffer(n, seed, kind);
+    let clamped: Vec<f64> = particles
+        .weight()
+        .iter()
+        .map(|w| {
+            let w = w.to_f32();
+            if w > 0.0 {
+                f64::from(w)
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    let unit = vec![1.0f64; n];
+    let collapsed = block_lane_sum(n, |i| clamped[i]) <= f64::from(f32::MIN_POSITIVE);
+    assert_eq!(collapsed, kind == 1, "only the all-zero pattern collapses");
+    let expected = reference_estimate(&particles, if collapsed { &unit } else { &clamped });
+    for backend in KernelBackend::ALL {
+        for layout in layouts() {
+            let e = kernel::pose_estimate_with(&particles, &layout, backend);
+            let got = [
+                e.pose.x,
+                e.pose.y,
+                e.pose.theta,
+                e.position_std_m,
+                e.yaw_std_rad,
+                e.neff,
+            ]
+            .map(canonical_bits);
+            assert_eq!(
+                got,
+                expected,
+                "{backend:?}, {} workers, n {n}, {} weights",
+                layout.workers(),
+                WEIGHT_KINDS[kind]
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every backend folds the pose reduction in the documented block and
+    /// lane association, for every length up to past four blocks (so every
+    /// tail length mod 4 and mod 256 occurs), at fp32 and fp16, on random,
+    /// all-zero, NaN, negative and +∞ weights.
+    #[test]
+    fn pose_estimates_follow_the_block_lane_association_on_every_backend(
+        n in 1usize..=1100,
+        seed in 0u64..1_000_000,
+        kind in 0usize..5,
+    ) {
+        check_pose_association::<f32>(n, seed, kind);
+        check_pose_association::<F16>(n, seed, kind);
+    }
 }

@@ -19,7 +19,7 @@
 //! the runner's core count.
 
 use proptest::prelude::*;
-use tof_mcl::core::kernel::{self, PosePartials, POSE_REDUCTION_BLOCK};
+use tof_mcl::core::kernel;
 use tof_mcl::core::{
     pool, AdaptiveConfig, ClusterLayout, MclConfig, MonteCarloLocalization, MotionDelta,
     MotionModel, Particle, ParticleBuffer, PoseEstimate,
@@ -203,8 +203,7 @@ proptest! {
     }
 
     /// Every dispatch entry point agrees with its serial reference on random
-    /// data: mutation (`for_each_split`), per-chunk results (`map_split`),
-    /// fixed-block reduction (`map_index_blocks`) and plan-shaped ranges
+    /// data: mutation (`for_each_split`) and plan-shaped ranges
     /// (`for_each_range` via `scatter_resample`).
     #[test]
     fn every_entry_point_matches_the_serial_reference(
@@ -224,31 +223,6 @@ proptest! {
             let mut serial = values.clone();
             mutate(0, serial.as_mut_slice());
             prop_assert_eq!(&pooled, &serial);
-
-            // map_split: per-chunk f64 sums, order-sensitive fold.
-            let sum = |_: usize, chunk: &[u64]| {
-                chunk.iter().map(|&v| (v % 1024) as f64).sum::<f64>()
-            };
-            let a = layout.map_split(values.as_slice(), sum);
-            let b: Vec<f64> = layout
-                .chunks(values.len())
-                .map(|(s, e)| sum(s, &values[s..e]))
-                .collect();
-            prop_assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-
-            // map_index_blocks: fixed-block partial reduction.
-            let reduce = |s: usize, e: usize| {
-                values[s..e].iter().map(|&v| (v % 4096) as f64).sum::<f64>()
-            };
-            let a = layout.map_index_blocks(values.len(), 32, reduce);
-            let b = ClusterLayout::SINGLE.map_index_blocks(values.len(), 32, reduce);
-            prop_assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
         }
 
         // for_each_range / scatter_resample on a random tiling (zero-length
@@ -271,17 +245,11 @@ proptest! {
 }
 
 /// The pose-reduction kernel keeps returning the same bits over many repeated
-/// dispatches on the warm shared pool — the "no cross-dispatch state" check at
-/// kernel granularity.
+/// calls under every layout, while the warm shared pool serves the other
+/// tests — the "no cross-call state" check at kernel granularity.
 #[test]
 fn repeated_pose_reductions_on_the_warm_pool_are_stable() {
     let buffer = particles(3000);
-    let view = buffer.as_slice();
-    let slice_of = |start: usize, end: usize| {
-        let (_, tail) = view.split_at(start);
-        let (mid, _) = tail.split_at(end - start);
-        mid
-    };
     for layout in layouts() {
         let reference = kernel::pose_estimate(&buffer, &layout);
         for round in 0..20 {
@@ -292,11 +260,6 @@ fn repeated_pose_reductions_on_the_warm_pool_are_stable() {
                 &format!("workers={} round={round}", layout.workers()),
             );
         }
-        // The partials behind the estimate are block-order stable too.
-        let partials = layout.map_index_blocks(buffer.len(), POSE_REDUCTION_BLOCK, |start, end| {
-            PosePartials::accumulate(slice_of(start, end))
-        });
-        assert_eq!(partials.len(), buffer.len().div_ceil(POSE_REDUCTION_BLOCK));
     }
 }
 
