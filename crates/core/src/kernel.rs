@@ -23,6 +23,13 @@
 //! [`POSE_REDUCTION_BLOCK`]-particle blocks, see
 //! [`pose_estimate_prefix_with`] — that does not depend on the worker
 //! count, so estimates are bit-identical across worker counts too.
+//! Bit-identity, across worker counts and across backends, holds for
+//! finite weights. With a non-finite weight (a `+∞` weight makes the pose
+//! estimate NaN) it holds up to the NaN's sign and payload: the backends
+//! have given `0x7FC00000` and `0xFFC00000` for the same NaN, so the
+//! association proptest
+//! (`pose_estimates_follow_the_block_lane_association_on_every_backend` in
+//! `tests/kernel_backend_equivalence.rs`) compares NaN as NaN.
 //!
 //! # Kernel backends and the lane-width contract
 //!
@@ -35,13 +42,15 @@
 //!   of the paper's GAP9 fp16-SIMD inner loops), followed by a
 //!   **scalar-reference tail** for the `len % LANES` leftover particles.
 //! * [`KernelBackend::Avx2`] — explicit `core::arch::x86_64` intrinsics: the
-//!   same [`LANES`]-wide groups issued as 8×f32 register ops (including the
-//!   gather-based quantized/fp16 EDT lookups of
-//!   [`DistanceField::distances_at_world_lanes_avx2`]), runtime-gated behind
-//!   `is_x86_feature_detected!("avx2")`. On any host where the probe fails —
-//!   and on non-x86 builds, where the intrinsic bodies do not exist — every
-//!   `Avx2` dispatch falls back to the body `Lanes` runs, so selecting it is
-//!   always safe and always bit-identical.
+//!   same [`LANES`]-wide groups issued as 8×f32 register ops, runtime-gated
+//!   behind `is_x86_feature_detected!("avx2")`. The observation body is one
+//!   `avx2,f16c` loop over the whole chunk with the field's gather lookup
+//!   ([`DistanceField::gather_lookup`]) inlined into its beam loop; it runs
+//!   when the field returns a lookup, which it does only on a host with AVX2
+//!   and F16C. On any host where a probe fails — and on non-x86 builds,
+//!   where the intrinsic bodies do not exist — every `Avx2` dispatch falls
+//!   back to the body `Lanes` runs, so selecting it is always safe and
+//!   always bit-identical.
 //!
 //! A kernel keeps a separate body for a backend only where measurement shows
 //! it is faster than the body it would otherwise fall back to. The body each
@@ -50,7 +59,7 @@
 //! | kernel | `Scalar` | `Lanes` | `Avx2` |
 //! |---|---|---|---|
 //! | motion | scalar | scalar | avx2 |
-//! | observation | scalar | lanes | avx2 |
+//! | observation | scalar | lanes | avx2 (one chunk loop, gather inlined) |
 //! | reweight | scalar | lanes | avx2 |
 //! | pose ([`PosePartials`]) | lanes | lanes | avx2 |
 //! | anchor | scalar | lanes | lanes |
@@ -66,6 +75,11 @@
 //! scalar IEEE 754 ops round identically), so for every storage precision the
 //! `Lanes` and `Avx2` kernels are **bit-identical** to `Scalar`, for every
 //! chunk length and therefore every tail length `len % LANES` ∈ `0..LANES`.
+//! The AVX2 observation body keeps that per-lane sequence although it runs
+//! the whole chunk in one loop: each lane group still widens its poses,
+//! takes one `sin_cos`, then scores the beams in order (two `vdivps` for the
+//! cell, one `vdivps` for `d²/denom`, no FMA), and the leftover
+//! `len % LANES` particles take the scalar tail.
 //! The reductions fix their association instead: the pose reduction and the
 //! tempering pass sum in 256-particle blocks of four `f64` lane
 //! accumulators (lane `l` takes the block's whole quads at indices
@@ -154,8 +168,10 @@ pub enum KernelBackend {
     /// the adaptive layer's tempering and mode-refinement passes, and an
     /// AVX2 compilation of the resampling plan's boundary pass. The
     /// anchor and resample kernels run their `Lanes` bodies.
-    /// Bit-identical to `Scalar` (single-rounding ops only, no FMA); every
-    /// dispatch falls back to `Lanes` when the host lacks AVX2, so selecting
+    /// Bit-identical to `Scalar` (single-rounding ops only, no FMA), up to
+    /// the sign and payload of a NaN pose estimate when a weight is
+    /// non-finite; every dispatch falls back to `Lanes` when the host lacks
+    /// AVX2 (the observation kernel also when it lacks F16C), so selecting
     /// it is safe everywhere. [`KernelBackend::detect`] picks it by default
     /// on capable hosts.
     Avx2,
@@ -275,7 +291,7 @@ pub const POSE_REDUCTION_BLOCK: usize = 256;
 /// The stored components `start..start + LANES` widened in bulk
 /// ([`Scalar::widen`]) — the gather every lane-group body starts with.
 #[inline]
-fn widen_group<S: Scalar>(stored: &[S], start: usize) -> [f32; LANES] {
+pub(crate) fn widen_group<S: Scalar>(stored: &[S], start: usize) -> [f32; LANES] {
     let mut group = [0.0f32; LANES];
     S::widen(&stored[start..start + LANES], &mut group);
     group
@@ -457,12 +473,17 @@ pub fn observation_log_likelihoods_lanes<S: Scalar, D: DistanceField + ?Sized>(
 }
 
 /// Explicit-SIMD correction kernel, part 1: the [`KernelBackend::Avx2`] body
-/// scores each [`LANES`]-wide pose group through
-/// [`BeamEndPointModel::batch_log_likelihood_avx2`], which keeps the pose
-/// registers, the per-beam rotation and the Eq. 1 accumulation in 8×f32 AVX2
-/// registers (and gathers the EDT lookups on AVX2-capable distance fields),
-/// with the same scalar-reference tail as the lane kernel. On hosts without
-/// AVX2 (checked at runtime) and on non-x86 builds this falls back to
+/// resolves the field's [`DistanceField::gather_lookup`] once per call and,
+/// when the field has one, scores every whole [`LANES`]-wide pose group in
+/// one `avx2,f16c` chunk loop (`crate::simd::score_groups`): per group the
+/// pose is widened, the yaw `sin_cos` runs 8 wide, and the per-beam
+/// rotation, the gathered EDT lookup (inlined
+/// [`GatherLookup::lookup`](mcl_gridmap::GatherLookup::lookup)) and the
+/// Eq. 1 accumulation stay in registers, with one store per group. The same
+/// scalar-reference tail as the lane kernel follows. When the field has no
+/// gather lookup (the host lacks AVX2 or F16C, the field is too large for
+/// i32 gather lanes, or it is not one of the three storages) and on non-x86
+/// builds this runs
 /// [`observation_log_likelihoods_lanes`]. Bit-identical to
 /// [`observation_log_likelihoods`] in every case: the AVX2 body performs the
 /// scalar body's single-rounding IEEE ops in the scalar order and never fuses
@@ -480,21 +501,11 @@ pub fn observation_log_likelihoods_avx2<S: Scalar, D: DistanceField + ?Sized>(
     out: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if crate::simd::available() {
-        let n = particles.len();
-        assert!(out.len() >= n, "output chunk too short");
-        let (end_x, end_y) = in_range_end_points(batch, model);
-        let mut i = 0usize;
-        while i + LANES <= n {
-            let xs = widen_group(particles.x, i);
-            let ys = widen_group(particles.y, i);
-            let thetas = widen_group(particles.theta, i);
-            let mut lane_out = [0.0f32; LANES];
-            model.batch_log_likelihood_avx2(field, &xs, &ys, &thetas, end_x, end_y, &mut lane_out);
-            out[i..i + LANES].copy_from_slice(&lane_out);
-            i += LANES;
-        }
-        score_particles_from(particles, field, model, (end_x, end_y), out, i);
+    if let Some(lookup) = field.gather_lookup() {
+        assert!(out.len() >= particles.len(), "output chunk too short");
+        let prefix = in_range_end_points(batch, model);
+        let scored = crate::simd::score_groups(&lookup, model, particles, prefix, out);
+        score_particles_from(particles, field, model, prefix, out, scored);
         return;
     }
     observation_log_likelihoods_lanes(particles, field, model, batch, out)

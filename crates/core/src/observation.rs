@@ -206,37 +206,6 @@ impl BeamEndPointModel {
         *out = log_sum;
     }
 
-    /// Explicit-AVX2 twin of
-    /// [`BeamEndPointModel::batch_log_likelihood_lanes`] (x86-64 only): the
-    /// per-beam rotation, the truncated EDT lookup (via
-    /// [`DistanceField::distances_at_world_lanes_avx2`], which gathers on
-    /// AVX2-capable fields) and the Eq. 1 accumulation run as 8×f32
-    /// `core::arch` register ops instead of autovectorized array passes.
-    ///
-    /// Restricted to the same single-rounding IEEE ops as the scalar body in
-    /// the same order (no FMA), so every lane's score is **bit-identical** to
-    /// [`BeamEndPointModel::batch_log_likelihood`]. On a host without AVX2
-    /// this method falls back to the lane-batched twin, which upholds the
-    /// same contract.
-    #[cfg(target_arch = "x86_64")]
-    #[allow(clippy::too_many_arguments)] // the full lane-group register set
-    pub fn batch_log_likelihood_avx2<D: DistanceField + ?Sized>(
-        &self,
-        field: &D,
-        x: &[f32; crate::kernel::LANES],
-        y: &[f32; crate::kernel::LANES],
-        theta: &[f32; crate::kernel::LANES],
-        end_x: &[f32],
-        end_y: &[f32],
-        out: &mut [f32; crate::kernel::LANES],
-    ) {
-        if crate::simd::available() {
-            crate::simd::score_pose_group(self, field, x, y, theta, end_x, end_y, out);
-        } else {
-            self.batch_log_likelihood_lanes(field, x, y, theta, end_x, end_y, out);
-        }
-    }
-
     /// Likelihood (not log) of a full observation `z_t` for a particle at `pose`:
     /// the product of the per-beam likelihoods of Eq. 1.
     ///

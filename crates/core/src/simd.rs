@@ -6,7 +6,9 @@
 //! `core::arch::x86_64` intrinsics directly, so the hot bodies run 8×f32 wide
 //! regardless of what the autovectorizer decides at the build's baseline
 //! target. Everything here is runtime-gated: callers check [`available`]
-//! before entering an AVX2 body and fall back to the lane kernels otherwise,
+//! before entering an AVX2 body (the observation body [`score_groups`]
+//! instead takes a [`GatherLookup`], which exists only on a host with AVX2
+//! and F16C) and fall back to the lane kernels otherwise,
 //! which keeps non-AVX2 hosts (and non-x86 builds, where this module does not
 //! exist) on the portable path with identical results.
 //!
@@ -30,7 +32,9 @@
 //! ([`counter_uniforms`]). The pose reduction's weight clamp and angular
 //! difference are selects ([`pass_weights_v`], [`angular_difference_v`]).
 //!
-//! The motion, observation and reweight kernels have bodies here, and so do
+//! The motion, observation and reweight kernels have bodies here (the
+//! observation body is one loop over the whole chunk, with the field's
+//! gather lookup inlined into its beam loop), and so do
 //! three serial passes with 4×`f64` lane accumulators: the pose reduction's
 //! two passes ([`pose_lanes`], [`spread_lanes`]) and the tempering solve's
 //! block sums ([`temper_lanes`]). So does the adaptive layer's
@@ -43,26 +47,29 @@
 //! measured no faster.
 // Intrinsics require `unsafe`; this is the one module in the crate allowed to
 // use it. Every unsafe block carries a SAFETY comment discharging the single
-// obligation: the AVX2 (and where noted F16C-independent) target features are
-// runtime-checked by `available` before any `#[target_feature]` body runs.
+// obligation: the target features a `#[target_feature]` body enables are
+// present — AVX2 runtime-checked by `available`, AVX2 and F16C proven by a
+// `GatherLookup`.
 #![allow(unsafe_code)]
 
 use core::arch::x86_64::*;
 
 use crate::adaptive::{TEMPER_LANES, TEMPER_SLOTS};
-use crate::kernel::{LANES, POSE_SLOTS, REDUCTION_LANES, SPREAD_SLOTS};
+use crate::kernel::{widen_group, LANES, POSE_SLOTS, REDUCTION_LANES, SPREAD_SLOTS};
 use crate::motion::{MotionDelta, MotionModel};
 use crate::observation::BeamEndPointModel;
+use crate::particle::ParticleSlice;
 use crate::resampling::Wheel;
 use crate::rng::{CounterRng, GOLDEN_GAMMA, PARTICLE_MIX, SCRAMBLE};
 use core::f32::consts::{PI, TAU};
-use mcl_gridmap::{DistanceField, Pose2};
+use mcl_gridmap::{GatherLookup, Pose2};
 use mcl_num::math::{
     COS_P, EXP_F64_C, EXP_F64_INV_LN2_N, EXP_F64_LN2_N_HI, EXP_F64_LN2_N_LO, EXP_F64_OVERFLOW,
     EXP_F64_TABLE, EXP_F64_TABLE_BITS, EXP_F64_UNDERFLOW, EXP_LN2_HI, EXP_LN2_LO, EXP_OVERFLOW,
     EXP_P, EXP_UNDERFLOW, FRAC_2_PI, LN2_HI, LN2_LO, LN_LG, LN_SQRT_HALF_BITS,
     LN_SUBNORMAL_EXPONENT, LN_SUBNORMAL_SCALE, LOG2_E, PIO2, ROUND_MAGIC, ROUND_MAGIC_F64, SIN_P,
 };
+use mcl_num::Scalar;
 
 // The lane kernels and the 256-bit registers must agree on the group width.
 const _: () = assert!(LANES == 8, "AVX2 bodies assume 8 f32 lanes");
@@ -74,108 +81,84 @@ pub(crate) fn available() -> bool {
     is_x86_feature_detected!("avx2")
 }
 
-/// Scores one [`LANES`]-wide group of particle poses against the in-range
-/// end-point prefix of a partitioned beam batch — the AVX2 body of
-/// `observation_log_likelihoods_avx2`, bit-identical to
+/// Scores every whole [`LANES`]-wide pose group of a particle chunk against
+/// the in-range end-point prefix of a partitioned beam batch, writing one
+/// log-likelihood per particle into `out`, and returns how many particles
+/// it scored (`len − len % LANES`); the caller scores the tail. This is the
+/// AVX2 body of `observation_log_likelihoods_avx2`, bit-identical to
 /// [`BeamEndPointModel::batch_log_likelihood`] per lane.
 ///
-/// The yaw `sin_cos` ([`sin_cos_v`]), the per-beam rotation, the truncated
-/// EDT lookup (through [`DistanceField::distances_at_world_lanes_avx2`],
-/// which gathers on AVX2 fields) and the Eq. 1 accumulation all run as
-/// 8-wide register ops.
-#[allow(clippy::too_many_arguments)] // the full lane-group register set
-pub(crate) fn score_pose_group<D: DistanceField + ?Sized>(
+/// The whole chunk is one `avx2,f16c` loop: per group the stored pose is
+/// widened ([`Scalar::widen`]), the yaw `sin_cos` runs as [`sin_cos_v`],
+/// then every beam is rotated, looked up through the inlined
+/// [`GatherLookup::lookup`] and accumulated into Eq. 1 in registers, and
+/// the group's sums are stored once.
+pub(crate) fn score_groups<S: Scalar>(
+    lookup: &GatherLookup<'_>,
     model: &BeamEndPointModel,
-    field: &D,
-    x: &[f32; LANES],
-    y: &[f32; LANES],
-    theta: &[f32; LANES],
-    end_x: &[f32],
-    end_y: &[f32],
-    out: &mut [f32; LANES],
-) {
-    debug_assert!(available());
-    let (sin_t, cos_t) = sin_cos_lanes(theta);
+    particles: ParticleSlice<'_, S>,
+    end_points: (&[f32], &[f32]),
+    out: &mut [f32],
+) -> usize {
+    let whole = particles.len() - particles.len() % LANES;
     // Same constant the scalar body folds out of `2.0 * σ * σ`: identical
     // expression, identical roundings.
     let denom = 2.0 * model.sigma_obs() * model.sigma_obs();
-    // SAFETY: `available` was checked by the caller (debug-asserted above),
-    // so the AVX2 target feature is present.
-    unsafe {
-        score_beams(
-            field,
-            end_x,
-            end_y,
-            model.r_max(),
-            model.log_normalizer(),
-            denom,
-            x,
-            y,
-            &sin_t,
-            &cos_t,
-            out,
-        );
-    }
+    let constants = [model.r_max(), model.log_normalizer(), denom];
+    // SAFETY: a `GatherLookup` exists only on a host with AVX2 and F16C, the
+    // features `score_groups_impl` enables.
+    unsafe { score_groups_impl(lookup, particles, end_points, constants, &mut out[..whole]) };
+    whole
 }
 
-/// The register-resident beam loop of [`score_pose_group`]: every beam of
-/// `end_x` / `end_y` is scored, one straight-line body per beam.
+/// The body of [`score_groups`]: `out` holds exactly the whole groups.
 ///
 /// # Safety
 ///
-/// Callers must ensure the `avx2` target feature is available.
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)] // the full lane-group register set
-unsafe fn score_beams<D: DistanceField + ?Sized>(
-    field: &D,
-    end_x: &[f32],
-    end_y: &[f32],
-    r_max: f32,
-    log_normalizer: f32,
-    denom: f32,
-    x: &[f32; LANES],
-    y: &[f32; LANES],
-    sin_t: &[f32; LANES],
-    cos_t: &[f32; LANES],
-    out: &mut [f32; LANES],
+/// Callers must ensure the `avx2` and `f16c` target features are available.
+#[target_feature(enable = "avx2,f16c")]
+unsafe fn score_groups_impl<S: Scalar>(
+    lookup: &GatherLookup<'_>,
+    particles: ParticleSlice<'_, S>,
+    (end_x, end_y): (&[f32], &[f32]),
+    [r_max, log_normalizer, denom]: [f32; 3],
+    out: &mut [f32],
 ) {
-    let x_v = _mm256_loadu_ps(x.as_ptr());
-    let y_v = _mm256_loadu_ps(y.as_ptr());
-    let sin_v = _mm256_loadu_ps(sin_t.as_ptr());
-    let cos_v = _mm256_loadu_ps(cos_t.as_ptr());
     let rmax_v = _mm256_set1_ps(r_max);
     let norm_v = _mm256_set1_ps(log_normalizer);
     let denom_v = _mm256_set1_ps(denom);
-    let mut log_sum = _mm256_setzero_ps();
-    let mut ex = [0.0f32; LANES];
-    let mut ey = [0.0f32; LANES];
-    let mut edt = [0.0f32; LANES];
-    for (&bx, &by) in end_x.iter().zip(end_y) {
-        let bx = _mm256_set1_ps(bx);
-        let by = _mm256_set1_ps(by);
-        // ex = (x + cos·bx) − sin·by and ey = (y + sin·bx) + cos·by, with the
-        // scalar body's association and one rounding per op — no FMA.
-        let ex_v = _mm256_sub_ps(
-            _mm256_add_ps(x_v, _mm256_mul_ps(cos_v, bx)),
-            _mm256_mul_ps(sin_v, by),
-        );
-        let ey_v = _mm256_add_ps(
-            _mm256_add_ps(y_v, _mm256_mul_ps(sin_v, bx)),
-            _mm256_mul_ps(cos_v, by),
-        );
-        _mm256_storeu_ps(ex.as_mut_ptr(), ex_v);
-        _mm256_storeu_ps(ey.as_mut_ptr(), ey_v);
-        field.distances_at_world_lanes_avx2(&ex, &ey, &mut edt);
-        let edt_v = _mm256_loadu_ps(edt.as_ptr());
-        // `min(edt, r_max)`: matches `f32::min` — on a NaN lane (which the
-        // field never produces) `minps` returns the second operand, r_max,
-        // exactly like the scalar min.
-        let d = _mm256_min_ps(edt_v, rmax_v);
-        // log_normalizer − d² / denom, accumulated in beam order per lane.
-        let term = _mm256_sub_ps(norm_v, _mm256_div_ps(_mm256_mul_ps(d, d), denom_v));
-        log_sum = _mm256_add_ps(log_sum, term);
+    for (i, group_out) in out.chunks_exact_mut(LANES).enumerate() {
+        let start = i * LANES;
+        let x_v = _mm256_loadu_ps(widen_group(particles.x, start).as_ptr());
+        let y_v = _mm256_loadu_ps(widen_group(particles.y, start).as_ptr());
+        let theta_v = _mm256_loadu_ps(widen_group(particles.theta, start).as_ptr());
+        let (sin_v, cos_v) = sin_cos_v(theta_v);
+        let mut log_sum = _mm256_setzero_ps();
+        for (&bx, &by) in end_x.iter().zip(end_y) {
+            let bx = _mm256_set1_ps(bx);
+            let by = _mm256_set1_ps(by);
+            // ex = (x + cos·bx) − sin·by and ey = (y + sin·bx) + cos·by,
+            // with the scalar body's association and one rounding per op —
+            // no FMA.
+            let ex_v = _mm256_sub_ps(
+                _mm256_add_ps(x_v, _mm256_mul_ps(cos_v, bx)),
+                _mm256_mul_ps(sin_v, by),
+            );
+            let ey_v = _mm256_add_ps(
+                _mm256_add_ps(y_v, _mm256_mul_ps(sin_v, bx)),
+                _mm256_mul_ps(cos_v, by),
+            );
+            // `min(edt, r_max)`: matches `f32::min` — on a NaN lane (which
+            // the field never produces) `minps` returns the second operand,
+            // r_max, exactly like the scalar min.
+            let d = _mm256_min_ps(lookup.lookup(ex_v, ey_v), rmax_v);
+            // log_normalizer − d² / denom, accumulated in beam order per
+            // lane.
+            let term = _mm256_sub_ps(norm_v, _mm256_div_ps(_mm256_mul_ps(d, d), denom_v));
+            log_sum = _mm256_add_ps(log_sum, term);
+        }
+        _mm256_storeu_ps(group_out.as_mut_ptr(), log_sum);
     }
-    _mm256_storeu_ps(out.as_mut_ptr(), log_sum);
 }
 
 /// The reweight body's likelihood factors of one lane group:

@@ -15,7 +15,10 @@
 //! | `…qm`    | [`QuantizedDistanceField`] (u8, linear code over `[0, rmax]`) | 1 |
 //!
 //! All three implement [`DistanceField`], which is what the observation model in
-//! `mcl-core` is generic over.
+//! `mcl-core` is generic over. On x86-64 each also offers a [`GatherLookup`]
+//! ([`DistanceField::gather_lookup`]) on hosts with AVX2 and F16C: one
+//! inlinable 8-lane gather body per storage, which the AVX2 observation
+//! kernel runs inside its beam loop.
 
 use crate::grid::{CellIndex, CellState, OccupancyGrid};
 use mcl_num::{Quantizer, F16};
@@ -23,6 +26,8 @@ use std::sync::Arc;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+#[cfg(target_arch = "x86_64")]
+pub use avx2::GatherLookup;
 
 /// Trailing pad bytes appended to the quantized code vector: an AVX2 byte
 /// gather reads a full 32-bit word per lane, so a lookup at the last cell
@@ -75,18 +80,28 @@ pub trait DistanceField: Send + Sync {
         }
     }
 
-    /// AVX2 gather twin of [`DistanceField::distances_at_world_lanes`]
-    /// (x86-64 only): the same contract and the same bit-exact results, but
-    /// the storage back-ends override it with `_mm256_i32gather_*`-based
-    /// bodies that replace the eight per-lane memory reads with one hardware
-    /// gather (plus a `_mm256_cvtph_ps` fp16-pair decode for binary16
-    /// storage).
+    /// The AVX2 gather view of this field (x86-64 only): `Some` when the
+    /// host has AVX2 and F16C, every cell index fits an i32 gather lane and
+    /// both grid dimensions are below 2²⁴, so a returned [`GatherLookup`]
+    /// can always run.
+    /// [`GatherLookup::lookup`] is bit-identical to
+    /// [`DistanceField::distance_at_world`] per lane and inlines into a
+    /// caller compiled with the same target features: the observation
+    /// kernel resolves it once per chunk and gathers inside its beam loop.
     ///
-    /// The default implementation — and every override on a host missing the
-    /// required CPU features (AVX2, plus F16C for fp16 storage) or holding a
-    /// field too large to index with i32 gather lanes — falls back to the
-    /// portable lane path, so the results are identical everywhere; only the
-    /// instructions differ.
+    /// The default is `None`; the three storage back-ends return their
+    /// gather (a hardware f32 gather, a byte gather plus dequantize, or an
+    /// fp16 pair-word gather plus `vcvtph2ps`), and `Arc<D>` forwards it.
+    #[cfg(target_arch = "x86_64")]
+    fn gather_lookup(&self) -> Option<GatherLookup<'_>> {
+        None
+    }
+
+    /// AVX2 gather twin of [`DistanceField::distances_at_world_lanes`]
+    /// (x86-64 only): the same contract and the same bit-exact results,
+    /// computed by [`DistanceField::gather_lookup`] when the field has one
+    /// and by the portable lane path otherwise. Results are identical
+    /// everywhere; only the instructions differ.
     #[cfg(target_arch = "x86_64")]
     fn distances_at_world_lanes_avx2(
         &self,
@@ -94,7 +109,7 @@ pub trait DistanceField: Send + Sync {
         ys: &[f32; DISTANCE_LANES],
         out: &mut [f32; DISTANCE_LANES],
     ) {
-        self.distances_at_world_lanes(xs, ys, out);
+        avx2::lanes(self, xs, ys, out);
     }
 
     /// The truncation distance `rmax` used when the field was computed.
@@ -111,11 +126,11 @@ pub trait DistanceField: Send + Sync {
 }
 
 /// Shared-ownership forwarding: `Arc<D>` is a [`DistanceField`] whenever `D`
-/// is, delegating every method — including the lane and AVX2 fast paths a
-/// generic default would hide — to the inner field. A fleet of filters can
-/// then share one precomputed field instead of cloning megabytes of cells per
-/// filter, which is what makes hosting thousands of concurrent filters on one
-/// map affordable.
+/// is, delegating every method — including the lane path and the gather
+/// lookup a generic default would hide — to the inner field. A fleet of
+/// filters can then share one precomputed field instead of cloning megabytes
+/// of cells per filter, which is what makes hosting thousands of concurrent
+/// filters on one map affordable.
 impl<D: DistanceField + ?Sized> DistanceField for Arc<D> {
     fn distance_at(&self, cell: CellIndex) -> f32 {
         (**self).distance_at(cell)
@@ -135,13 +150,9 @@ impl<D: DistanceField + ?Sized> DistanceField for Arc<D> {
     }
 
     #[cfg(target_arch = "x86_64")]
-    fn distances_at_world_lanes_avx2(
-        &self,
-        xs: &[f32; DISTANCE_LANES],
-        ys: &[f32; DISTANCE_LANES],
-        out: &mut [f32; DISTANCE_LANES],
-    ) {
-        (**self).distances_at_world_lanes_avx2(xs, ys, out)
+    #[inline]
+    fn gather_lookup(&self) -> Option<GatherLookup<'_>> {
+        (**self).gather_lookup()
     }
 
     fn max_distance(&self) -> f32 {
@@ -464,17 +475,8 @@ impl DistanceField for EuclideanDistanceField {
 
     #[cfg(target_arch = "x86_64")]
     #[inline]
-    fn distances_at_world_lanes_avx2(
-        &self,
-        xs: &[f32; DISTANCE_LANES],
-        ys: &[f32; DISTANCE_LANES],
-        out: &mut [f32; DISTANCE_LANES],
-    ) {
-        if avx2::usable(self.distances.len()) {
-            avx2::gather_f32(&self.geometry, &self.distances, xs, ys, out);
-        } else {
-            self.distances_at_world_lanes(xs, ys, out);
-        }
+    fn gather_lookup(&self) -> Option<GatherLookup<'_>> {
+        GatherLookup::new(&self.geometry, avx2::Cells::F32(&self.distances))
     }
 
     fn max_distance(&self) -> f32 {
@@ -537,17 +539,8 @@ impl DistanceField for F16DistanceField {
 
     #[cfg(target_arch = "x86_64")]
     #[inline]
-    fn distances_at_world_lanes_avx2(
-        &self,
-        xs: &[f32; DISTANCE_LANES],
-        ys: &[f32; DISTANCE_LANES],
-        out: &mut [f32; DISTANCE_LANES],
-    ) {
-        if avx2::usable_f16(self.geometry.cells()) {
-            avx2::gather_f16(&self.geometry, &self.values, xs, ys, out);
-        } else {
-            self.distances_at_world_lanes(xs, ys, out);
-        }
+    fn gather_lookup(&self) -> Option<GatherLookup<'_>> {
+        GatherLookup::new(&self.geometry, avx2::Cells::F16(&self.values))
     }
 
     fn max_distance(&self) -> f32 {
@@ -622,24 +615,12 @@ impl DistanceField for QuantizedDistanceField {
 
     #[cfg(target_arch = "x86_64")]
     #[inline]
-    fn distances_at_world_lanes_avx2(
-        &self,
-        xs: &[f32; DISTANCE_LANES],
-        ys: &[f32; DISTANCE_LANES],
-        out: &mut [f32; DISTANCE_LANES],
-    ) {
-        if avx2::usable(self.geometry.cells()) {
-            avx2::gather_quantized(
-                &self.geometry,
-                self.quantizer.step(),
-                &self.codes,
-                xs,
-                ys,
-                out,
-            );
-        } else {
-            self.distances_at_world_lanes(xs, ys, out);
-        }
+    fn gather_lookup(&self) -> Option<GatherLookup<'_>> {
+        let cells = avx2::Cells::Quantized {
+            codes: &self.codes,
+            step: self.quantizer.step(),
+        };
+        GatherLookup::new(&self.geometry, cells)
     }
 
     fn max_distance(&self) -> f32 {
@@ -880,12 +861,13 @@ mod tests {
         }
     }
 
-    /// The AVX2 gather path must agree with the portable lane path — and the
-    /// scalar lookup — bit for bit on every storage back-end, for every edge
-    /// the masked predicate handles. On a host without AVX2 (or F16C for the
-    /// fp16 pair path) the override falls back to the portable body, so these
-    /// tests pass trivially there; the CI `avx2` backend leg runs them on
-    /// hardware where the gathers are live.
+    /// The AVX2 gather lookup must agree with the portable lane path — and
+    /// the scalar lookup — bit for bit on every storage back-end, for every
+    /// edge the masked predicate handles; the provided
+    /// `distances_at_world_lanes_avx2` runs `GatherLookup::lookup` whenever
+    /// the field has one. On a host without AVX2 and F16C it falls back to
+    /// the portable body, so these tests pass trivially there; the CI `avx2`
+    /// backend leg runs them on hardware where the gathers are live.
     #[cfg(target_arch = "x86_64")]
     mod avx2_gather {
         use super::*;
@@ -1010,6 +992,33 @@ mod tests {
                     assert_group_matches(field, &xs, &ys);
                 }
             }
+        }
+
+        /// The observation kernel takes its inlined gather loop only when
+        /// `gather_lookup` is `Some`; a storage (or `Arc<D>`, which the fleet
+        /// scores through) that stopped returning it would drop to the lane
+        /// body with the same bits, so only this test would notice.
+        #[test]
+        fn every_storage_and_its_arc_offer_a_gather_lookup() {
+            if !avx2::detected() {
+                eprintln!("note: host lacks AVX2 or F16C, no storage offers a gather lookup");
+                return;
+            }
+            let (edt, half, quantized) = fields();
+            let fields: [&dyn DistanceField; 3] = [&edt, &half, &quantized];
+            for field in fields {
+                assert!(field.gather_lookup().is_some(), "{}", field.storage_name());
+            }
+            let shared: [Arc<dyn DistanceField>; 3] =
+                [Arc::new(edt), Arc::new(half), Arc::new(quantized)];
+            for field in &shared {
+                assert!(
+                    field.gather_lookup().is_some(),
+                    "Arc<{}>",
+                    field.storage_name()
+                );
+            }
+            assert!(Arc::new(shared[0].clone()).gather_lookup().is_some());
         }
 
         #[test]

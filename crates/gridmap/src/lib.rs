@@ -52,6 +52,8 @@ pub mod maze;
 pub mod worldgen;
 
 pub use builder::MapBuilder;
+#[cfg(target_arch = "x86_64")]
+pub use edt::GatherLookup;
 pub use edt::{
     DistanceField, EuclideanDistanceField, F16DistanceField, QuantizedDistanceField, DISTANCE_LANES,
 };

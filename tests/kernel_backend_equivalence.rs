@@ -21,6 +21,9 @@
 //!   as well as beam-only ones — the anchor-range kernel is held to the same
 //!   bit-identity contract as the beam kernel, full-filter, across every
 //!   worker count;
+//! * for the `Avx2` observation kernel on every distance-field storage
+//!   (fp32, fp16, quantized; direct and behind `Arc`), with `f32` and
+//!   binary16 particles and end points off the map and on its last cell;
 //! * for binary16 storage, within [`F16_BACKEND_ULP_BOUND`] f16 ULPs — the
 //!   bound is asserted exactly, not approximated with a float tolerance;
 //! * for the pose reduction, against a spelled-out reference of its fixed
@@ -28,12 +31,15 @@
 //!   negative and +∞ weights.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use tof_mcl::core::kernel::{self, KernelBackend, LANES};
 use tof_mcl::core::{
     AdaptiveConfig, AnchorRangeModel, BeamEndPointModel, ClusterLayout, MclConfig,
     MonteCarloLocalization, MotionDelta, MotionModel, Particle, ParticleBuffer,
 };
-use tof_mcl::gridmap::{EuclideanDistanceField, MapBuilder, OccupancyGrid, Pose2};
+use tof_mcl::gridmap::{
+    CellIndex, DistanceField, EuclideanDistanceField, MapBuilder, OccupancyGrid, Pose2,
+};
 use tof_mcl::num::{Scalar, F16};
 use tof_mcl::sensor::{AnchorRange, Beam, BeamBatch, ObservationBatch};
 
@@ -520,6 +526,136 @@ fn every_backend_matches_scalar_on_the_quantized_f16_pipeline() {
                 );
             }
         }
+    }
+}
+
+/// A 31 × 31-cell room (961 cells, odd, so the fp16 pair-word gather at
+/// the last cell reads its pad element) with an interior wall.
+fn odd_room() -> OccupancyGrid {
+    let map = MapBuilder::new(1.55, 1.55, 0.05)
+        .border_walls()
+        .wall((0.75, 0.0), (0.75, 1.0))
+        .build();
+    assert_eq!(map.cell_count() % 2, 1, "pad coverage needs an odd field");
+    map
+}
+
+/// The beams of [`assert_avx2_observation_matches_scalar`]: (body azimuth,
+/// range) pairs, all inside the model's `r_max` of 1.5 m.
+const PROBE_BEAMS: [(f32, f32); 5] = [(0.0, 0.34), (1.3, 1.4), (2.9, 0.9), (4.4, 1.2), (5.6, 0.2)];
+
+/// Pose `i` of [`assert_avx2_observation_matches_scalar`]. Pose 0 lands its
+/// azimuth-0 beam on the last cell of [`odd_room`] (the gathers read into
+/// the pad); the others scatter over and around the room, so end points
+/// leave it on every side.
+fn probe_pose(i: usize) -> Pose2 {
+    if i == 0 {
+        return Pose2::new(1.2, 1.53, 0.0);
+    }
+    let k = i as f32;
+    Pose2::new(-0.3 + (k * 0.37) % 2.2, 1.9 - (k * 0.29) % 2.2, k * 0.7)
+}
+
+/// Scores the first `n` [`probe_pose`]s against [`PROBE_BEAMS`] with the
+/// scalar kernel and with the `Avx2` dispatch and asserts the two agree bit
+/// for bit.
+fn assert_avx2_observation_matches_scalar<S: Scalar, D: DistanceField + ?Sized>(
+    field: &D,
+    n: usize,
+    label: &str,
+) {
+    let model = BeamEndPointModel::new(0.25, 1.5);
+    let beams: Vec<Beam> = PROBE_BEAMS
+        .into_iter()
+        .map(|(azimuth_body_rad, range_m)| Beam {
+            azimuth_body_rad,
+            range_m,
+            origin_body: Pose2::default(),
+        })
+        .collect();
+    let mut batch = BeamBatch::from_beams(&beams);
+    batch.partition_in_range(model.r_max());
+    let particles: ParticleBuffer<S> = (0..n)
+        .map(|i| Particle::from_pose(&probe_pose(i), 1.0 / n as f32))
+        .collect();
+    let mut scalar = vec![0.0f32; n];
+    kernel::observation_log_likelihoods(particles.as_slice(), field, &model, &batch, &mut scalar);
+    let mut avx2 = vec![f32::NAN; n];
+    kernel::observation_log_likelihoods_with(
+        KernelBackend::Avx2,
+        particles.as_slice(),
+        field,
+        &model,
+        &batch,
+        &mut avx2,
+    );
+    for (i, (a, b)) in scalar.iter().zip(&avx2).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{label} n={n} log[{i}]");
+    }
+}
+
+/// The `Avx2` observation kernel scores through each storage's gather
+/// lookup. Every storage — fp32, fp16 and quantized, each passed directly
+/// and as `Arc<D>` — must match the scalar kernel bit for bit, for `f32`
+/// and binary16 particles and every tail length `n mod 8`, including end
+/// points outside the map and on its last cell.
+#[test]
+fn avx2_observation_matches_scalar_on_every_storage_and_tail() {
+    let map = odd_room();
+    // Pose 0's azimuth-0 end point: x + 1·0.34 − 0·0, y + 0·0.34 + 1·0.
+    let last = CellIndex::new(map.width() - 1, map.height() - 1);
+    assert_eq!(map.world_to_cell(1.2f32 + 0.34, 1.53), Some(last));
+    // The probe poses reach past every edge of the 1.55 m room by a margin
+    // far above any rounding of the end-point arithmetic.
+    let ends: Vec<(f32, f32)> = (1..2 * LANES)
+        .map(probe_pose)
+        .flat_map(|pose| {
+            PROBE_BEAMS.map(|(azimuth, range)| {
+                let heading = pose.theta + azimuth;
+                (
+                    pose.x + range * heading.cos(),
+                    pose.y + range * heading.sin(),
+                )
+            })
+        })
+        .collect();
+    assert!(
+        ends.iter().any(|&(x, _)| x < -0.1),
+        "no end point left of the map"
+    );
+    assert!(
+        ends.iter().any(|&(_, y)| y < -0.1),
+        "no end point below the map"
+    );
+    assert!(
+        ends.iter().any(|&(x, _)| x > 1.65),
+        "no end point beyond the width"
+    );
+    assert!(
+        ends.iter().any(|&(_, y)| y > 1.65),
+        "no end point beyond the height"
+    );
+    let edt = EuclideanDistanceField::compute(&map, 1.5);
+    let half = edt.to_f16();
+    let quantized = edt.quantize();
+    let (edt_arc, half_arc, quantized_arc) = (
+        Arc::new(edt.clone()),
+        Arc::new(half.clone()),
+        Arc::new(quantized.clone()),
+    );
+    for n in (2 * LANES)..(3 * LANES) {
+        assert_avx2_observation_matches_scalar::<f32, _>(&edt, n, "fp32");
+        assert_avx2_observation_matches_scalar::<f32, _>(&half, n, "fp16");
+        assert_avx2_observation_matches_scalar::<f32, _>(&quantized, n, "quantized");
+        assert_avx2_observation_matches_scalar::<f32, _>(&edt_arc, n, "Arc fp32");
+        assert_avx2_observation_matches_scalar::<f32, _>(&half_arc, n, "Arc fp16");
+        assert_avx2_observation_matches_scalar::<f32, _>(&quantized_arc, n, "Arc quantized");
+        assert_avx2_observation_matches_scalar::<F16, _>(&edt, n, "F16 fp32");
+        assert_avx2_observation_matches_scalar::<F16, _>(&half, n, "F16 fp16");
+        assert_avx2_observation_matches_scalar::<F16, _>(&quantized, n, "F16 quantized");
+        assert_avx2_observation_matches_scalar::<F16, _>(&edt_arc, n, "F16 Arc fp32");
+        assert_avx2_observation_matches_scalar::<F16, _>(&half_arc, n, "F16 Arc fp16");
+        assert_avx2_observation_matches_scalar::<F16, _>(&quantized_arc, n, "F16 Arc quantized");
     }
 }
 
